@@ -16,11 +16,13 @@ are refutation-sound only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .core import CapabilityError, Model, Morphism
-from .laws import CaseBudget, CheckReport, Failure, _finish, _objects, _rng
+from .laws import (CaseBudget, CheckReport, Failure, LawSpec, _finish,
+                   _homs_enumerable, _objects, _rng, _run_specs)
 from .monads import HopfBundle, MonadBundle, as_bimonad, fusion_left
 
 
@@ -122,11 +124,15 @@ def enumerate_algebras(model: Model, monad: MonadBundle, A) -> list:
             if is_algebra(model, monad, TAlgebra(A, a))]
 
 
+def _size_sorted_objects(model: Model, budget: CaseBudget) -> list:
+    return sorted(_objects(model, budget),
+                  key=lambda o: (model.obj_size(o), repr(o)))
+
+
 def algebra_pool(model: Model, monad: MonadBundle, budget: CaseBudget) -> list:
     """Algebras over every object in the budgeted pool, size-ordered."""
     pool = []
-    for A in sorted(_objects(model, budget),
-                    key=lambda o: (model.obj_size(o), repr(o))):
+    for A in _size_sorted_objects(model, budget):
         pool.extend(enumerate_algebras(model, monad, A))
     return pool
 
@@ -187,8 +193,7 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("check_traced_monad needs a traced symmetric model")
     b = as_bimonad(b)
     failures, cases = [], 0
-    exhaustive = (model.enumerate_hom(model.unit_obj(), model.unit_obj())
-                  is not None
+    exhaustive = (_homs_enumerable(model)
                   and (b.monad.algebra_source is None
                        or b.monad.algebra_source_complete))
 
@@ -246,62 +251,53 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
 
 
 def coherence_sides(model: Model, hopf: HopfBundle, A, B, X, f):
-    """Both sides of the coherence equation for f : A (x) T(X) -> B (x) T(X)."""
+    """Inputs and both sides of the coherence equation.
+
+    Here f : A (x) T(X) -> B (x) T(X).
+    """
     TX = hopf.on_obj(X)
     lhs = hopf.on_mor(model.trace(TX, A, B, f))
     conj = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f),
                      fusion_left(model, hopf, B, X))
     rhs = model.trace(TX, hopf.on_obj(A), hopf.on_obj(B), conj)
-    return lhs, rhs
+    return {"A": A, "B": B, "X": X, "f": f}, lhs, rhs
 
 
 def check_trace_coherence(model: Model, hopf: HopfBundle,
                           budget: CaseBudget) -> CheckReport:
-    """Trace and functor commute through the fusion-operator conjugation."""
+    """Trace and functor commute through the fusion-operator conjugation.
+
+    Exhaustive over the size-sorted object pool when the model enumerates
+    hom-sets; otherwise sampled and refutation-sound only.
+    """
     if not (model.traced and model.symmetric):
         raise CapabilityError("check_trace_coherence needs a traced symmetric model")
-    failures, cases = [], 0
-    objs = sorted(_objects(model, budget),
-                  key=lambda o: (model.obj_size(o), repr(o)))
-    enumerable = model.enumerate_hom(model.unit_obj(), model.unit_obj()) is not None
+    enumerable = _homs_enumerable(model)
 
-    if enumerable:
-        skipped = 0
-        for A, B, X in itertools.product(objs, repeat=3):
-            TX = hopf.on_obj(X)
-            fs = model.enumerate_hom(model.tensor_obj(A, TX),
-                                     model.tensor_obj(B, TX))
-            if fs is None:
-                skipped += 1  # hom-set beyond the enumeration cap
-                continue
-            for f in fs:
-                cases += 1
-                lhs, rhs = coherence_sides(model, hopf, A, B, X, f)
-                if not model.mor_eq(lhs, rhs):
-                    failures.append(Failure(
-                        "trace_coherence", {"A": A, "B": B, "X": X, "f": f},
-                        lhs, rhs))
-        report = _finish(f"trace_coherence[{hopf.name}]", model.name, cases,
-                         failures,
-                         findings={"quantification": "exhaustive"})
-        if skipped:
-            report.findings["skipped_object_triples"] = skipped
-            report.findings["quantification"] = "exhaustive_with_skips"
-        return report
-
-    for i in range(budget.cases):
-        rng = _rng(budget, "trace_coherence", i)
-        A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
+    def homs(A, B, X):
         TX = hopf.on_obj(X)
-        f = model.sample_hom(rng, model.tensor_obj(A, TX),
-                             model.tensor_obj(B, TX))
-        cases += 1
-        lhs, rhs = coherence_sides(model, hopf, A, B, X, f)
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure(
-                "trace_coherence", {"A": A, "B": B, "X": X, "f": f}, lhs, rhs))
-    return _finish(f"trace_coherence[{hopf.name}]", model.name, cases, failures,
-                   findings={"quantification": "sampled_refutation_only"})
+        return ((model.tensor_obj(A, TX), model.tensor_obj(B, TX)),)
+
+    spec = LawSpec("trace_coherence", 3,
+                   functools.partial(coherence_sides, model, hopf), homs)
+    report = _run_specs(model, budget, f"trace_coherence[{hopf.name}]",
+                        (spec,), enumerable,
+                        _size_sorted_objects(model, budget))
+    if not enumerable:
+        quantification = "sampled_refutation_only"
+    elif report.findings:
+        quantification = "exhaustive_with_skips"
+    else:
+        quantification = "exhaustive"
+    report.findings = {"quantification": quantification, **report.findings}
+    return report
+
+
+def _agree(a, b):
+    """Whether two verdicts agree; None when either is inconclusive."""
+    if "inconclusive" in (a, b):
+        return None
+    return a == b
 
 
 def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
@@ -310,18 +306,19 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
 
     Each side includes the Hopf-validity gate: being a traced symmetric Hopf
     monad on one hand, being a trace-coherent Hopf monad on the other.  A
-    disagreement between the gated verdicts is reported as a library bug.
+    disagreement between the gated verdicts is reported as a library bug;
+    an inconclusive side makes the report inconclusive.
     """
     from .monads import check_hopf
 
     gate = check_hopf(model, hopf, budget)
     traced = check_traced_monad(model, hopf.bimonad, budget)
     coherent = check_trace_coherence(model, hopf, budget)
-    traced_side = "pass" if (gate.passed and traced.passed) else "fail"
-    coherent_side = "pass" if (gate.passed and coherent.passed) else "fail"
-    agree = traced_side == coherent_side
+    traced_side = traced.verdict if gate.passed else "fail"
+    coherent_side = coherent.verdict if gate.passed else "fail"
+    agree = _agree(traced_side, coherent_side)
     failures = []
-    if not agree:
+    if agree is False:
         failures.append(Failure(
             "main_theorem_crosscheck_disagreement",
             {"traced_side": traced_side, "coherent_side": coherent_side,
@@ -330,7 +327,7 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
             model.identity(model.unit_obj()), model.identity(model.unit_obj())))
     cases = gate.cases_run + traced.cases_run + coherent.cases_run
     return _finish(f"mainthm_crosscheck[{hopf.name}]", model.name, cases,
-                   failures,
+                   failures, exhaustive_ok=agree is not None,
                    findings={"hopf_gate": gate.verdict,
                              "traced_monad": traced.verdict,
                              "trace_coherence": coherent.verdict,
@@ -343,60 +340,45 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
 
 
 def fix_coherence_sides(model: Model, hopf: HopfBundle, A, X, f):
-    """Both sides of the fixed-point form for f : A x T(X) -> T(X)."""
+    """Inputs and both sides of the fixed-point form, f : A x T(X) -> T(X)."""
     TX = hopf.on_obj(X)
     lhs = model.compose(hopf.mu(X), hopf.on_mor(model.fix(TX, A, f)))
     inner = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f), hopf.mu(X))
     rhs = model.fix(TX, hopf.on_obj(A), inner)
-    return lhs, rhs
+    return {"A": A, "X": X, "f": f}, lhs, rhs
 
 
 def check_fix_coherence(model: Model, hopf: HopfBundle,
                         budget: CaseBudget) -> CheckReport:
-    """Fixed-point form of coherence; verdict must match the trace form."""
+    """Fixed-point form of coherence; verdict must match the trace form.
+
+    When either form is inconclusive the two are not compared and a passing
+    report becomes inconclusive.
+    """
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("check_fix_coherence needs a traced cartesian "
                               "model with a fixed-point operator")
-    failures, cases = [], 0
-    objs = sorted(_objects(model, budget),
-                  key=lambda o: (model.obj_size(o), repr(o)))
-    enumerable = model.enumerate_hom(model.unit_obj(), model.unit_obj()) is not None
-    skipped = 0
-    if enumerable:
-        for A, X in itertools.product(objs, repeat=2):
-            TX = hopf.on_obj(X)
-            fs = model.enumerate_hom(model.tensor_obj(A, TX), TX)
-            if fs is None:
-                skipped += 1  # hom-set beyond the enumeration cap
-                continue
-            for f in fs:
-                cases += 1
-                lhs, rhs = fix_coherence_sides(model, hopf, A, X, f)
-                if not model.mor_eq(lhs, rhs):
-                    failures.append(Failure("fix_coherence",
-                                            {"A": A, "X": X, "f": f}, lhs, rhs))
-    else:
-        for i in range(budget.cases):
-            rng = _rng(budget, "fix_coherence", i)
-            A, X = (objs[rng.randrange(len(objs))] for _ in range(2))
-            TX = hopf.on_obj(X)
-            f = model.sample_hom(rng, model.tensor_obj(A, TX), TX)
-            cases += 1
-            lhs, rhs = fix_coherence_sides(model, hopf, A, X, f)
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure("fix_coherence",
-                                        {"A": A, "X": X, "f": f}, lhs, rhs))
-    report = _finish(f"fix_coherence[{hopf.name}]", model.name, cases, failures)
-    if skipped:
-        report.findings["skipped_object_pairs"] = skipped
+
+    def homs(A, X):
+        TX = hopf.on_obj(X)
+        return ((model.tensor_obj(A, TX), TX),)
+
+    spec = LawSpec("fix_coherence", 2,
+                   functools.partial(fix_coherence_sides, model, hopf), homs)
+    report = _run_specs(model, budget, f"fix_coherence[{hopf.name}]",
+                        (spec,), _homs_enumerable(model),
+                        _size_sorted_objects(model, budget))
     other = check_trace_coherence(model, hopf, budget)
-    report.findings["matches_trace_coherence"] = (report.verdict == other.verdict)
-    if report.verdict != other.verdict:
+    matches = _agree(report.verdict, other.verdict)
+    report.findings["matches_trace_coherence"] = matches
+    if matches is False:
         report.failures.append(Failure(
             "fix_vs_trace_coherence_disagreement",
             {"fix": report.verdict, "trace": other.verdict},
             model.identity(model.unit_obj()), model.identity(model.unit_obj())))
         report.verdict = "fail"
+    elif matches is None and report.verdict == "pass":
+        report.verdict = "inconclusive"  # the trace form skipped hom-sets
     return report
 
 
@@ -470,9 +452,10 @@ def cocartesian_corollary_check(model: Model, bundle,
         applicable = bi.passed and hv.passed
         findings["corollary_applicable"] = applicable
         if applicable:
-            agree = (coherent == "pass") == bool(findings["idempotent"])
+            agree = _agree(coherent,
+                           "pass" if findings["idempotent"] else "fail")
             findings["corollary_agrees"] = agree
-            if not agree:
+            if agree is False:
                 failures.append(Failure(
                     "cocartesian_corollary",
                     {"coherent": coherent, "idempotent": findings["idempotent"]},
@@ -481,7 +464,9 @@ def cocartesian_corollary_check(model: Model, bundle,
     else:
         findings["corollary_applicable"] = False
     return _finish(f"cocartesian_corollary[{as_bimonad(bundle).name}]",
-                   model.name, cases, failures, findings=findings)
+                   model.name, cases, failures,
+                   exhaustive_ok=coherent != "inconclusive",
+                   findings=findings)
 
 
 # ------------------------------------------------------------- free algebras

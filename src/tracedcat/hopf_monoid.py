@@ -306,6 +306,7 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
                                     lhs, rhs))
     findings = {"trace_coherence": coh.verdict, "traced_monad": traced.verdict}
     return _finish("representable_coherence", model.name, cases, failures,
+                   exhaustive_ok=coh.verdict != "inconclusive",
                    findings=findings)
 
 

@@ -5,11 +5,19 @@ witness-carrying :class:`CheckReport`.  Runs are deterministic: the same
 (model, budget) pair always yields the same report, and every reported
 failure replays to ``lhs != rhs`` under ``mor_eq``.
 
-Suites run either *sampled* (``budget.cases`` seeded draws) or *exhaustive*
-(full enumeration of all instantiations within ``budget.max_object_size``;
-requires hom-set enumerators).  Requesting exhaustiveness from a model
-without enumerators downgrades the verdict to ``inconclusive`` unless a
-failure is found.
+Every law quantified over objects and hom-sets is one :class:`LawSpec` in a
+suite's table: its name, how many objects it takes, the ``(dom, cod)`` of
+each hom-set it quantifies over, and the evaluator of its two sides.  One
+driver runs every table either *sampled* (``budget.cases`` seeded draws per
+law) or *exhaustive* (every object tuple within ``budget.max_object_size``,
+times every morphism tuple of its hom-sets).  ``symmetry_natural`` is marked
+sampled-only, so exhaustive monoidal runs still sample it.
+
+An exhaustive run claims no more than it evaluated.  A law whose objects or
+hom-sets cannot be enumerated is sampled instead; an object tuple with a
+hom-set that ``enumerate_hom`` declines is skipped and counted in
+``findings["skipped_object_tuples"]``.  Either way the verdict is
+``inconclusive`` unless a failure is found.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .core import CapabilityError, EmptyHomError, Model, Morphism
 
@@ -70,56 +79,93 @@ def _rng(budget: CaseBudget, tag: str, i: int) -> random.Random:
     return random.Random(f"{tag}:{budget.seed}:{i}")
 
 
+def _sampled_objects(model: Model, budget: CaseBudget):
+    rng = _rng(budget, "objpool", 0)
+    return [model.sample_object(rng, budget.max_object_size)
+            for _ in range(max(8, budget.max_object_size * 4))]
+
+
 def _objects(model: Model, budget: CaseBudget):
     objs = model.enumerate_objects(budget.max_object_size)
-    if objs is None:
-        rng = _rng(budget, "objpool", 0)
-        objs = [model.sample_object(rng, budget.max_object_size)
-                for _ in range(max(8, budget.max_object_size * 4))]
-    return objs
+    return objs if objs is not None else _sampled_objects(model, budget)
 
 
-class _Draw:
-    """One sampled case: deterministic object and morphism choices."""
-
-    def __init__(self, model, rng, objs):
-        self.model = model
-        self.rng = rng
-        self.objs = objs
-
-    def obj(self):
-        return self.rng.choice(self.objs)
-
-    def hom(self, A, B):
-        return self.model.sample_hom(self.rng, A, B)
+def _homs_enumerable(model):
+    I = model.unit_obj()
+    return model.enumerate_hom(I, I) is not None
 
 
-def _run_law(model, budget, exhaustive, law, sampled_case, exhaustive_cases,
-             failures, counter):
-    """Drive one law; sampled_case draws one case, exhaustive_cases yields all.
+# ---------------------------------------------------------------- law driver
 
-    Each case evaluates to (inputs, lhs, rhs); lhs/rhs are compared exactly.
+
+@dataclass(frozen=True)
+class LawSpec:
+    """One law quantified over ``arity`` objects and the hom-sets they bound.
+
+    ``homs(*objects)`` gives the ``(dom, cod)`` of each quantified hom-set in
+    draw order (``None``: the law quantifies over objects alone), and
+    ``sides(*objects, *morphisms)`` returns ``(inputs, lhs, rhs)``.  A spec
+    with ``exhaustive=False`` is sampled even in exhaustive runs.
     """
-    if exhaustive:
-        gen = exhaustive_cases() if exhaustive_cases is not None else None
-        if gen is not None:
-            for inputs, lhs, rhs in gen:
-                counter[0] += 1
-                if not model.mor_eq(lhs, rhs):
-                    failures.append(Failure(law, inputs, lhs, rhs))
-            return True  # genuinely exhausted
-        # fall through to sampling; caller marks the report inconclusive
-    objs = _objects(model, budget)
-    for i in range(budget.cases):
-        draw = _Draw(model, _rng(budget, law, i), objs)
-        try:
-            inputs, lhs, rhs = sampled_case(draw)
-        except EmptyHomError:
-            continue  # subsingleton models: the drawn hom-set was empty
-        counter[0] += 1
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure(law, inputs, lhs, rhs))
-    return not exhaustive
+    name: str
+    arity: int
+    sides: Callable
+    homs: Optional[Callable] = None
+    exhaustive: bool = True
+
+
+def _run_specs(model: Model, budget: CaseBudget, suite, specs,
+               exhaustive=False, objs=None) -> CheckReport:
+    """Check every spec over ``objs`` (default: the budget's object pool).
+
+    A sampled case draws its objects, then one morphism per hom-set; the
+    draws are seeded by the law name and case index.  An exhaustive spec
+    takes the product over objects, then over hom-sets.  An exhaustive run
+    that has to sample a spec, or skips an object tuple, is at best
+    ``inconclusive``.
+    """
+    if objs is None:
+        objs = model.enumerate_objects(budget.max_object_size)
+        pool = objs if objs is not None else _sampled_objects(model, budget)
+    else:
+        pool = objs
+    homs_ok = exhaustive and objs is not None and _homs_enumerable(model)
+    failures, cases, skipped, covered = [], 0, 0, True
+    for spec in specs:
+        wanted = exhaustive and spec.exhaustive
+        if wanted and (homs_ok or (objs is not None and spec.homs is None)):
+            for objects in itertools.product(objs, repeat=spec.arity):
+                homs = (list(itertools.starmap(model.enumerate_hom,
+                                               spec.homs(*objects)))
+                        if spec.homs else [])
+                if None in homs:
+                    skipped += 1  # hom-set beyond the enumeration cap
+                    continue
+                for morphisms in itertools.product(*homs):
+                    inputs, lhs, rhs = spec.sides(*objects, *morphisms)
+                    cases += 1
+                    if not model.mor_eq(lhs, rhs):
+                        failures.append(Failure(spec.name, inputs, lhs, rhs))
+            continue
+        if wanted:
+            covered = False  # objects or hom-sets do not enumerate
+        for i in range(budget.cases):
+            rng = _rng(budget, spec.name, i)
+            objects = [rng.choice(pool) for _ in range(spec.arity)]
+            try:
+                morphisms = ([model.sample_hom(rng, dom, cod)
+                              for dom, cod in spec.homs(*objects)]
+                             if spec.homs else [])
+                inputs, lhs, rhs = spec.sides(*objects, *morphisms)
+            except EmptyHomError:
+                continue  # subsingleton models: the drawn hom-set was empty
+            cases += 1
+            if not model.mor_eq(lhs, rhs):
+                failures.append(Failure(spec.name, inputs, lhs, rhs))
+    return _finish(suite, model.name, cases, failures,
+                   exhaustive_ok=covered and not skipped,
+                   findings={"skipped_object_tuples": skipped} if skipped
+                   else None)
 
 
 # ------------------------------------------------------------ monoidal suite
@@ -130,9 +176,6 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
     """Pentagon, triangle, symmetry involution, hexagon, bifunctoriality."""
     if not model.symmetric:
         raise CapabilityError("check_monoidal_laws needs a symmetric model")
-    failures, counter = [], [0]
-    exhausted = True
-    objs_all = model.enumerate_objects(budget.max_object_size)
     i = model.identity
 
     def pentagon(A, B, C, D):
@@ -178,94 +221,39 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
             c for c in checks if not model.mor_eq(c, i(c.dom)))
         return {"objects": (A, B, C)}, witness, i(witness.dom)
 
-    # object-only laws
-    for law, fn, arity in (("pentagon", pentagon, 4), ("triangle", triangle, 2),
-                           ("symmetry_involution", sym_invol, 2),
-                           ("hexagon", hexagon, 3),
-                           ("structural_inverses", structural_inverses, 3)):
-        def sampled(draw, fn=fn, arity=arity):
-            return fn(*(draw.obj() for _ in range(arity)))
-
-        def exhaustive_gen(fn=fn, arity=arity):
-            if objs_all is None:
-                return None
-            return (fn(*combo) for combo in itertools.product(objs_all, repeat=arity))
-
-        done = _run_law(model, budget, exhaustive, law, sampled,
-                        exhaustive_gen if exhaustive else None, failures, counter)
-        exhausted = exhausted and (done or not exhaustive)
-
-    # bifunctoriality needs morphisms
-    def bifunct(draw):
-        A, B, C = draw.obj(), draw.obj(), draw.obj()
-        Ap, Bp, Cp = draw.obj(), draw.obj(), draw.obj()
-        h, f = draw.hom(A, B), draw.hom(B, C)
-        k, g = draw.hom(Ap, Bp), draw.hom(Bp, Cp)
+    def bifunctorial(A, B, C, Ap, Bp, Cp, h, f, k, g):
         lhs = model.compose(model.tensor(f, g), model.tensor(h, k))
         rhs = model.tensor(model.compose(f, h), model.compose(g, k))
         return {"f": f, "g": g, "h": h, "k": k}, lhs, rhs
 
-    def bifunct_all():
-        if objs_all is None or not _homs_enumerable(model):
-            return None
-        def gen():
-            for A, B, C, Ap, Bp, Cp in itertools.product(objs_all, repeat=6):
-                homs = (model.enumerate_hom(A, B), model.enumerate_hom(B, C),
-                        model.enumerate_hom(Ap, Bp), model.enumerate_hom(Bp, Cp))
-                if any(hs is None for hs in homs):
-                    return
-                for h, f, k, g in itertools.product(*homs):
-                    lhs = model.compose(model.tensor(f, g), model.tensor(h, k))
-                    rhs = model.tensor(model.compose(f, h), model.compose(g, k))
-                    yield {"f": f, "g": g, "h": h, "k": k}, lhs, rhs
-        return gen()
-
-    done = _run_law(model, budget, exhaustive, "tensor_bifunctorial", bifunct,
-                    bifunct_all if exhaustive else None, failures, counter)
-    exhausted = exhausted and (done or not exhaustive)
-
-    # naturality of the symmetry: sampled only (two free morphisms)
-    def sym_natural(draw):
-        A, B, C, D = (draw.obj() for _ in range(4))
-        f = draw.hom(A, B)
-        g = draw.hom(C, D)
+    def sym_natural(A, B, C, D, f, g):
         lhs = model.compose(model.sym(B, D), model.tensor(f, g))
         rhs = model.compose(model.tensor(g, f), model.sym(A, C))
         return {"f": f, "g": g}, lhs, rhs
 
-    done = _run_law(model, budget, False, "symmetry_natural", sym_natural,
-                    None, failures, counter)
-
-    def tensor_id(draw):
-        A, B = draw.obj(), draw.obj()
+    def tensor_id(A, B):
         lhs = model.tensor(i(A), i(B))
         rhs = i(model.tensor_obj(A, B))
         return {"objects": (A, B)}, lhs, rhs
 
-    done = _run_law(model, budget, exhaustive, "tensor_identity", tensor_id,
-                    (lambda: ( ({"objects": (A, B)},
-                                model.tensor(i(A), i(B)),
-                                i(model.tensor_obj(A, B)))
-                              for A, B in itertools.product(objs_all, repeat=2))
-                     if objs_all is not None else None) if exhaustive else None,
-                    failures, counter)
-    exhausted = exhausted and (done or not exhaustive)
-
-    return _finish("monoidal_laws", model.name, counter[0], failures,
-                   exhaustive_ok=(not exhaustive) or exhausted)
+    specs = (
+        LawSpec("pentagon", 4, pentagon),
+        LawSpec("triangle", 2, triangle),
+        LawSpec("symmetry_involution", 2, sym_invol),
+        LawSpec("hexagon", 3, hexagon),
+        LawSpec("structural_inverses", 3, structural_inverses),
+        LawSpec("tensor_bifunctorial", 6, bifunctorial,
+                lambda A, B, C, Ap, Bp, Cp: ((A, B), (B, C), (Ap, Bp),
+                                             (Bp, Cp))),
+        # two free morphisms over four objects: sampled only
+        LawSpec("symmetry_natural", 4, sym_natural,
+                lambda A, B, C, D: ((A, B), (C, D)), exhaustive=False),
+        LawSpec("tensor_identity", 2, tensor_id),
+    )
+    return _run_specs(model, budget, "monoidal_laws", specs, exhaustive)
 
 
 # --------------------------------------------------------------- trace suite
-
-
-def _hom_iter(model, A, B):
-    hs = model.enumerate_hom(A, B)
-    return hs
-
-
-def _homs_enumerable(model):
-    I = model.unit_obj()
-    return model.enumerate_hom(I, I) is not None
 
 
 def check_trace_axioms(model: Model, budget: CaseBudget,
@@ -277,189 +265,71 @@ def check_trace_axioms(model: Model, budget: CaseBudget,
     """
     if not model.traced:
         raise CapabilityError("check_trace_axioms needs a traced model")
-    failures, counter = [], [0]
-    exhausted = True
-    objs_all = model.enumerate_objects(budget.max_object_size)
-    if exhaustive and not _homs_enumerable(model):
-        objs_all = None  # cannot exhaust the morphism quantifiers
     i = model.identity
+    T = model.tensor_obj
     I = model.unit_obj()
 
-    def tl_eval(f, g, A, Ap, B, X):
+    def tightening_left(A, Ap, B, X, f, g):
         lhs = model.trace(X, Ap, B, model.compose(f, model.tensor(g, i(X))))
         rhs = model.compose(model.trace(X, A, B, f), g)
         return {"A": A, "A'": Ap, "B": B, "X": X, "f": f, "g": g}, lhs, rhs
 
-    def tr_eval(f, h, A, B, Bp, X):
+    def tightening_right(A, B, Bp, X, f, h):
         lhs = model.trace(X, A, Bp, model.compose(model.tensor(h, i(X)), f))
         rhs = model.compose(h, model.trace(X, A, B, f))
         return {"A": A, "B": B, "B'": Bp, "X": X, "f": f, "h": h}, lhs, rhs
 
-    def sl_eval(f, k, A, B, X, Xp):
+    def sliding(A, B, X, Xp, f, k):
         # f : A (x) X -> B (x) X', k : X' -> X; sliding k around the loop
         lhs = model.trace(Xp, A, B, model.compose(f, model.tensor(i(A), k)))
         rhs = model.trace(X, A, B, model.compose(model.tensor(i(B), k), f))
         return {"A": A, "B": B, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs
 
-    def va_eval(f, A, B, X, Y):
-        XY = model.tensor_obj(X, Y)
+    def vanishing(A, B, X, Y, f):
+        XY = T(X, Y)
         lhs = model.trace(XY, A, B, f)
         inner = model.seq(model.assoc_inv(A, X, Y), f, model.assoc(B, X, Y))
-        stage = model.trace(Y, model.tensor_obj(A, X), model.tensor_obj(B, X),
-                            inner)
+        stage = model.trace(Y, T(A, X), T(B, X), inner)
         rhs = model.trace(X, A, B, stage)
         return {"A": A, "B": B, "X": X, "Y": Y, "f": f}, lhs, rhs
 
-    def su_eval(f, A, B, C, X):
+    def vanishing_homs(A, B, X, Y):
+        XY = T(X, Y)
+        return ((T(A, XY), T(B, XY)),)
+
+    def superposing(A, B, C, X, f):
         conj = model.seq(model.assoc_inv(C, A, X),
                          model.tensor(i(C), f),
                          model.assoc(C, B, X))
-        lhs = model.trace(X, model.tensor_obj(C, A), model.tensor_obj(C, B), conj)
+        lhs = model.trace(X, T(C, A), T(C, B), conj)
         rhs = model.tensor(i(C), model.trace(X, A, B, f))
         return {"A": A, "B": B, "C": C, "X": X, "f": f}, lhs, rhs
 
-    def ya_eval(X):
+    def yanking(X):
         lhs = model.trace(X, X, X, model.sym(X, X))
         rhs = i(X)
         return {"X": X}, lhs, rhs
 
-    def vu_eval(f, A, B):
+    def vanishing_unit(A, B, f):
         lhs = model.trace(I, A, B, f)
         rhs = model.seq(model.runit_inv(A), f, model.runit(B))
         return {"A": A, "B": B, "f": f}, lhs, rhs
 
-    specs = []
-
-    def ax(name, sampler, gen):
-        specs.append((name, sampler, gen))
-
-    ax("tightening_left",
-       lambda d: (lambda A, Ap, B, X:
-                  tl_eval(d.hom(model.tensor_obj(A, X), model.tensor_obj(B, X)),
-                          d.hom(Ap, A), A, Ap, B, X))(d.obj(), d.obj(), d.obj(), d.obj()),
-       lambda: _gen_tightening_left(model, objs_all, tl_eval))
-    ax("tightening_right",
-       lambda d: (lambda A, B, Bp, X:
-                  tr_eval(d.hom(model.tensor_obj(A, X), model.tensor_obj(B, X)),
-                          d.hom(B, Bp), A, B, Bp, X))(d.obj(), d.obj(), d.obj(), d.obj()),
-       lambda: _gen_tightening_right(model, objs_all, tr_eval))
-    ax("sliding",
-       lambda d: (lambda A, B, X, Xp:
-                  sl_eval(d.hom(model.tensor_obj(A, X), model.tensor_obj(B, Xp)),
-                          d.hom(Xp, X), A, B, X, Xp))(d.obj(), d.obj(), d.obj(), d.obj()),
-       lambda: _gen_sliding(model, objs_all, sl_eval))
-    ax("vanishing_tensor",
-       lambda d: (lambda A, B, X, Y:
-                  va_eval(d.hom(model.tensor_obj(A, model.tensor_obj(X, Y)),
-                                model.tensor_obj(B, model.tensor_obj(X, Y))),
-                          A, B, X, Y))(d.obj(), d.obj(), d.obj(), d.obj()),
-       lambda: _gen_vanishing(model, objs_all, va_eval))
-    ax("superposing",
-       lambda d: (lambda A, B, C, X:
-                  su_eval(d.hom(model.tensor_obj(A, X), model.tensor_obj(B, X)),
-                          A, B, C, X))(d.obj(), d.obj(), d.obj(), d.obj()),
-       lambda: _gen_superposing(model, objs_all, su_eval))
-    ax("yanking",
-       lambda d: ya_eval(d.obj()),
-       lambda: ((ya_eval(X)) for X in objs_all) if objs_all is not None else None)
-    ax("vanishing_unit_derived",
-       lambda d: (lambda A, B:
-                  vu_eval(d.hom(model.tensor_obj(A, I), model.tensor_obj(B, I)),
-                          A, B))(d.obj(), d.obj()),
-       lambda: _gen_vanish_unit(model, objs_all, vu_eval, I))
-
-    for name, sampler, gen in specs:
-        done = _run_law(model, budget, exhaustive, name, sampler,
-                        gen if exhaustive else None, failures, counter)
-        exhausted = exhausted and (done or not exhaustive)
-
-    return _finish("trace_axioms", model.name, counter[0], failures,
-                   exhaustive_ok=(not exhaustive) or exhausted)
-
-
-def _gen_tightening_left(model, objs, tl_eval):
-    if objs is None:
-        return None
-    def gen():
-        for A, Ap, B, X in itertools.product(objs, repeat=4):
-            fs = _hom_iter(model, model.tensor_obj(A, X), model.tensor_obj(B, X))
-            gs = _hom_iter(model, Ap, A)
-            if fs is None or gs is None:
-                return
-            for f in fs:
-                for g in gs:
-                    yield tl_eval(f, g, A, Ap, B, X)
-    return gen()
-
-
-def _gen_tightening_right(model, objs, tr_eval):
-    if objs is None:
-        return None
-    def gen():
-        for A, B, Bp, X in itertools.product(objs, repeat=4):
-            fs = _hom_iter(model, model.tensor_obj(A, X), model.tensor_obj(B, X))
-            hs = _hom_iter(model, B, Bp)
-            if fs is None or hs is None:
-                return
-            for f in fs:
-                for h in hs:
-                    yield tr_eval(f, h, A, B, Bp, X)
-    return gen()
-
-
-def _gen_sliding(model, objs, sl_eval):
-    if objs is None:
-        return None
-    def gen():
-        for A, B, X, Xp in itertools.product(objs, repeat=4):
-            fs = _hom_iter(model, model.tensor_obj(A, X), model.tensor_obj(B, Xp))
-            ks = _hom_iter(model, Xp, X)
-            if fs is None or ks is None:
-                return
-            for f in fs:
-                for k in ks:
-                    yield sl_eval(f, k, A, B, X, Xp)
-    return gen()
-
-
-def _gen_vanishing(model, objs, va_eval):
-    if objs is None:
-        return None
-    def gen():
-        for A, B, X, Y in itertools.product(objs, repeat=4):
-            XY = model.tensor_obj(X, Y)
-            fs = _hom_iter(model, model.tensor_obj(A, XY), model.tensor_obj(B, XY))
-            if fs is None:
-                return
-            for f in fs:
-                yield va_eval(f, A, B, X, Y)
-    return gen()
-
-
-def _gen_superposing(model, objs, su_eval):
-    if objs is None:
-        return None
-    def gen():
-        for A, B, C, X in itertools.product(objs, repeat=4):
-            fs = _hom_iter(model, model.tensor_obj(A, X), model.tensor_obj(B, X))
-            if fs is None:
-                return
-            for f in fs:
-                yield su_eval(f, A, B, C, X)
-    return gen()
-
-
-def _gen_vanish_unit(model, objs, vu_eval, I):
-    if objs is None:
-        return None
-    def gen():
-        for A, B in itertools.product(objs, repeat=2):
-            fs = _hom_iter(model, model.tensor_obj(A, I), model.tensor_obj(B, I))
-            if fs is None:
-                return
-            for f in fs:
-                yield vu_eval(f, A, B)
-    return gen()
+    specs = (
+        LawSpec("tightening_left", 4, tightening_left,
+                lambda A, Ap, B, X: ((T(A, X), T(B, X)), (Ap, A))),
+        LawSpec("tightening_right", 4, tightening_right,
+                lambda A, B, Bp, X: ((T(A, X), T(B, X)), (B, Bp))),
+        LawSpec("sliding", 4, sliding,
+                lambda A, B, X, Xp: ((T(A, X), T(B, Xp)), (Xp, X))),
+        LawSpec("vanishing_tensor", 4, vanishing, vanishing_homs),
+        LawSpec("superposing", 4, superposing,
+                lambda A, B, C, X: ((T(A, X), T(B, X)),)),
+        LawSpec("yanking", 1, yanking),
+        LawSpec("vanishing_unit_derived", 2, vanishing_unit,
+                lambda A, B: ((T(A, I), T(B, I)),)),
+    )
+    return _run_specs(model, budget, "trace_axioms", specs, exhaustive)
 
 
 # ---------------------------------------------------------------- snake suite
@@ -503,58 +373,54 @@ def check_conway_axioms(model: Model, budget: CaseBudget) -> CheckReport:
     if not (model.cartesian and model.has_conway):
         raise CapabilityError("check_conway_axioms needs a cartesian model "
                               "with a fixed-point operator")
-    failures, counter = [], [0]
-    objs = _objects(model, budget)
     i = model.identity
+    T = model.tensor_obj
 
-    def one_case(draw, law):
-        if law == "conway_fixed_point":
-            A, X = draw.obj(), draw.obj()
-            f = draw.hom(model.tensor_obj(A, X), X)
-            fx = model.fix(X, A, f)
-            lhs = fx
-            rhs = model.compose(f, model.pair(i(A), fx))
-            return {"A": A, "X": X, "f": f}, lhs, rhs
-        if law == "conway_naturality":
-            A, Ap, X = draw.obj(), draw.obj(), draw.obj()
-            f = draw.hom(model.tensor_obj(A, X), X)
-            g = draw.hom(Ap, A)
-            lhs = model.fix(X, Ap, model.compose(f, model.tensor(g, i(X))))
-            rhs = model.compose(model.fix(X, A, f), g)
-            return {"A": A, "A'": Ap, "X": X, "f": f, "g": g}, lhs, rhs
-        if law == "conway_dinaturality":
-            A, X, Xp = draw.obj(), draw.obj(), draw.obj()
-            f = draw.hom(model.tensor_obj(A, X), Xp)
-            k = draw.hom(Xp, X)
-            lhs = model.fix(X, A, model.compose(k, f))
-            rhs = model.compose(
-                k, model.fix(Xp, A, model.compose(f, model.tensor(i(A), k))))
-            return {"A": A, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs
-        # Bekic, with the associator bookkeeping written out
-        A, X, Y = draw.obj(), draw.obj(), draw.obj()
-        XY = model.tensor_obj(X, Y)
-        f = draw.hom(model.tensor_obj(A, XY), X)
-        g = draw.hom(model.tensor_obj(A, XY), Y)
+    def fixed_point(A, X, f):
+        fx = model.fix(X, A, f)
+        lhs = fx
+        rhs = model.compose(f, model.pair(i(A), fx))
+        return {"A": A, "X": X, "f": f}, lhs, rhs
+
+    def naturality(A, Ap, X, f, g):
+        lhs = model.fix(X, Ap, model.compose(f, model.tensor(g, i(X))))
+        rhs = model.compose(model.fix(X, A, f), g)
+        return {"A": A, "A'": Ap, "X": X, "f": f, "g": g}, lhs, rhs
+
+    def dinaturality(A, X, Xp, f, k):
+        lhs = model.fix(X, A, model.compose(k, f))
+        rhs = model.compose(
+            k, model.fix(Xp, A, model.compose(f, model.tensor(i(A), k))))
+        return {"A": A, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs
+
+    def bekic(A, X, Y, f, g):
+        # the associator bookkeeping written out
+        XY = T(X, Y)
         lhs = model.fix(XY, A, model.pair(f, g))
         ga = model.compose(g, model.assoc_inv(A, X, Y))
-        fixg = model.fix(Y, model.tensor_obj(A, X), ga)
+        fixg = model.fix(Y, T(A, X), ga)
         inner = model.compose(
             f, model.compose(model.assoc_inv(A, X, Y),
-                             model.pair(i(model.tensor_obj(A, X)), fixg)))
+                             model.pair(i(T(A, X)), fixg)))
         fixf = model.fix(X, A, inner)
         rhs = model.compose(model.pair(model.proj1(A, X), fixg),
                             model.pair(i(A), fixf))
         return {"A": A, "X": X, "Y": Y, "f": f, "g": g}, lhs, rhs
 
-    for law in ("conway_fixed_point", "conway_naturality",
-                "conway_dinaturality", "conway_bekic"):
-        for case in range(budget.cases):
-            draw = _Draw(model, _rng(budget, law, case), objs)
-            inputs, lhs, rhs = one_case(draw, law)
-            counter[0] += 1
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure(law, inputs, lhs, rhs))
-    return _finish("conway_axioms", model.name, counter[0], failures)
+    def bekic_homs(A, X, Y):
+        AXY = T(A, T(X, Y))
+        return ((AXY, X), (AXY, Y))
+
+    specs = (
+        LawSpec("conway_fixed_point", 2, fixed_point,
+                lambda A, X: ((T(A, X), X),)),
+        LawSpec("conway_naturality", 3, naturality,
+                lambda A, Ap, X: ((T(A, X), X), (Ap, A))),
+        LawSpec("conway_dinaturality", 3, dinaturality,
+                lambda A, X, Xp: ((T(A, X), Xp), (Xp, X))),
+        LawSpec("conway_bekic", 3, bekic, bekic_homs),
+    )
+    return _run_specs(model, budget, "conway_axioms", specs)
 
 
 def check_conway_trace_roundtrip(model: Model, budget: CaseBudget) -> CheckReport:
@@ -567,17 +433,17 @@ def check_conway_trace_roundtrip(model: Model, budget: CaseBudget) -> CheckRepor
     i = model.identity
     for case in range(budget.cases):
         rng = _rng(budget, "conway_roundtrip", case)
-        draw = _Draw(model, rng, objs)
-        A, B, X = draw.obj(), draw.obj(), draw.obj()
+        A, B, X = rng.choice(objs), rng.choice(objs), rng.choice(objs)
         # trace -> fix: the fixed point derived from the trace is fix itself
-        f = draw.hom(model.tensor_obj(A, X), X)
+        f = model.sample_hom(rng, model.tensor_obj(A, X), X)
         derived_fix = model.trace(X, A, X, model.pair(f, f))
         counter[0] += 1
         if not model.mor_eq(derived_fix, model.fix(X, A, f)):
             failures.append(Failure("fix_from_trace", {"A": A, "X": X, "f": f},
                                     derived_fix, model.fix(X, A, f)))
         # fix -> trace: the trace derived from the fixed point is trace itself
-        h = draw.hom(model.tensor_obj(A, X), model.tensor_obj(B, X))
+        h = model.sample_hom(rng, model.tensor_obj(A, X),
+                             model.tensor_obj(B, X))
         p1h = model.compose(model.proj1(B, X), h)
         derived_tr = model.seq(
             model.pair(i(A), model.fix(X, A, p1h)), h, model.proj0(B, X))

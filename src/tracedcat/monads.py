@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .core import CapabilityError, EmptyHomError, Model, Morphism, UsageError
-from .laws import CaseBudget, CheckReport, Failure, _Draw, _finish, _objects, _rng
+from .laws import CaseBudget, CheckReport, Failure, _finish, _objects, _rng
 
 
 @dataclass(frozen=True)
@@ -238,11 +238,11 @@ def check_monad_laws(model: Model, monad: MonadBundle,
                 failures.append(Failure(law, {"A": A}, lhs, rhs))
 
     for i in range(budget.cases):
-        draw = _Draw(model, _rng(budget, "monad_nat", i), objs)
-        A, B, C = draw.obj(), draw.obj(), draw.obj()
+        rng = _rng(budget, "monad_nat", i)
+        A, B, C = rng.choice(objs), rng.choice(objs), rng.choice(objs)
         try:
-            f = draw.hom(A, B)
-            g = draw.hom(B, C)
+            f = model.sample_hom(rng, A, B)
+            g = model.sample_hom(rng, B, C)
         except EmptyHomError:
             continue
         checks = [

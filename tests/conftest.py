@@ -3,7 +3,7 @@ import pytest
 from tracedcat.laws import CaseBudget
 from tracedcat.hopf_monoid import (group_hopf_bundle, group_table_c2,
                                    group_table_s3)
-from tracedcat.model_iter import pfn_model
+from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import mat_model
 from tracedcat.model_order import (bounded_poset_two_traces, fincppo_model,
                                    int_poset_model, n_monad,
@@ -27,6 +27,20 @@ def fincppo():
 @pytest.fixture(scope="session")
 def pfn():
     return pfn_model()
+
+
+class _CappedPfn(PfnModel):
+    """Partial functions that decline every hom-set above 50 morphisms."""
+
+    def enumerate_hom(self, A, B):
+        if (B.size + 1) ** A.size > 50:
+            return None
+        return super().enumerate_hom(A, B)
+
+
+@pytest.fixture(scope="session")
+def capped_pfn():
+    return _CappedPfn()
 
 
 @pytest.fixture(scope="session")

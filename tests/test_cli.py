@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,35 @@ def test_reports_byte_identical(tmp_path):
     one = format_report(run_scenario("two-traces", cfg), "json")
     two = format_report(run_scenario("two-traces", cfg), "json")
     assert one == two
+
+
+# sha256 of each JSON report at RunConfig(seed=0, cases=20, max_size=2);
+# a change that alters any of these reports must re-pin it deliberately
+PINNED_REPORTS = {
+    "group-algebra:c2": "61cf893de2584abc3b7246bafc52a5326b7ecb3cca9f9b4ee3a654994589d297",
+    "laws:bposet-gfp": "5d47d762d55bab0c24dd9c8c77a4782a88fa5558ce9ecbaaead35cc738900e8c",
+    "laws:bposet-lfp": "03d03ce57d81d4aac35ef5b85deb200ef926003716b6d21035ccab7e8c2c4872",
+    "laws:bposet-pair": "6fb5b6825303934f25e84de40dff35e6d2787d9f586f1f92f141cae93f2e8ec4",
+    "laws:fincppo": "63259ee47484cce98fcf5f473797e25d1ac86a85287f8f13280434a6a250cf4c",
+    "laws:mat": "f3f6b61ef488b1eef6fd037c5d6df68d643441737943decd9f55ea4c93c54ba9",
+    "laws:pfn": "23d461ca84fb80472978ace29d27d2c51c93d51ab76320eef278f71ea30bef31",
+    "laws:zle": "ea446c61f45550ef5bbd8989617d0c48ea4296ad71f66dcdf6b0e9f081993e31",
+    "mainthm-crosscheck:identity:fincppo": "8c40241077318390f0ea591e9bb5a8a34826acd4f8a4fa59b6d21ba076bca541",
+    "mainthm-crosscheck:identity:mat": "79d276627e7a878f4a975fe4ee5e97f7aa3845130948194101f8dab944741780",
+    "mainthm-crosscheck:identity:pfn": "1488932762a61b9e08a0a32bccd3e21c535d3024fb1a696217f110dab6f3f8ba",
+    "mainthm-crosscheck:qc2": "63d9769ba1efb28cf9568dea8f1211afd63819046164738319ea4e75cff95db8",
+    "mainthm-crosscheck:qc2-mutated": "2c617991204e55aecc9a0a77e90f87ccaeae73d4f984ce99e6e5d5f042f4fb6e",
+    "mainthm-crosscheck:qs3": "ebb5652a37216742a1af39bb74612310e643e6015f61b7577d22719f3ee01d4f",
+    "pfn-exception": "6876236e461d5cf90c7bd1c19c7386dc376684de70e87b84cb641d392fced8b5",
+}
+
+
+def test_reports_match_pinned_digests():
+    cfg = RunConfig(seed=0, cases=20, max_size=2)
+    digests = {name: hashlib.sha256(
+                   format_report(run_scenario(name, cfg), "json").encode()
+               ).hexdigest() for name in PINNED_REPORTS}
+    assert digests == PINNED_REPORTS
 
 
 def test_unknown_scenario_exit_code(capsys):

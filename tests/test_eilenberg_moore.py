@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from tracedcat.core import CapabilityError
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
+from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
 from tracedcat.monads import HopfBundle, identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
@@ -11,6 +14,7 @@ from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
                                        check_fix_coherence,
                                        check_trace_coherence,
                                        check_traced_monad,
+                                       cocartesian_corollary_check,
                                        crosscheck_main_theorem,
                                        enumerate_algebras, free_algebra,
                                        free_extension_agrees,
@@ -159,6 +163,41 @@ def test_fix_coherence_matches_trace_form(fincppo):
     report = check_fix_coherence(fincppo, identity_hopf_bundle(fincppo), SMALL)
     assert report.passed
     assert report.findings["matches_trace_coherence"]
+
+
+def test_fix_coherence_does_not_compare_with_skipped_trace_form(fincppo):
+    # every fix-form hom-set enumerates; trace-form A x X -> B x X at
+    # size 9 has 9^9 maps and is declined, so the forms cannot be compared
+    budget = CaseBudget(seed=0, cases=20, max_object_size=3)
+    report = check_fix_coherence(fincppo, identity_hopf_bundle(fincppo),
+                                 budget)
+    assert (report.verdict, report.cases_run) == ("inconclusive", 922)
+    assert not report.failures
+    assert report.findings == {"matches_trace_coherence": None}
+
+
+def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
+    # algebra morphisms come from the uncapped enumerator, so only the
+    # coherence side meets declined hom-sets
+    hopf = identity_hopf_bundle(capped_pfn)
+    monad = dataclasses.replace(
+        hopf.bimonad.monad,
+        algmor_enumerator=lambda src, tgt: PfnModel.enumerate_hom(
+            capped_pfn, src.carrier, tgt.carrier))
+    hopf = dataclasses.replace(
+        hopf, bimonad=dataclasses.replace(hopf.bimonad, monad=monad))
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+
+    cross = crosscheck_main_theorem(capped_pfn, hopf, budget)
+    assert (cross.verdict, cross.failures) == ("inconclusive", [])
+    assert cross.findings["traced_side"] == "pass"
+    assert cross.findings["coherent_side"] == "inconclusive"
+    assert cross.findings["agree"] is None
+
+    corollary = cocartesian_corollary_check(capped_pfn, hopf, budget)
+    assert (corollary.verdict, corollary.failures) == ("inconclusive", [])
+    assert corollary.findings["idempotent"] is True
+    assert corollary.findings["corollary_agrees"] is None
 
 
 def test_fix_coherence_capability(mat):

@@ -4,8 +4,10 @@ from tracedcat.core import CapabilityError, Morphism
 from tracedcat.laws import (CaseBudget, check_conway_axioms,
                             check_conway_trace_roundtrip, check_monoidal_laws,
                             check_snake, check_trace_axioms)
+from tracedcat.eilenberg_moore import check_trace_coherence
 from tracedcat.model_linear import MatModel
-from tracedcat.model_order import sierpinski
+from tracedcat.model_order import bounded_poset_two_traces, sierpinski
+from tracedcat.monads import identity_hopf_bundle
 
 
 BUDGET = CaseBudget(seed=3, cases=40, max_object_size=3)
@@ -62,12 +64,33 @@ def test_exhaustive_without_enumerator_is_inconclusive(mat):
     report = check_trace_axioms(mat, BUDGET, exhaustive=True)
     assert report.verdict == "inconclusive"
     assert not report.failures
+    # yanking quantifies over objects alone, so it is still exhausted
+    assert report.cases_run == 244
 
 
 def test_exhaustive_models_never_inconclusive(zle, pfn):
     small = CaseBudget(seed=5, cases=10, max_object_size=2)
     assert check_trace_axioms(zle, small, exhaustive=True).verdict == "pass"
     assert check_trace_axioms(pfn, small, exhaustive=True).verdict == "pass"
+
+
+def test_declined_hom_set_is_skipped_and_counted(capped_pfn):
+    budget = CaseBudget(seed=0, cases=40, max_object_size=2)
+    # vanishing_tensor at (2, 2, 2, 2) needs an 8-element hom-set: 8^8 maps
+    report = check_trace_axioms(bounded_poset_two_traces().lfp, budget,
+                                exhaustive=True)
+    assert (report.verdict, report.cases_run) == ("inconclusive", 1600)
+    assert report.findings == {"skipped_object_tuples": 1}
+
+    report = check_trace_axioms(capped_pfn, budget, exhaustive=True)
+    assert (report.verdict, report.cases_run) == ("inconclusive", 5232)
+    assert report.findings == {"skipped_object_tuples": 110}
+
+    report = check_trace_coherence(capped_pfn,
+                                   identity_hopf_bundle(capped_pfn), budget)
+    assert (report.verdict, report.cases_run) == ("inconclusive", 173)
+    assert report.findings == {"quantification": "exhaustive_with_skips",
+                               "skipped_object_tuples": 6}
 
 
 class _BrokenTrace(MatModel):
