@@ -42,8 +42,6 @@ class RunConfig:
     seed: int = 0
     cases: int = 100
     max_size: int = 3
-    out: str = None
-    fmt: str = "text"
 
     def budget(self, cases=None, max_size=None):
         return CaseBudget(seed=self.seed, cases=cases or self.cases,
@@ -239,19 +237,20 @@ def _run_sierpinski(config: RunConfig, which):
     return suites, ok, detail
 
 
-def _group_bundle(config: RunConfig, group_name):
-    model = mat_model()
+def _group_bundle(group_name):
     if group_name == "c2":
         table = group_table_c2()
     elif group_name == "s3":
         table = group_table_s3()
     else:
         table = load_group(group_name)
-    return model, table, group_hopf_bundle(model, table, name=f"q[{group_name}]")
+    return table, group_hopf_bundle(mat_model(), table,
+                                    name=f"q[{group_name}]")
 
 
 def _run_group_algebra(config: RunConfig, group_name):
-    model, table, bundle = _group_bundle(config, group_name)
+    table, bundle = _group_bundle(group_name)
+    model = bundle.model
     d = group_algebra(model, table)
     size = min(config.max_size, 2 if len(table.elements) > 2 else 3)
     budget = config.budget(max_size=size)
@@ -325,25 +324,11 @@ def _run_pfn_exception(config: RunConfig):
     return results, ok, detail
 
 
-def _hopf_bundles(config: RunConfig):
-    mat = mat_model()
-    out = {
-        "identity:mat": (mat, identity_hopf_bundle(mat)),
-        "identity:fincppo": (fincppo_model(),
-                             identity_hopf_bundle(fincppo_model())),
-        "identity:pfn": (pfn_model(), identity_hopf_bundle(pfn_model())),
-    }
-    _, _, qc2 = _group_bundle(config, "c2")
-    _, _, qs3 = _group_bundle(config, "s3")
-    out["qc2"] = (mat, qc2)
-    out["qs3"] = (mat, qs3)
-    out["qc2-mutated"] = (mat, _mutate_hl_inv(mat, qc2))
-    return out
-
-
-def _mutate_hl_inv(model, bundle):
+def _mutate_hl_inv(bundle):
     """Perturb one entry of the fusion inverse (a deliberately broken bundle)."""
     from .monads import HopfBundle
+
+    model = bundle.model
 
     def bad_hl_inv(A, B):
         good = bundle.hl_inv(A, B)
@@ -355,12 +340,23 @@ def _mutate_hl_inv(model, bundle):
     return HopfBundle(bundle.bimonad, bad_hl_inv)
 
 
+# Hopf bundle constructors; a run builds only the bundle it names
+_HOPF_BUNDLES = {
+    "identity:mat": lambda: identity_hopf_bundle(mat_model()),
+    "identity:fincppo": lambda: identity_hopf_bundle(fincppo_model()),
+    "identity:pfn": lambda: identity_hopf_bundle(pfn_model()),
+    "qc2": lambda: _group_bundle("c2")[1],
+    "qs3": lambda: _group_bundle("s3")[1],
+    "qc2-mutated": lambda: _mutate_hl_inv(_group_bundle("c2")[1]),
+}
+
+
 def _run_mainthm(config: RunConfig, bundle_name):
-    bundles = _hopf_bundles(config)
-    if bundle_name not in bundles:
+    if bundle_name not in _HOPF_BUNDLES:
         raise UsageError(f"unknown bundle {bundle_name!r}; choose from "
-                         f"{sorted(bundles)}")
-    model, bundle = bundles[bundle_name]
+                         f"{sorted(_HOPF_BUNDLES)}")
+    bundle = _HOPF_BUNDLES[bundle_name]()
+    model = bundle.model
     size = 2 if bundle_name.startswith("qs3") else min(config.max_size, 3)
     if model.name in ("fin_cppo", "pfn"):
         size = min(size, 2)
@@ -379,15 +375,15 @@ def _run_trace_meta(config: RunConfig, bundle_name):
     expectations = {"identity:mat": True, "identity:fincppo": True,
                     "identity:pfn": True, "n": True, "qc2": False,
                     "qs3": False}
+    if bundle_name not in expectations:
+        raise UsageError(f"unknown bundle {bundle_name!r}; choose from "
+                         f"{sorted(expectations)}")
     if bundle_name == "n":
         model = int_poset_model()
         bundle = n_monad(model)
     else:
-        bundles = _hopf_bundles(config)
-        if bundle_name not in bundles or bundle_name.endswith("-mutated"):
-            raise UsageError(f"unknown bundle {bundle_name!r}; choose from "
-                             f"{sorted(expectations)}")
-        model, bundle = bundles[bundle_name]
+        bundle = _HOPF_BUNDLES[bundle_name]()
+        model = bundle.model
     report = trace_meta_check(model, bundle)
     suites = [("trace_meta", report)]
     want = expectations[bundle_name]
@@ -549,7 +545,7 @@ def main(argv=None):
         return 0
 
     config = RunConfig(seed=args.seed, cases=args.cases,
-                       max_size=args.max_size, out=args.out, fmt=args.format)
+                       max_size=args.max_size)
     try:
         payload = run_scenario(args.scenario, config)
     except UsageError as err:

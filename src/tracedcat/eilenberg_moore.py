@@ -10,8 +10,9 @@ disagreement as a library bug.
 Quantifier handling: the traced-monad property ranges over all algebras and
 algebra morphisms.  On models with finite hom-set enumerators the checkers
 are exhaustive (within the budget's object-size bound) and verdicts are
-definitive; elsewhere they sample through bundle-registered generators and
-are refutation-sound only.
+definitive, unless a hom-set the enumerator declines was skipped, which
+makes a verdict without failures ``inconclusive``; elsewhere they sample
+through bundle-registered generators and are refutation-sound only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .core import CapabilityError, Model, Morphism
 from .laws import (CaseBudget, CheckReport, Failure, LawSpec, _finish,
-                   _homs_enumerable, _objects, _rng, _run_specs)
+                   _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
 from .monads import HopfBundle, MonadBundle, as_bimonad, fusion_left
 
 
@@ -30,14 +31,6 @@ from .monads import HopfBundle, MonadBundle, as_bimonad, fusion_left
 class TAlgebra:
     carrier: object
     action: Morphism
-
-
-@dataclass(frozen=True)
-class AlgebraMorphismWitness:
-    source: TAlgebra
-    target: TAlgebra
-    map: Morphism
-    checked: bool
 
 
 class AlgebraLawError(Exception):
@@ -85,11 +78,6 @@ def is_algebra_morphism(model, monad, src: TAlgebra, tgt: TAlgebra,
     return model.mor_eq(lhs, rhs)
 
 
-def algebra_morphism(model, monad, src, tgt, f) -> AlgebraMorphismWitness:
-    return AlgebraMorphismWitness(src, tgt, f,
-                                  is_algebra_morphism(model, monad, src, tgt, f))
-
-
 def free_algebra(model: Model, monad: MonadBundle, A) -> TAlgebra:
     return TAlgebra(monad.on_obj(A), monad.mu(A))
 
@@ -124,11 +112,6 @@ def enumerate_algebras(model: Model, monad: MonadBundle, A) -> list:
             if is_algebra(model, monad, TAlgebra(A, a))]
 
 
-def _size_sorted_objects(model: Model, budget: CaseBudget) -> list:
-    return sorted(_objects(model, budget),
-                  key=lambda o: (model.obj_size(o), repr(o)))
-
-
 def algebra_pool(model: Model, monad: MonadBundle, budget: CaseBudget) -> list:
     """Algebras over every object in the budgeted pool, size-ordered."""
     pool = []
@@ -137,19 +120,17 @@ def algebra_pool(model: Model, monad: MonadBundle, budget: CaseBudget) -> list:
     return pool
 
 
-def enumerate_algebra_morphisms(model: Model, b, src: TAlgebra,
-                                tgt: TAlgebra):
+def enumerate_algebra_morphisms(model: Model, monad: MonadBundle,
+                                src: TAlgebra, tgt: TAlgebra):
     """All algebra morphisms src -> tgt, or None when not enumerable."""
-    b = as_bimonad(b)
-    if b.monad.algmor_enumerator is not None:
-        out = b.monad.algmor_enumerator(src, tgt)
+    if monad.algmor_enumerator is not None:
+        out = monad.algmor_enumerator(src, tgt)
         if out is not None:
             return out
     homs = model.enumerate_hom(src.carrier, tgt.carrier)
     if homs is None:
         return None
-    return [f for f in homs
-            if is_algebra_morphism(model, b.monad, src, tgt, f)]
+    return [f for f in homs if is_algebra_morphism(model, monad, src, tgt, f)]
 
 
 def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
@@ -158,7 +139,7 @@ def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
     b = as_bimonad(b)
     if b.monad.algmor_sampler is not None:
         return [b.monad.algmor_sampler(rng, src, tgt) for _ in range(k)]
-    found = enumerate_algebra_morphisms(model, b, src, tgt)
+    found = enumerate_algebra_morphisms(model, b.monad, src, tgt)
     if found is None:
         raise CapabilityError(
             f"bundle {b.name!r} has neither an algebra-morphism sampler nor "
@@ -171,16 +152,65 @@ def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
 # ------------------------------------------------------- traced-monad checker
 
 
-def _conclusion_failure(model, b, algX, algA, algB, f, trf):
-    lhs = model.compose(trf, algA.action)
-    rhs = model.compose(algB.action, b.on_mor(trf))
+def _conclusion_failure(model, b, law, algs, algB, f, g):
+    """The failure of ``g : A -> B`` to be an algebra morphism, or None.
+
+    ``algs`` are the algebras the case ranges over, ``(X, A)`` or
+    ``(X, A, B)``; they and ``f`` make up the witness.
+    """
+    lhs = model.compose(g, algs[1].action)
+    rhs = model.compose(algB.action, b.on_mor(g))
     if model.mor_eq(lhs, rhs):
         return None
-    return Failure("traced_monad_conclusion",
-                   {"X": algX.carrier, "x": algX.action,
-                    "A": algA.carrier, "a": algA.action,
-                    "B": algB.carrier, "b": algB.action, "f": f},
-                   lhs, rhs)
+    inputs = {}
+    for name, alg in zip("XAB", algs):
+        inputs[name] = alg.carrier
+        inputs[name.lower()] = alg.action
+    inputs["f"] = f
+    return Failure(law, inputs, lhs, rhs)
+
+
+def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
+                   lift) -> CheckReport:
+    """Exhaustive lifting loop of the traced and fixed-point checkers.
+
+    For every size-ordered tuple ``(X, A, ...)`` of ``arity`` algebras,
+    ``lift(X, A, ...)`` gives ``(B, tgt, op)``: every algebra morphism
+    ``f : A (x) X -> tgt`` is sent to ``op(f) : A -> B``, which must be an
+    algebra morphism again.  The conclusion only sees ``op(f)``, so each
+    distinct image is decided once, and the run stops at the first failure,
+    which the size order makes minimal.  A tuple whose hom-set cannot be
+    enumerated is skipped and counted, and makes the verdict
+    ``inconclusive`` unless a failure is found.
+    """
+    failures, cases, skipped = [], 0, 0
+    pool = algebra_pool(model, b.monad, budget)
+    for algs in itertools.product(pool, repeat=arity):
+        algX, algA = algs[:2]
+        src = algebra_tensor(model, b, algA, algX)
+        algB, tgt, op = lift(*algs)
+        fs = enumerate_algebra_morphisms(model, b.monad, src, tgt)
+        if fs is None:
+            skipped += 1  # hom-set beyond the enumeration cap
+            continue
+        decided = set()
+        for f in fs:
+            cases += 1
+            g = op(f)
+            if g.payload in decided:
+                continue
+            bad = _conclusion_failure(model, b, law, algs, algB, f, g)
+            if bad:
+                failures.append(bad)
+                break
+            decided.add(g.payload)
+        if failures:
+            break
+    findings = ({"quantification": "exhaustive_with_skips",
+                 "skipped_object_tuples": skipped} if skipped
+                else {"quantification": "exhaustive"})
+    return _finish(suite, model.name, cases, failures,
+                   exhaustive_ok=not skipped, findings=findings)
 
 
 def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
@@ -192,58 +222,39 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
     if not (model.traced and model.symmetric):
         raise CapabilityError("check_traced_monad needs a traced symmetric model")
     b = as_bimonad(b)
-    failures, cases = [], 0
-    exhaustive = (_homs_enumerable(model)
-                  and (b.monad.algebra_source is None
-                       or b.monad.algebra_source_complete))
+    suite = f"traced_monad[{b.name}]"
+    if (_homs_enumerable(model)
+            and (b.monad.algebra_source is None
+                 or b.monad.algebra_source_complete)):
 
-    if exhaustive:
-        pool = algebra_pool(model, b.monad, budget)
-        for algX, algA, algB in itertools.product(pool, repeat=3):
-            src = algebra_tensor(model, b, algA, algX)
-            tgt = algebra_tensor(model, b, algB, algX)
-            fs = enumerate_algebra_morphisms(model, b, src, tgt)
-            if fs is None:
-                raise CapabilityError(
-                    f"hom-set over carriers {src.carrier!r} -> {tgt.carrier!r} "
-                    f"is too large to enumerate; lower max_object_size or "
-                    f"register an algebra-morphism enumerator on the bundle")
-            # the conclusion only sees the traced map, so distinct premises
-            # sharing a trace are decided once
-            verdicts = {}
-            for f in fs:
-                cases += 1
-                trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-                bad = verdicts.get(trf.payload, "unseen")
-                if bad == "unseen":
-                    bad = _conclusion_failure(model, b, algX, algA, algB, f,
-                                              trf)
-                    verdicts[trf.payload] = bad
-                if bad:
-                    failures.append(bad)
-                    break  # size-ordered run: the first witness is minimal
-            if failures:
-                break
-        return _finish(f"traced_monad[{b.name}]", model.name, cases, failures,
-                       findings={"quantification": "exhaustive"})
+        def lift(algX, algA, algB):
+            return (algB, algebra_tensor(model, b, algB, algX),
+                    functools.partial(model.trace, algX.carrier,
+                                      algA.carrier, algB.carrier))
+
+        return _check_lifting(model, b, budget, suite,
+                              "traced_monad_conclusion", 3, lift)
 
     if b.monad.algebra_source is None:
         raise CapabilityError(
             f"bundle {b.name!r} needs a registered algebra generator on "
             f"model {model.name!r}")
+    failures, cases = [], 0
     pool = algebra_pool(model, b.monad, budget)
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
-        algX, algA, algB = (pool[rng.randrange(len(pool))] for _ in range(3))
+        algs = [pool[rng.randrange(len(pool))] for _ in range(3)]
+        algX, algA, algB = algs
         src = algebra_tensor(model, b, algA, algX)
         tgt = algebra_tensor(model, b, algB, algX)
         for f in sample_algebra_morphisms(model, b, rng, src, tgt, k=1):
             cases += 1
             trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-            bad = _conclusion_failure(model, b, algX, algA, algB, f, trf)
+            bad = _conclusion_failure(model, b, "traced_monad_conclusion",
+                                      algs, algB, f, trf)
             if bad:
                 failures.append(bad)
-    return _finish(f"traced_monad[{b.name}]", model.name, cases, failures,
+    return _finish(suite, model.name, cases, failures,
                    findings={"quantification": "sampled_refutation_only"})
 
 
@@ -388,29 +399,13 @@ def check_traced_via_fix(model: Model, b, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("check_traced_via_fix needs a traced cartesian "
                               "model with a fixed-point operator")
     b = as_bimonad(b)
-    failures, cases = [], 0
-    pool = algebra_pool(model, b.monad, budget)
-    for algX, algA in itertools.product(pool, repeat=2):
-        src = algebra_tensor(model, b, algA, algX)
-        fs = enumerate_algebra_morphisms(model, b, src, algX)
-        if fs is None:
-            raise CapabilityError("check_traced_via_fix needs enumerable homs")
-        for f in fs:
-            cases += 1
-            fx = model.fix(algX.carrier, algA.carrier, f)
-            lhs = model.compose(fx, algA.action)
-            rhs = model.compose(algX.action, b.on_mor(fx))
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure(
-                    "fix_monad_conclusion",
-                    {"X": algX.carrier, "x": algX.action,
-                     "A": algA.carrier, "a": algA.action, "f": f},
-                    lhs, rhs))
-                break  # size-ordered run: the first witness is minimal
-        if failures:
-            break
-    return _finish(f"traced_via_fix[{b.name}]", model.name, cases, failures,
-                   findings={"quantification": "exhaustive"})
+
+    def lift(algX, algA):
+        return algX, algX, functools.partial(model.fix, algX.carrier,
+                                             algA.carrier)
+
+    return _check_lifting(model, b, budget, f"traced_via_fix[{b.name}]",
+                          "fix_monad_conclusion", 2, lift)
 
 
 # ------------------------------------------------------------ initial units
@@ -479,11 +474,9 @@ def free_extension_agrees(model: Model, monad: MonadBundle, A,
     Checked by enumeration; only available on enumerable models.
     """
     free = free_algebra(model, monad, A)
-    homs = model.enumerate_hom(free.carrier, tgt.carrier)
-    if homs is None:
+    morphs = enumerate_algebra_morphisms(model, monad, free, tgt)
+    if morphs is None:
         raise CapabilityError("free_extension_agrees needs enumerable homs")
-    morphs = [f for f in homs
-              if is_algebra_morphism(model, monad, free, tgt, f)]
     for f, g in itertools.combinations(morphs, 2):
         fe = model.compose(f, monad.eta(A))
         ge = model.compose(g, monad.eta(A))

@@ -1,12 +1,14 @@
 """Cocommutative Hopf monoids and the monads they represent.
 
 A Hopf monoid in a symmetric model induces the monad ``H (x) -`` whose
-algebras are precisely the H-modules.  The comultiplication builds the
-comonoidal structure, and the antipode builds the inverse of the left
-fusion operator; that inverse is transcribed here in Sweedler style
-(``h |-> h1 (x) h2``) from its string-diagram form, so the constructor
-verifies the round-trip ``h_l o h_l_inv = id`` by brute force before
-handing the bundle out.
+algebras are precisely the H-modules.  Modules, their tensors and their
+morphisms are therefore the algebras, algebra tensors and algebra morphisms
+of :mod:`tracedcat.eilenberg_moore`, and the module statements here are
+checked through that layer.  The comultiplication builds the comonoidal
+structure, and the antipode builds the inverse of the left fusion operator;
+that inverse is transcribed here in Sweedler style (``h |-> h1 (x) h2``)
+from its string-diagram form, so the constructor verifies the round-trip
+``h_l o h_l_inv = id`` by brute force before handing the bundle out.
 
 Group algebras over Q are the stock example: ``group_algebra`` turns a
 finite Cayley table into Hopf-monoid data on the matrix model, and
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CapabilityError, Model, Morphism, UsageError
-from .laws import CaseBudget, CheckReport, Failure, _finish, _objects, _rng
+from .laws import (CaseBudget, CheckReport, Failure, _finish, _rng,
+                   _size_sorted_objects)
 from .monads import BimonadBundle, HopfBundle, MonadBundle, fusion_left
 
 
@@ -33,12 +36,6 @@ class HopfMonoidData:
     comult: Morphism    # H -> H (x) H
     counit: Morphism    # H -> I
     antipode: Morphism  # H -> H
-
-
-@dataclass(frozen=True)
-class ModuleData:
-    carrier: object
-    action: Morphism    # H (x) A -> A
 
 
 # ------------------------------------------------------------------- laws
@@ -204,62 +201,6 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
     return HopfBundle(bimonad, hl_inv)
 
 
-# ----------------------------------------------------------------- modules
-
-
-def check_module(model: Model, d: HopfMonoidData, mod: ModuleData) -> CheckReport:
-    H, A, a = d.carrier, mod.carrier, mod.action
-    i = model.identity
-    failures = []
-    lhs = model.seq(model.lunit_inv(A), model.tensor(d.unit, i(A)), a)
-    if not model.mor_eq(lhs, i(A)):
-        failures.append(Failure("module_unit", {"A": A}, lhs, i(A)))
-    lhs = model.compose(a, model.tensor(d.mult, i(A)))
-    rhs = model.seq(model.assoc_inv(H, H, A), model.tensor(i(H), a), a)
-    if not model.mor_eq(lhs, rhs):
-        failures.append(Failure("module_assoc", {"A": A}, lhs, rhs))
-    return _finish("module_laws", model.name, 2, failures)
-
-
-def is_module_morphism(model: Model, d: HopfMonoidData, src: ModuleData,
-                       tgt: ModuleData, f: Morphism) -> bool:
-    lhs = model.compose(f, src.action)
-    rhs = model.compose(tgt.action, model.tensor(model.identity(d.carrier), f))
-    return model.mor_eq(lhs, rhs)
-
-
-def module_tensor(model: Model, d: HopfMonoidData, left: ModuleData,
-                  right: ModuleData) -> ModuleData:
-    """Diagonal action through the comultiplication on A (x) B."""
-    H, A, B = d.carrier, left.carrier, right.carrier
-    AB = model.tensor_obj(A, B)
-    action = model.seq(
-        model.tensor(d.comult, model.identity(AB)),
-        model.mid4(H, H, A, B),
-        model.tensor(left.action, right.action))
-    out = ModuleData(AB, action)
-    report = check_module(model, d, out)
-    if not report.passed:
-        raise UsageError(f"module tensor failed validation: "
-                         f"{[f.law for f in report.failures]}")
-    return out
-
-
-def regular_module(model: Model, d: HopfMonoidData) -> ModuleData:
-    return ModuleData(d.carrier, d.mult)
-
-
-def trivial_module(model: Model, d: HopfMonoidData) -> ModuleData:
-    I = model.unit_obj()
-    action = model.compose(d.counit, model.runit(d.carrier))
-    return ModuleData(I, action)
-
-
-def module_as_algebra(mod: ModuleData):
-    from .eilenberg_moore import TAlgebra
-    return TAlgebra(mod.carrier, mod.action)
-
-
 # ------------------------------------------------- representable coherence
 
 
@@ -269,7 +210,10 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
     """The induced bundle lifts the trace: coherence, traced-monad property,
     and the direct module statement (traces of module morphisms between
     module tensors are module morphisms)."""
-    from .eilenberg_moore import check_trace_coherence, check_traced_monad
+    from .eilenberg_moore import (algebra_tensor, check_trace_coherence,
+                                  check_traced_monad, free_algebra,
+                                  is_algebra_morphism,
+                                  sample_algebra_morphisms)
 
     if bundle is None:
         bundle = induced_hopf_monad(model, d)
@@ -278,59 +222,31 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
     failures = list(coh.failures) + list(traced.failures)
     cases = coh.cases_run + traced.cases_run
 
-    # direct module-trace spot check
-    objs = sorted(_objects(model, budget),
-                  key=lambda o: (model.obj_size(o), repr(o)))
-    H = d.carrier
-    free = lambda A: ModuleData(model.tensor_obj(H, A),
-                                bundle.mu(A))
+    # direct module-trace spot check; modules are algebras of H (x) -
+    objs = _size_sorted_objects(model, budget)
     for case in range(max(10, budget.cases // 2)):
         rng = _rng(budget, "module_trace", case)
         A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
-        mA, mB, mX = free(A), free(B), free(X)
-        tA = module_tensor(model, d, mA, mX)
-        tB = module_tensor(model, d, mB, mX)
-        f = _sample_module_morphism(model, d, bundle, rng, mA, mB, mX, A, B, X)
-        cases += 1
-        if not is_module_morphism(model, d, tA, tB, f):
-            failures.append(Failure("module_morphism_premise",
-                                    {"A": A, "B": B, "X": X}, f, f))
-            continue
-        tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)
-        lhs = model.compose(tr, mA.action)
-        rhs = model.compose(mB.action,
-                            model.tensor(model.identity(H), tr))
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure("module_trace_morphism",
-                                    {"A": A, "B": B, "X": X, "f": f},
-                                    lhs, rhs))
+        mA, mB, mX = (free_algebra(model, bundle.monad, o) for o in (A, B, X))
+        src = algebra_tensor(model, bundle, mA, mX)
+        tgt = algebra_tensor(model, bundle, mB, mX)
+        for f in sample_algebra_morphisms(model, bundle, rng, src, tgt):
+            cases += 1
+            if not is_algebra_morphism(model, bundle.monad, src, tgt, f):
+                failures.append(Failure("module_morphism_premise",
+                                        {"A": A, "B": B, "X": X}, f, f))
+                continue
+            tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)
+            lhs = model.compose(tr, mA.action)
+            rhs = model.compose(mB.action, bundle.on_mor(tr))
+            if not model.mor_eq(lhs, rhs):
+                failures.append(Failure("module_trace_morphism",
+                                        {"A": A, "B": B, "X": X, "f": f},
+                                        lhs, rhs))
     findings = {"trace_coherence": coh.verdict, "traced_monad": traced.verdict}
     return _finish("representable_coherence", model.name, cases, failures,
-                   exhaustive_ok=coh.verdict != "inconclusive",
+                   exhaustive_ok="inconclusive" not in findings.values(),
                    findings=findings)
-
-
-def _sample_module_morphism(model, d, bundle, rng, mA, mB, mX, A, B, X):
-    """A module morphism mA (x) mX -> mB (x) mX between free-module tensors.
-
-    Uses the bundle's averaging sampler when one is registered; otherwise
-    builds the map from functorial images and the symmetry, which are module
-    morphisms by construction (the symmetry genuinely mixes the factors).
-    """
-    sampler = bundle.monad.algmor_sampler
-    if sampler is not None:
-        src = module_as_algebra(module_tensor(model, d, mA, mX))
-        tgt = module_as_algebra(module_tensor(model, d, mB, mX))
-        return sampler(rng, src, tgt)
-    if rng.random() < 0.5:
-        g3 = model.sample_hom(rng, A, B)
-        g4 = model.sample_hom(rng, X, X)
-        return model.tensor(bundle.on_mor(g3), bundle.on_mor(g4))
-    g1 = model.sample_hom(rng, X, B)
-    g2 = model.sample_hom(rng, A, X)
-    return model.compose(
-        model.tensor(bundle.on_mor(g1), bundle.on_mor(g2)),
-        model.sym(mA.carrier, mX.carrier))
 
 
 # ---------------------------------------------------------- group algebras
@@ -390,10 +306,6 @@ def group_table_errors(table) -> list:
             errs.append(f"associativity fails on triple ({x!r}, {y!r}, {z!r})")
             return errs
     return errs
-
-
-def _basis_col(model, dim, i):
-    return tuple((1,) if r == i else (0,) for r in range(dim))
 
 
 def group_algebra(model, table: GroupTable) -> HopfMonoidData:

@@ -90,6 +90,11 @@ def _objects(model: Model, budget: CaseBudget):
     return objs if objs is not None else _sampled_objects(model, budget)
 
 
+def _size_sorted_objects(model: Model, budget: CaseBudget) -> list:
+    return sorted(_objects(model, budget),
+                  key=lambda o: (model.obj_size(o), repr(o)))
+
+
 def _homs_enumerable(model):
     I = model.unit_obj()
     return model.enumerate_hom(I, I) is not None

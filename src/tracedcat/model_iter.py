@@ -43,6 +43,7 @@ class PfnModel(Model):
     symmetric = True
     traced = True
     cocartesian = True
+    hom_cap = 300_000
 
     def check_obj(self, A):
         if not isinstance(A, FinLabelSet):
@@ -184,7 +185,7 @@ class PfnModel(Model):
     def enumerate_hom(self, A, B):
         self.check_obj(A)
         self.check_obj(B)
-        if (B.size + 1) ** A.size > 300_000:
+        if (B.size + 1) ** A.size > self.hom_cap:
             return None
         opts = [None] + list(range(B.size))
         return [Morphism(self.name, A, B, images)

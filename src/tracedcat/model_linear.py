@@ -85,10 +85,6 @@ def identity_smat(n) -> SparseMat:
     return SparseMat(n, n, tuple(((i, 1),) for i in range(n)))
 
 
-def zero_smat(rows, cols) -> SparseMat:
-    return SparseMat(rows, cols, ((),) * rows)
-
-
 def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
     if a.cols != b.rows:
         raise UsageError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
@@ -314,22 +310,6 @@ class MatModel(Model):
 
 def mat_model(crosscheck_trace=False) -> MatModel:
     return MatModel(crosscheck_trace=crosscheck_trace)
-
-
-def partial_trace(X: int, A: int, B: int, f: Morphism) -> Morphism:
-    """Index-sum partial trace of an explicit (B*X) x (A*X) matrix."""
-    return _DEFAULT.trace(X, A, B, f)
-
-
-def cup(n: int) -> Morphism:
-    return _DEFAULT.cup(n)
-
-
-def cap(n: int) -> Morphism:
-    return _DEFAULT.cap(n)
-
-
-_DEFAULT = MatModel()
 
 
 # dense helpers for the handful of callers that do entrywise arithmetic

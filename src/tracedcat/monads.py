@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .core import CapabilityError, EmptyHomError, Model, Morphism, UsageError
-from .laws import CaseBudget, CheckReport, Failure, _finish, _objects, _rng
+from .laws import (CaseBudget, CheckReport, Failure, _finish, _objects, _rng,
+                   _size_sorted_objects)
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,7 @@ def hopf_from_bimonad(model: Model, b: BimonadBundle, budget: CaseBudget):
     ``(None, witness)`` where the witness is the first (size-ordered) pair
     whose fusion operator has no inverse.
     """
-    objs = sorted(_objects(model, budget),
-                  key=lambda o: (model.obj_size(o), repr(o)))
+    objs = _size_sorted_objects(model, budget)
     table = {}
     for A, B in sorted(itertools.product(objs, repeat=2),
                        key=lambda p: (model.obj_size(p[0]) + model.obj_size(p[1]),
@@ -476,6 +476,7 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
                 {"mu_invertible": mu_invertible, "unit_iso": unit_iso},
                 model.compose(eta(I), b.m_unit), model.identity(T(I))))
 
+    exhaustive_ok = True
     if findings["idempotent"]:
         # eta at T(A) equals T of eta at A
         for A in objs:
@@ -488,9 +489,10 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
             findings["traced_monad_verdict"] = sub.verdict
             cases += sub.cases_run
             failures.extend(sub.failures)
+            exhaustive_ok = sub.verdict != "inconclusive"
 
     return _finish(f"idempotence[{b.name}]", model.name, cases, failures,
-                   findings=findings)
+                   exhaustive_ok=exhaustive_ok, findings=findings)
 
 
 def trace_meta_check(model: Model, bundle) -> CheckReport:

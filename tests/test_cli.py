@@ -55,6 +55,14 @@ PINNED_REPORTS = {
     "mainthm-crosscheck:qc2-mutated": "2c617991204e55aecc9a0a77e90f87ccaeae73d4f984ce99e6e5d5f042f4fb6e",
     "mainthm-crosscheck:qs3": "ebb5652a37216742a1af39bb74612310e643e6015f61b7577d22719f3ee01d4f",
     "pfn-exception": "6876236e461d5cf90c7bd1c19c7386dc376684de70e87b84cb641d392fced8b5",
+    "sierpinski-join": "f95ec80f5da81a788540f47aee76d80615fda8bee6ef83e54c669d874e49038f",
+    "sierpinski-meet": "70aafab37bbe3626e4faaaad2d20241b35c2cc6952cda746b13b97d0fa7f47a0",
+    "trace-meta:identity:fincppo": "6308f4a5673440b18eacbcf18437422e576706e988c5f0296a267ad2c728c99d",
+    "trace-meta:identity:mat": "4c582481cf5c2e1040b0c12888eb0127b8a61a9d74fcef4aaf4abd73fe82ffd9",
+    "trace-meta:n": "b4cf286c93f032a83700cb02dbf6ac56689126e4167613fd22c5fa4a169173bc",
+    "trace-meta:qc2": "6466c1fd14a8ecf3cc0ccfc0e124e30c12a6493b2f7650309f4c36ba25196969",
+    "trace-meta:qs3": "8ad0cf30b247007a98fa40ad3d2210108d1a57cf373b7471bc6c29030cfc17a1",
+    "z-not-hopf": "08c1b5513a5afeb3128cdb02cd6fdeadb24313f457c0813cb711987717726dc2",
 }
 
 

@@ -8,12 +8,13 @@ from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
+from tracedcat.model_order import FinCppoModel
 from tracedcat.monads import HopfBundle, identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
-                                       algebra_morphism, algebra_tensor,
-                                       check_fix_coherence,
+                                       algebra_tensor, check_fix_coherence,
                                        check_trace_coherence,
                                        check_traced_monad,
+                                       check_traced_via_fix,
                                        cocartesian_corollary_check,
                                        crosscheck_main_theorem,
                                        enumerate_algebras, free_algebra,
@@ -93,11 +94,10 @@ def test_algebra_morphism_witness(mat, qc2):
     table = group_table_c2()
     reps = group_representations(mat, table)
     sign = algebra_from_rep(mat, table, reps["sign"])
-    wit = algebra_morphism(mat, qc2.monad, sign, sign, mat.identity(1))
-    assert wit.checked
+    assert is_algebra_morphism(mat, qc2.monad, sign, sign, mat.identity(1))
     regular = algebra_from_rep(mat, table, reps["regular"])
     skew = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert not algebra_morphism(mat, qc2.monad, regular, regular, skew).checked
+    assert not is_algebra_morphism(mat, qc2.monad, regular, regular, skew)
 
 
 def test_free_extension_property(zle, fincppo, nbundle):
@@ -177,13 +177,14 @@ def test_fix_coherence_does_not_compare_with_skipped_trace_form(fincppo):
 
 
 def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
-    # algebra morphisms come from the uncapped enumerator, so only the
-    # coherence side meets declined hom-sets
+    # algebra morphisms come from an uncapped model's enumerator, so only
+    # the coherence side meets declined hom-sets
     hopf = identity_hopf_bundle(capped_pfn)
+    uncapped = PfnModel()
     monad = dataclasses.replace(
         hopf.bimonad.monad,
-        algmor_enumerator=lambda src, tgt: PfnModel.enumerate_hom(
-            capped_pfn, src.carrier, tgt.carrier))
+        algmor_enumerator=lambda src, tgt: uncapped.enumerate_hom(
+            src.carrier, tgt.carrier))
     hopf = dataclasses.replace(
         hopf, bimonad=dataclasses.replace(hopf.bimonad, monad=monad))
     budget = CaseBudget(seed=0, cases=20, max_object_size=2)
@@ -198,6 +199,40 @@ def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
     assert (corollary.verdict, corollary.failures) == ("inconclusive", [])
     assert corollary.findings["idempotent"] is True
     assert corollary.findings["corollary_agrees"] is None
+
+
+def test_lifting_checkers_skip_declined_hom_sets(capped_pfn):
+    # some algebra-morphism hom-sets exceed the 50-map cap: the exhaustive
+    # traced-monad run skips and counts them instead of raising, and the
+    # cross-check cannot compare an inconclusive side
+    hopf = identity_hopf_bundle(capped_pfn)
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+
+    traced = check_traced_monad(capped_pfn, hopf, budget)
+    assert (traced.verdict, traced.cases_run) == ("inconclusive", 173)
+    assert traced.findings == {"quantification": "exhaustive_with_skips",
+                               "skipped_object_tuples": 6}
+
+    cross = crosscheck_main_theorem(capped_pfn, hopf, budget)
+    assert (cross.verdict, cross.cases_run) == ("inconclusive", 448)
+    assert cross.findings["traced_monad"] == "inconclusive"
+    assert cross.findings["agree"] is None
+
+
+class _CappedFinCppo(FinCppoModel):
+    """Pointed posets that decline every hom-set above 20 monotone maps."""
+
+    hom_cap = 20
+
+
+def test_fix_lifting_skips_declined_hom_sets():
+    model = _CappedFinCppo()
+    report = check_traced_via_fix(model, identity_hopf_bundle(model),
+                                  CaseBudget(seed=0, cases=20,
+                                             max_object_size=3))
+    assert (report.verdict, report.cases_run) == ("inconclusive", 13)
+    assert report.findings == {"quantification": "exhaustive_with_skips",
+                               "skipped_object_tuples": 10}
 
 
 def test_fix_coherence_capability(mat):

@@ -1,19 +1,21 @@
 import pytest
 
+from tracedcat import eilenberg_moore
 from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget
+from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import poset_product, sierpinski
-from tracedcat.eilenberg_moore import TAlgebra, is_algebra
-from tracedcat.hopf_monoid import (GroupTable, HopfMonoidData, ModuleData,
-                                   antipode_search, check_module,
-                                   group_algebra, group_table_c2,
-                                   group_table_s3, induced_bimonad,
-                                   induced_hopf_monad, induced_monad,
-                                   is_module_morphism, module_tensor,
-                                   regular_module, trivial_module,
+from tracedcat.eilenberg_moore import (TAlgebra, algebra_tensor,
+                                       free_algebra, is_algebra,
+                                       is_algebra_morphism, unit_algebra)
+from tracedcat.hopf_monoid import (GroupTable, HopfMonoidData,
+                                   antipode_search, group_algebra,
+                                   group_table_c2, group_table_s3,
+                                   induced_bimonad, induced_hopf_monad,
                                    validate_hopf_monoid,
                                    verify_representable_coherence)
+from tracedcat.monads import identity_hopf_bundle
 
 BUDGET = CaseBudget(seed=17, cases=25, max_object_size=2)
 
@@ -110,45 +112,23 @@ def test_wrong_antipode_fails_construction(mat):
         induced_hopf_monad(mat, wrong)
 
 
-def test_modules(mat):
+def test_modules(mat, qc2):
+    # C2-modules are the algebras of H (x) -: the regular module is the free
+    # algebra on the unit, the trivial module is the unit algebra
     d = group_algebra(mat, group_table_c2())
-    reg = regular_module(mat, d)
-    assert check_module(mat, d, reg).passed
-    triv = trivial_module(mat, d)
-    assert check_module(mat, d, triv).passed
-    sign = ModuleData(1, mat.morphism(2, 1, [[1, -1]]))
-    assert check_module(mat, d, sign).passed
-    tensored = module_tensor(mat, d, sign, sign)
+    reg = free_algebra(mat, qc2.monad, 1)
+    assert reg.carrier == 2 and mat.mor_eq(reg.action, d.mult)
+    assert is_algebra(mat, qc2.monad, reg)
+    triv = unit_algebra(mat, qc2)
+    assert dense_rows(triv.action) == ((1, 1),)
+    sign = TAlgebra(1, mat.morphism(2, 1, [[1, -1]]))
+    assert is_algebra(mat, qc2.monad, sign)
+    tensored = algebra_tensor(mat, qc2, sign, sign)
     assert dense_rows(tensored.action) == ((1, 1),)  # trivial again
 
-    assert is_module_morphism(mat, d, reg, reg, mat.identity(2))
+    assert is_algebra_morphism(mat, qc2.monad, reg, reg, mat.identity(2))
     skew = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert not is_module_morphism(mat, d, reg, reg, skew)
-
-
-def test_modules_are_algebras_and_conversely(mat, fincppo, qc2):
-    # matrix side: candidate actions classify identically under both law sets
-    d = group_algebra(mat, group_table_c2())
-    candidates = [mat.morphism(2, 1, [[1, 1]]), mat.morphism(2, 1, [[1, -1]]),
-                  mat.morphism(2, 1, [[1, 2]]), mat.morphism(2, 1, [[0, 1]])]
-    for a in candidates:
-        as_module = check_module(mat, d, ModuleData(1, a)).passed
-        as_algebra = is_algebra(mat, qc2.monad, TAlgebra(1, a))
-        assert as_module == as_algebra
-
-    # poset side, exhaustively over a small carrier with the meet monoid
-    sig = sierpinski()
-    mult = fincppo.table(poset_product(sig, sig), sig, (0, 0, 0, 1))
-    unit = fincppo.table(fincppo.unit_obj(), sig, (1,))
-    dummy = HopfMonoidData(sig, mult, unit,
-                           fincppo.pair(fincppo.identity(sig),
-                                        fincppo.identity(sig)),
-                           fincppo.terminal_map(sig), fincppo.identity(sig))
-    monad = induced_monad(fincppo, sig, mult, unit, "meet")
-    for a in fincppo.enumerate_hom(poset_product(sig, sig), sig):
-        as_module = check_module(fincppo, dummy, ModuleData(sig, a)).passed
-        as_algebra = is_algebra(fincppo, monad, TAlgebra(sig, a))
-        assert as_module == as_algebra
+    assert not is_algebra_morphism(mat, qc2.monad, reg, reg, skew)
 
 
 def test_noncocommutative_comultiplication_breaks_symmetry(mat):
@@ -171,3 +151,24 @@ def test_representable_coherence_for_groups(mat, qc2, qs3):
     assert verify_representable_coherence(mat, d2, BUDGET, bundle=qc2).passed
     d3 = group_algebra(mat, group_table_s3())
     assert verify_representable_coherence(mat, d3, BUDGET, bundle=qs3).passed
+
+
+def test_representable_coherence_passes_traced_skips_through(capped_pfn,
+                                                             monkeypatch):
+    # coherence runs on an uncapped model and passes, so only the
+    # traced-monad side skips hom-sets above the 50-map cap
+    check_trace_coherence = eilenberg_moore.check_trace_coherence
+    monkeypatch.setattr(eilenberg_moore, "check_trace_coherence",
+                        lambda model, bundle, budget: check_trace_coherence(
+                            PfnModel(), bundle, budget))
+    I = capped_pfn.unit_obj()
+    d = HopfMonoidData(I, capped_pfn.lunit(I), capped_pfn.identity(I),
+                       capped_pfn.lunit_inv(I), capped_pfn.identity(I),
+                       capped_pfn.identity(I))
+    report = verify_representable_coherence(
+        capped_pfn, d, CaseBudget(seed=0, cases=20, max_object_size=2),
+        bundle=identity_hopf_bundle(capped_pfn))
+    assert (report.verdict, report.cases_run) == ("inconclusive", 1571)
+    assert not report.failures
+    assert report.findings == {"trace_coherence": "pass",
+                               "traced_monad": "inconclusive"}

@@ -5,7 +5,9 @@ import pytest
 from tracedcat.core import BoundaryError, EmptyHomError, UsageError
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
-from tracedcat.model_order import (PairOb, diagonal_preservation_check,
+from tracedcat.model_order import (FinCppoModel, PairOb,
+                                   _strictness_property,
+                                   diagonal_preservation_check,
                                    enumerate_monotone_tables,
                                    poset_from_pairs, poset_product,
                                    sierpinski, sigma_join_bimonad,
@@ -112,7 +114,7 @@ def test_equivariant_enumerator_agrees_with_filtering(fincppo):
             for f in (fincppo.enumerate_hom(src.carrier, tgt.carrier) or [])
             if is_algebra_morphism(fincppo, meet.monad, src, tgt, f)}
     assert fast == slow
-    for f in enumerate_algebra_morphisms(fincppo, meet, src, tgt):
+    for f in enumerate_algebra_morphisms(fincppo, meet.monad, src, tgt):
         assert is_algebra_morphism(fincppo, meet.monad, src, tgt, f)
 
 
@@ -155,7 +157,29 @@ def test_sierpinski_meet_results(sierpinski_results):
     assert meet["traced_monad"].verdict == "pass"
     assert meet["traced_via_fix"].verdict == "pass"
     assert meet["antipodes"] == []
-    assert sierpinski_results["strictness"].verdict == "pass"
+    strictness = sierpinski_results["strictness"]
+    assert strictness.verdict == "pass"
+    # the 4000-case stop leaves most object triples unchecked, and says so
+    assert strictness.findings == {"checked_object_tuples": 28,
+                                   "skipped_object_tuples": 0,
+                                   "total_object_tuples": 64}
+
+
+class _CappedFinCppo(FinCppoModel):
+    """Pointed posets that decline every hom-set above 20 monotone maps."""
+
+    hom_cap = 20
+
+
+def test_strictness_counts_declined_hom_sets():
+    report = _strictness_property(_CappedFinCppo(),
+                                  CaseBudget(seed=0, cases=20,
+                                             max_object_size=3))
+    assert (report.verdict, report.cases_run) == ("inconclusive", 51)
+    assert not report.failures
+    assert report.findings == {"checked_object_tuples": 10,
+                               "skipped_object_tuples": 54,
+                               "total_object_tuples": 64}
 
 
 def test_sierpinski_join_results(sierpinski_results):

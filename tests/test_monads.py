@@ -90,6 +90,17 @@ def test_idempotence_suite_verdicts(mat, zle, nbundle, qc2):
     assert q_report.findings["hopf_idempotence_criterion_agrees"]
 
 
+def test_idempotence_suite_passes_skips_through(capped_pfn):
+    # the identity bundle is idempotent, so the suite runs the traced-monad
+    # check, which skips the hom-sets above the 50-map cap
+    report = idempotence_suite(capped_pfn, identity_hopf_bundle(capped_pfn),
+                               CaseBudget(seed=0, cases=20, max_object_size=2))
+    assert (report.verdict, report.cases_run) == ("inconclusive", 180)
+    assert not report.failures
+    assert report.findings["idempotent"]
+    assert report.findings["traced_monad_verdict"] == "inconclusive"
+
+
 def test_trace_meta_examples(mat, zle, nbundle, qc2, qs3, fincppo):
     assert trace_meta_check(mat, identity_hopf_bundle(mat)).findings["holds"]
     assert trace_meta_check(fincppo,
