@@ -524,6 +524,13 @@ def format_report(payload, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="tracedcat",
@@ -532,8 +539,8 @@ def main(argv=None):
     runp = sub.add_parser("run", help="run one scenario")
     runp.add_argument("scenario")
     runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--cases", type=int, default=100)
-    runp.add_argument("--max-size", type=int, default=3)
+    runp.add_argument("--cases", type=_positive_int, default=100)
+    runp.add_argument("--max-size", type=_positive_int, default=3)
     runp.add_argument("--out", default=None)
     runp.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_parser("list", help="list scenarios with their notes")

@@ -69,8 +69,11 @@ class Morphism:
 class Model:
     """Operation table of one executable symmetric monoidal category.
 
-    Subclasses fill in the ``_``-prefixed primitive operations; the public
-    wrappers do the boundary/ownership checking once, in one place.
+    A subclass supplies its objects (``check_obj``, ``unit_obj``,
+    ``_tensor_obj`` and friends) and the primitives ``_identity``,
+    ``_compose``, ``_tensor``, ``_sym`` and, when traced, ``_trace``.  The
+    six associators and unitors are derived here through ``_strict``.  The
+    public wrappers do the boundary/ownership checking once, in one place.
     Capability flags say which optional structure is present.
     """
 
@@ -165,48 +168,38 @@ class Model:
         """A (x) (B (x) C) -> (A (x) B) (x) C."""
         for ob in (A, B, C):
             self.check_obj(ob)
-        return self._assoc(A, B, C)
-
-    def _assoc(self, A, B, C):
-        raise NotImplementedError
+        return self._strict(self._tensor_obj(A, self._tensor_obj(B, C)),
+                            self._tensor_obj(self._tensor_obj(A, B), C))
 
     def assoc_inv(self, A, B, C) -> Morphism:
         for ob in (A, B, C):
             self.check_obj(ob)
-        return self._assoc_inv(A, B, C)
-
-    def _assoc_inv(self, A, B, C):
-        raise NotImplementedError
+        return self._strict(self._tensor_obj(self._tensor_obj(A, B), C),
+                            self._tensor_obj(A, self._tensor_obj(B, C)))
 
     def lunit(self, A) -> Morphism:
         """I (x) A -> A."""
         self.check_obj(A)
-        return self._lunit(A)
-
-    def _lunit(self, A):
-        raise NotImplementedError
+        return self._strict(self._tensor_obj(self.unit_obj(), A), A)
 
     def lunit_inv(self, A) -> Morphism:
         self.check_obj(A)
-        return self._lunit_inv(A)
-
-    def _lunit_inv(self, A):
-        raise NotImplementedError
+        return self._strict(A, self._tensor_obj(self.unit_obj(), A))
 
     def runit(self, A) -> Morphism:
         """A (x) I -> A."""
         self.check_obj(A)
-        return self._runit(A)
-
-    def _runit(self, A):
-        raise NotImplementedError
+        return self._strict(self._tensor_obj(A, self.unit_obj()), A)
 
     def runit_inv(self, A) -> Morphism:
         self.check_obj(A)
-        return self._runit_inv(A)
+        return self._strict(A, self._tensor_obj(A, self.unit_obj()))
 
-    def _runit_inv(self, A):
-        raise NotImplementedError
+    def _strict(self, dom, cod) -> Morphism:
+        # the associators and unitors relabel dom as cod, so they carry the
+        # identity payload of dom; a model whose tensor is not strict up to
+        # relabelling overrides this
+        return Morphism(self.name, dom, cod, self._identity(dom).payload)
 
     # ------------------------------------------------------------------ trace
 
@@ -309,9 +302,6 @@ class Model:
             self.assoc(P, R, self.tensor_obj(Q, S)),
         )
 
-
-STRUCTURAL_KINDS = (
-    "assoc", "assoc_inv", "lunit", "lunit_inv", "runit", "runit_inv", "sym")
 
 _STRUCTURAL_ARITY = {
     "assoc": 3, "assoc_inv": 3,

@@ -40,6 +40,8 @@ class CaseBudget:
     def __post_init__(self):
         if self.cases < 1:
             raise ValueError("cases must be >= 1")
+        if self.max_object_size < 1:
+            raise ValueError("max_object_size must be >= 1")
 
 
 @dataclass(frozen=True)

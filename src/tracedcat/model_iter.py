@@ -107,31 +107,6 @@ class PfnModel(Model):
         return Morphism(self.name, self._tensor_obj(A, B),
                         self._tensor_obj(B, A), images)
 
-    def _assoc(self, A, B, C):
-        dom = self._tensor_obj(A, self._tensor_obj(B, C))
-        cod = self._tensor_obj(self._tensor_obj(A, B), C)
-        return Morphism(self.name, dom, cod, tuple(range(dom.size)))
-
-    def _assoc_inv(self, A, B, C):
-        f = self._assoc(A, B, C)
-        return Morphism(self.name, f.cod, f.dom, f.payload)
-
-    def _lunit(self, A):
-        dom = self._tensor_obj(self.unit_obj(), A)
-        return Morphism(self.name, dom, A, tuple(range(A.size)))
-
-    def _lunit_inv(self, A):
-        f = self._lunit(A)
-        return Morphism(self.name, A, f.dom, f.payload)
-
-    def _runit(self, A):
-        dom = self._tensor_obj(A, self.unit_obj())
-        return Morphism(self.name, dom, A, tuple(range(A.size)))
-
-    def _runit_inv(self, A):
-        f = self._runit(A)
-        return Morphism(self.name, A, f.dom, f.payload)
-
     # coproduct structure
     def inj0(self, A, B):
         self.check_obj(A)

@@ -220,20 +220,6 @@ class MatModel(Model):
     def _sym(self, A, B):
         return Morphism(self.name, A * B, B * A, commutation_smat(A, B))
 
-    def _assoc(self, A, B, C):
-        n = A * B * C
-        return Morphism(self.name, n, n, identity_smat(n))
-
-    def _assoc_inv(self, A, B, C):
-        return self._assoc(A, B, C)
-
-    def _lunit(self, A):
-        return Morphism(self.name, A, A, identity_smat(A))
-
-    _lunit_inv = _lunit
-    _runit = _lunit
-    _runit_inv = _lunit
-
     # compact structure, self-dual convention
     def dual_obj(self, A):
         self.check_obj(A)

@@ -87,6 +87,18 @@ def _poset_top(P):
     return None
 
 
+def _transitive_closure(pairs) -> frozenset:
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (i, j), (k, l) in itertools.product(tuple(rel), repeat=2):
+            if j == k and (i, l) not in rel:
+                rel.add((i, l))
+                changed = True
+    return frozenset(rel)
+
+
 def poset_from_pairs(elements, pairs) -> FinPoset:
     """Reflexive-transitive closure of label pairs; antisymmetry validated."""
     elements = tuple(elements)
@@ -99,19 +111,13 @@ def poset_from_pairs(elements, pairs) -> FinPoset:
         if x not in index or y not in index:
             raise UsageError(f"relation mentions unknown element {x!r} or {y!r}")
         rel.add((index[x], index[y]))
-    changed = True
-    while changed:
-        changed = False
-        for (i, j), (k, l) in itertools.product(tuple(rel), repeat=2):
-            if j == k and (i, l) not in rel:
-                rel.add((i, l))
-                changed = True
+    rel = _transitive_closure(rel)
     for i, j in rel:
         if i != j and (j, i) in rel:
             raise UsageError(
                 f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} "
                 f"are mutually related")
-    return FinPoset(elements, frozenset(rel))
+    return FinPoset(elements, rel)
 
 
 @lru_cache(maxsize=None)
@@ -228,18 +234,6 @@ class IntPosetModel(Model):
 
     def _sym(self, A, B):
         return self.arrow(A + B, B + A)
-
-    def _assoc(self, A, B, C):
-        return self.arrow(A + B + C, A + B + C)
-
-    _assoc_inv = _assoc
-
-    def _lunit(self, A):
-        return self.arrow(A, A)
-
-    _lunit_inv = _lunit
-    _runit = _lunit
-    _runit_inv = _lunit
 
     def dual_obj(self, A):
         self.check_obj(A)
@@ -408,31 +402,6 @@ class _PosetModel(Model):
     def _sym(self, A, B):
         return _cached_poset_sym(self.name, A, B)
 
-    def _assoc(self, A, B, C):
-        dom = poset_product(A, poset_product(B, C))
-        cod = poset_product(poset_product(A, B), C)
-        return Morphism(self.name, dom, cod, tuple(range(dom.size)))
-
-    def _assoc_inv(self, A, B, C):
-        f = self._assoc(A, B, C)
-        return Morphism(self.name, f.cod, f.dom, f.payload)
-
-    def _lunit(self, A):
-        dom = poset_product(self.unit_obj(), A)
-        return Morphism(self.name, dom, A, tuple(range(A.size)))
-
-    def _lunit_inv(self, A):
-        f = self._lunit(A)
-        return Morphism(self.name, A, f.dom, f.payload)
-
-    def _runit(self, A):
-        dom = poset_product(A, self.unit_obj())
-        return Morphism(self.name, dom, A, tuple(range(A.size)))
-
-    def _runit_inv(self, A):
-        f = self._runit(A)
-        return Morphism(self.name, A, f.dom, f.payload)
-
     # cartesian structure
     def proj0(self, A, B):
         return _cached_poset_proj(self.name, A, B, 0)
@@ -480,8 +449,9 @@ class _PosetModel(Model):
 
     def _trace(self, X, A, B, f):
         # the fixed point of the feedback coordinate, fed back in, projected
-        # out; identical to trace_by_fix_formula but on raw tables (the
-        # checkers call this millions of times)
+        # out: the pairing/fixed-point/projection formula that
+        # check_conway_trace_roundtrip's trace_from_fix law checks, computed
+        # on raw tables (the checkers call this millions of times)
         nx = X.size
         table = f.payload
         start = self._start_index(X)
@@ -499,12 +469,6 @@ class _PosetModel(Model):
             images.append(table[base + x] // nx)
         return Morphism(self.name, A, B, tuple(images))
 
-    def trace_by_fix_formula(self, X, A, B, f):
-        """The trace spelled out through pairing, fixed point, projection."""
-        p1f = self.compose(self.proj1(B, X), f)
-        fx = self.fix(X, A, p1f)
-        return self.seq(self.pair(self.identity(A), fx), f, self.proj0(B, X))
-
     # enumeration and sampling
     def enumerate_objects(self, max_size):
         out = []
@@ -512,23 +476,14 @@ class _PosetModel(Model):
             seen = set()
             middle = list(itertools.combinations(range(n), 2))
             required = self._required_pairs(n)
+            diagonal = {(i, i) for i in range(n)}
             for subset in itertools.product((False, True), repeat=len(middle)):
-                pairs = set(required)
+                pairs = diagonal | required
                 pairs.update(p for p, keep in zip(middle, subset) if keep)
-                # transitive closure within the index order
-                changed = True
-                while changed:
-                    changed = False
-                    for (i, j), (k, l) in itertools.product(tuple(pairs),
-                                                            repeat=2):
-                        if j == k and (i, l) not in pairs:
-                            pairs.add((i, l))
-                            changed = True
-                key = frozenset(pairs)
-                if key in seen:
+                le = _transitive_closure(pairs)
+                if le in seen:
                     continue
-                seen.add(key)
-                le = frozenset(set(key) | {(i, i) for i in range(n)})
+                seen.add(le)
                 P = FinPoset(tuple(range(n)), le)
                 if self._admissible(P):
                     out.append(P)
@@ -713,27 +668,10 @@ class PairModel(Model):
         return self.pair_mor(self.first.sym(A.left, B.left),
                              self.second.sym(A.right, B.right))
 
-    def _assoc(self, A, B, C):
-        return self.pair_mor(self.first.assoc(A.left, B.left, C.left),
-                             self.second.assoc(A.right, B.right, C.right))
-
-    def _assoc_inv(self, A, B, C):
-        return self.pair_mor(self.first.assoc_inv(A.left, B.left, C.left),
-                             self.second.assoc_inv(A.right, B.right, C.right))
-
-    def _lunit(self, A):
-        return self.pair_mor(self.first.lunit(A.left), self.second.lunit(A.right))
-
-    def _lunit_inv(self, A):
-        return self.pair_mor(self.first.lunit_inv(A.left),
-                             self.second.lunit_inv(A.right))
-
-    def _runit(self, A):
-        return self.pair_mor(self.first.runit(A.left), self.second.runit(A.right))
-
-    def _runit_inv(self, A):
-        return self.pair_mor(self.first.runit_inv(A.left),
-                             self.second.runit_inv(A.right))
+    def _strict(self, dom, cod):
+        # the payload holds component morphisms, not the identity's table
+        return self.pair_mor(self.first._strict(dom.left, cod.left),
+                             self.second._strict(dom.right, cod.right))
 
     def _trace(self, X, A, B, f):
         return self.pair_mor(

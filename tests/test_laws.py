@@ -117,3 +117,5 @@ def test_failures_replay_soundly():
 def test_budget_validation():
     with pytest.raises(ValueError):
         CaseBudget(seed=0, cases=0)
+    with pytest.raises(ValueError):
+        CaseBudget(seed=0, max_object_size=0)

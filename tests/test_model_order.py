@@ -150,6 +150,14 @@ def test_pair_model_is_componentwise(two_traces):
     ident = prod.identity(A)
     assert ident.payload[0] == two_traces.lfp.identity(sig)
     assert ident.payload[1] == two_traces.gfp.identity(sig)
+    chain = poset_from_pairs(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    B, C = PairOb(chain, sig), PairOb(sig, chain)
+    lfp, gfp = two_traces.lfp, two_traces.gfp
+    assert prod.assoc(A, B, C).payload == (lfp.assoc(sig, chain, sig),
+                                           gfp.assoc(sig, sig, chain))
+    assert prod.lunit(B).payload == (lfp.lunit(chain), gfp.lunit(sig))
+    assert prod.runit_inv(C).payload == (lfp.runit_inv(sig),
+                                         gfp.runit_inv(chain))
 
 
 def test_sierpinski_meet_results(sierpinski_results):
