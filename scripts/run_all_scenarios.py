@@ -11,14 +11,14 @@ import argparse
 import sys
 import time
 
-from tracedcat.cli import SCENARIOS, RunConfig, run_scenario
+from tracedcat.cli import SCENARIOS, RunConfig, _positive_int, run_scenario
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cases", type=int, default=60)
-    parser.add_argument("--max-size", type=int, default=3)
+    parser.add_argument("--cases", type=_positive_int, default=60)
+    parser.add_argument("--max-size", type=_positive_int, default=3)
     args = parser.parse_args()
 
     config = RunConfig(seed=args.seed, cases=args.cases,

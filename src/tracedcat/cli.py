@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import Morphism, UsageError
@@ -179,7 +179,7 @@ def _run_z_not_hopf(config: RunConfig):
     window = max(config.max_size, 6)
     budget = config.budget(max_size=window)
     suites = [
-        ("monad_laws", check_monad_laws(model, bundle.monad, budget)),
+        ("monad_laws", check_monad_laws(model, bundle, budget)),
         ("bimonad_laws", check_bimonad_laws(model, bundle, budget)),
         ("traced_monad", check_traced_monad(model, bundle, budget)),
         ("idempotence", idempotence_suite(model, bundle, budget)),
@@ -256,11 +256,11 @@ def _run_group_algebra(config: RunConfig, group_name):
     budget = config.budget(max_size=size)
     suites = [
         ("hopf_monoid_laws", validate_hopf_monoid(model, d)),
-        ("monad_laws", check_monad_laws(model, bundle.monad, budget)),
+        ("monad_laws", check_monad_laws(model, bundle, budget)),
         ("bimonad_laws", check_bimonad_laws(model, bundle, budget)),
         ("hopf_laws", check_hopf(model, bundle, budget)),
         ("trace_coherence", check_trace_coherence(model, bundle, budget)),
-        ("traced_monad", check_traced_monad(model, bundle.bimonad, budget)),
+        ("traced_monad", check_traced_monad(model, bundle, budget)),
         ("module_traces", verify_representable_coherence(model, d, budget,
                                                          bundle=bundle)),
     ]
@@ -326,8 +326,6 @@ def _run_pfn_exception(config: RunConfig):
 
 def _mutate_hl_inv(bundle):
     """Perturb one entry of the fusion inverse (a deliberately broken bundle)."""
-    from .monads import HopfBundle
-
     model = bundle.model
 
     def bad_hl_inv(A, B):
@@ -337,7 +335,7 @@ def _mutate_hl_inv(bundle):
             rows[0][0] = rows[0][0] + 1
         return model.morphism(good.dom, good.cod, rows)
 
-    return HopfBundle(bundle.bimonad, bad_hl_inv)
+    return replace(bundle, hl_inv=bad_hl_inv)
 
 
 # Hopf bundle constructors; a run builds only the bundle it names

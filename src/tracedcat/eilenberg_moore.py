@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .core import CapabilityError, Model, Morphism
 from .laws import (CaseBudget, CheckReport, Failure, LawSpec, _finish,
                    _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
-from .monads import HopfBundle, MonadBundle, as_bimonad, fusion_left
+from .monads import HopfBundle, MonadBundle, fusion_left
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,14 @@ def free_algebra(model: Model, monad: MonadBundle, A) -> TAlgebra:
 
 
 def unit_algebra(model: Model, b) -> TAlgebra:
-    b = as_bimonad(b)
-    return validate_algebra(model, b.monad, TAlgebra(model.unit_obj(), b.m_unit))
+    return validate_algebra(model, b, TAlgebra(model.unit_obj(), b.m_unit))
 
 
 def algebra_tensor(model: Model, b, left: TAlgebra, right: TAlgebra) -> TAlgebra:
     """(A, a) (x) (B, b) carried by A (x) B with action (a (x) b) o m."""
-    b = as_bimonad(b)
     A, B = left.carrier, right.carrier
     action = model.compose(model.tensor(left.action, right.action), b.m(A, B))
-    return validate_algebra(
-        model, b.monad, TAlgebra(model.tensor_obj(A, B), action))
+    return validate_algebra(model, b, TAlgebra(model.tensor_obj(A, B), action))
 
 
 # --------------------------------------------------------------- enumeration
@@ -136,10 +133,9 @@ def enumerate_algebra_morphisms(model: Model, monad: MonadBundle,
 def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
                              tgt: TAlgebra, k=1) -> list:
     """k algebra morphisms src -> tgt drawn through the bundle's sampler."""
-    b = as_bimonad(b)
-    if b.monad.algmor_sampler is not None:
-        return [b.monad.algmor_sampler(rng, src, tgt) for _ in range(k)]
-    found = enumerate_algebra_morphisms(model, b.monad, src, tgt)
+    if b.algmor_sampler is not None:
+        return [b.algmor_sampler(rng, src, tgt) for _ in range(k)]
+    found = enumerate_algebra_morphisms(model, b, src, tgt)
     if found is None:
         raise CapabilityError(
             f"bundle {b.name!r} has neither an algebra-morphism sampler nor "
@@ -184,12 +180,12 @@ def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
     ``inconclusive`` unless a failure is found.
     """
     failures, cases, skipped = [], 0, 0
-    pool = algebra_pool(model, b.monad, budget)
+    pool = algebra_pool(model, b, budget)
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
         src = algebra_tensor(model, b, algA, algX)
         algB, tgt, op = lift(*algs)
-        fs = enumerate_algebra_morphisms(model, b.monad, src, tgt)
+        fs = enumerate_algebra_morphisms(model, b, src, tgt)
         if fs is None:
             skipped += 1  # hom-set beyond the enumeration cap
             continue
@@ -221,11 +217,9 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
     """
     if not (model.traced and model.symmetric):
         raise CapabilityError("check_traced_monad needs a traced symmetric model")
-    b = as_bimonad(b)
     suite = f"traced_monad[{b.name}]"
     if (_homs_enumerable(model)
-            and (b.monad.algebra_source is None
-                 or b.monad.algebra_source_complete)):
+            and (b.algebra_source is None or b.algebra_source_complete)):
 
         def lift(algX, algA, algB):
             return (algB, algebra_tensor(model, b, algB, algX),
@@ -235,12 +229,12 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
         return _check_lifting(model, b, budget, suite,
                               "traced_monad_conclusion", 3, lift)
 
-    if b.monad.algebra_source is None:
+    if b.algebra_source is None:
         raise CapabilityError(
             f"bundle {b.name!r} needs a registered algebra generator on "
             f"model {model.name!r}")
     failures, cases = [], 0
-    pool = algebra_pool(model, b.monad, budget)
+    pool = algebra_pool(model, b, budget)
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
         algs = [pool[rng.randrange(len(pool))] for _ in range(3)]
@@ -323,7 +317,7 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
     from .monads import check_hopf
 
     gate = check_hopf(model, hopf, budget)
-    traced = check_traced_monad(model, hopf.bimonad, budget)
+    traced = check_traced_monad(model, hopf, budget)
     coherent = check_trace_coherence(model, hopf, budget)
     traced_side = traced.verdict if gate.passed else "fail"
     coherent_side = coherent.verdict if gate.passed else "fail"
@@ -398,7 +392,6 @@ def check_traced_via_fix(model: Model, b, budget: CaseBudget) -> CheckReport:
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("check_traced_via_fix needs a traced cartesian "
                               "model with a fixed-point operator")
-    b = as_bimonad(b)
 
     def lift(algX, algA):
         return algX, algX, functools.partial(model.fix, algX.carrier,
@@ -458,7 +451,7 @@ def cocartesian_corollary_check(model: Model, bundle,
                     model.identity(model.unit_obj())))
     else:
         findings["corollary_applicable"] = False
-    return _finish(f"cocartesian_corollary[{as_bimonad(bundle).name}]",
+    return _finish(f"cocartesian_corollary[{bundle.name}]",
                    model.name, cases, failures,
                    exhaustive_ok=coherent != "inconclusive",
                    findings=findings)

@@ -149,7 +149,7 @@ def induced_bimonad(model: Model, carrier, mult, unit, comult, counit, name,
                              model.tensor(comult, model.identity(AB)))
 
     m_unit = model.compose(counit, model.runit(H))
-    return BimonadBundle(monad, m, m_unit)
+    return BimonadBundle(**vars(monad), m=m, m_unit=m_unit)
 
 
 def sweedler_fusion_inverse(model: Model, d: HopfMonoidData, A, B) -> Morphism:
@@ -198,7 +198,7 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
             raise UsageError(
                 f"fusion inverse transcription fails round-trip at "
                 f"({A!r}, {B!r}) for {name}")
-    return HopfBundle(bimonad, hl_inv)
+    return HopfBundle(**vars(bimonad), hl_inv=hl_inv)
 
 
 # ------------------------------------------------- representable coherence
@@ -218,7 +218,7 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
     if bundle is None:
         bundle = induced_hopf_monad(model, d)
     coh = check_trace_coherence(model, bundle, budget)
-    traced = check_traced_monad(model, bundle.bimonad, budget)
+    traced = check_traced_monad(model, bundle, budget)
     failures = list(coh.failures) + list(traced.failures)
     cases = coh.cases_run + traced.cases_run
 
@@ -227,12 +227,12 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
     for case in range(max(10, budget.cases // 2)):
         rng = _rng(budget, "module_trace", case)
         A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
-        mA, mB, mX = (free_algebra(model, bundle.monad, o) for o in (A, B, X))
+        mA, mB, mX = (free_algebra(model, bundle, o) for o in (A, B, X))
         src = algebra_tensor(model, bundle, mA, mX)
         tgt = algebra_tensor(model, bundle, mB, mX)
         for f in sample_algebra_morphisms(model, bundle, rng, src, tgt):
             cases += 1
-            if not is_algebra_morphism(model, bundle.monad, src, tgt, f):
+            if not is_algebra_morphism(model, bundle, src, tgt, f):
                 failures.append(Failure("module_morphism_premise",
                                         {"A": A, "B": B, "X": X}, f, f))
                 continue
@@ -428,7 +428,7 @@ def group_representations(model, table: GroupTable) -> dict:
 
 def algebra_from_rep(model, table: GroupTable, rep) -> "TAlgebra":
     """Action matrix H (x) A -> A with columns indexed by (g, basis_i)."""
-    from .eilenberg_moore import TAlgebra, validate_algebra
+    from .eilenberg_moore import TAlgebra
 
     els = table.elements
     dim = len(next(iter(rep.values())))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import (BoundaryError, Model, ModelMismatchError, Morphism,
                    UsageError)
-from .monads import BimonadBundle, MonadBundle
+from .monads import BimonadBundle
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,5 @@ def exception_bimonad(model: PfnModel, E: FinLabelSet) -> BimonadBundle:
     m_unit = Morphism(model.name, T(model.unit_obj()), model.unit_obj(),
                       (None,) * ne)
 
-    monad = MonadBundle(model, f"exception[{ne}]",
-                        on_obj=T, on_mor=on_mor, mu=mu, eta=eta)
-    return BimonadBundle(monad, m, m_unit)
+    return BimonadBundle(model, f"exception[{ne}]", on_obj=T, on_mor=on_mor,
+                         mu=mu, eta=eta, m=m, m_unit=m_unit)

@@ -347,5 +347,5 @@ def dual_algebra(model: MatModel, hopf, algebra):
         model.lunit(ad),
     )
     out = TAlgebra(ad, action)
-    validate_algebra(model, hopf.monad, out)
+    validate_algebra(model, hopf, out)
     return out

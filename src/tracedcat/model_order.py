@@ -282,14 +282,12 @@ def n_monad(model: IntPosetModel = None) -> BimonadBundle:
     def N(n):
         return max(0, n)
 
-    monad = MonadBundle(
+    return BimonadBundle(
         model, "N",
         on_obj=N,
         on_mor=lambda f: model.arrow(N(f.dom), N(f.cod)),
         mu=lambda n: model.arrow(N(N(n)), N(n)),
-        eta=lambda n: model.arrow(n, N(n)))
-    return BimonadBundle(
-        monad,
+        eta=lambda n: model.arrow(n, N(n)),
         m=lambda a, b: model.arrow(N(a + b), N(a) + N(b)),
         m_unit=model.arrow(0, 0))
 
@@ -635,8 +633,9 @@ class PairModel(Model):
         return PairOb(self.first.unit_obj(), self.second.unit_obj())
 
     def _tensor_obj(self, A, B):
-        return PairOb(self.first.tensor_obj(A.left, B.left),
-                      self.second.tensor_obj(A.right, B.right))
+        # check_obj has validated both components already
+        return PairOb(self.first._tensor_obj(A.left, B.left),
+                      self.second._tensor_obj(A.right, B.right))
 
     def factor_tensor(self, AB, X):
         return PairOb(self.first.factor_tensor(AB.left, X.left),
@@ -776,7 +775,8 @@ def canonical_cartesian_bimonad(model: Model, monad: MonadBundle) -> BimonadBund
                           monad.on_mor(model.proj1(A, B)))
 
     top = model.unit_obj()
-    return BimonadBundle(monad, m, model.terminal_map(monad.on_obj(top)))
+    return BimonadBundle(**vars(monad), m=m,
+                         m_unit=model.terminal_map(monad.on_obj(top)))
 
 
 def _module_morphism_enumerator(model, h_size, src, tgt):

@@ -1,11 +1,20 @@
 """Monad, bimonad and Hopf-monad bundles with their law checkers.
 
 Bundles are closures over finitely representable data; nothing is assumed,
-everything (naturality included) is checked.  A :class:`HopfBundle` must be
-handed its fusion inverse explicitly -- invertibility is the mathematical
-content under test, so the library never synthesises it silently.  The right
-fusion operator and its inverse are always derived from the left one through
-the symmetry, which turns that derivation itself into a checkable law.
+everything (naturality included) is checked.  As in the paper, each notion
+is the one before it plus structure: a :class:`BimonadBundle` is a
+:class:`MonadBundle` with a comonoidal structure ``m``/``m_unit``, and a
+:class:`HopfBundle` is a bimonad bundle with the inverse ``hl_inv`` of its
+left fusion operator.  So any bundle goes wherever a poorer one is expected.
+A richer bundle is built from a poorer one as
+``BimonadBundle(**vars(monad), m=..., m_unit=...)`` and one field is changed
+with :func:`dataclasses.replace`.
+
+A Hopf bundle must be handed its fusion inverse explicitly -- invertibility
+is the mathematical content under test, so the library never synthesises it
+silently.  The right fusion operator and its inverse are always derived from
+the left one through the symmetry, which turns that derivation itself into a
+checkable law.
 """
 
 from __future__ import annotations
@@ -36,85 +45,15 @@ class MonadBundle:
     algmor_enumerator: Any = None
 
 
-@dataclass(frozen=True)
-class BimonadBundle:
-    monad: MonadBundle
+@dataclass(frozen=True, kw_only=True)
+class BimonadBundle(MonadBundle):
     m: Callable          # (A, B) -> Morphism T(A (x) B) -> T(A) (x) T(B)
     m_unit: Morphism     # T(I) -> I
 
-    @property
-    def model(self):
-        return self.monad.model
 
-    @property
-    def name(self):
-        return self.monad.name
-
-    @property
-    def on_obj(self):
-        return self.monad.on_obj
-
-    @property
-    def on_mor(self):
-        return self.monad.on_mor
-
-    @property
-    def mu(self):
-        return self.monad.mu
-
-    @property
-    def eta(self):
-        return self.monad.eta
-
-
-@dataclass(frozen=True)
-class HopfBundle:
-    bimonad: BimonadBundle
+@dataclass(frozen=True, kw_only=True)
+class HopfBundle(BimonadBundle):
     hl_inv: Callable     # (A, B) -> inverse of the left fusion operator
-
-    @property
-    def model(self):
-        return self.bimonad.model
-
-    @property
-    def name(self):
-        return self.bimonad.name
-
-    @property
-    def monad(self):
-        return self.bimonad.monad
-
-    @property
-    def on_obj(self):
-        return self.bimonad.on_obj
-
-    @property
-    def on_mor(self):
-        return self.bimonad.on_mor
-
-    @property
-    def mu(self):
-        return self.bimonad.mu
-
-    @property
-    def eta(self):
-        return self.bimonad.eta
-
-    @property
-    def m(self):
-        return self.bimonad.m
-
-    @property
-    def m_unit(self):
-        return self.bimonad.m_unit
-
-
-def as_bimonad(bundle) -> BimonadBundle:
-    if isinstance(bundle, HopfBundle):
-        return bundle.bimonad
-    if isinstance(bundle, BimonadBundle):
-        return bundle
-    raise UsageError(f"expected a bimonad or Hopf bundle, got {bundle!r}")
 
 
 def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
@@ -125,7 +64,7 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
         from .eilenberg_moore import TAlgebra
         return [TAlgebra(A, model.identity(A))]
 
-    monad = MonadBundle(
+    return HopfBundle(
         model, name,
         on_obj=lambda A: A,
         on_mor=lambda f: f,
@@ -134,13 +73,10 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
         algebra_source=algebra_source,
         algebra_source_complete=True,
         algmor_sampler=lambda rng, src, tgt:
-            model.sample_hom(rng, src.carrier, tgt.carrier))
-    bimonad = BimonadBundle(
-        monad,
+            model.sample_hom(rng, src.carrier, tgt.carrier),
         m=lambda A, B: model.identity(model.tensor_obj(A, B)),
-        m_unit=model.identity(model.unit_obj()))
-    return HopfBundle(bimonad,
-                      hl_inv=lambda A, B: model.identity(model.tensor_obj(A, B)))
+        m_unit=model.identity(model.unit_obj()),
+        hl_inv=lambda A, B: model.identity(model.tensor_obj(A, B)))
 
 
 # ------------------------------------------------------------------ fusion
@@ -148,7 +84,6 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
 
 def fusion_left(model: Model, b, A, B) -> Morphism:
     """T(A (x) T(B)) -> T(A) (x) T(B)."""
-    b = as_bimonad(b)
     TB = b.on_obj(B)
     return model.compose(
         model.tensor(model.identity(b.on_obj(A)), b.mu(B)),
@@ -157,7 +92,6 @@ def fusion_left(model: Model, b, A, B) -> Morphism:
 
 def fusion_right(model: Model, b, A, B) -> Morphism:
     """T(T(A) (x) B) -> T(A) (x) T(B)."""
-    b = as_bimonad(b)
     TA = b.on_obj(A)
     return model.compose(
         model.tensor(b.mu(A), model.identity(b.on_obj(B))),
@@ -208,7 +142,8 @@ def hopf_from_bimonad(model: Model, b: BimonadBundle, budget: CaseBudget):
             table[(A, B)] = got
         return table[(A, B)]
 
-    return HopfBundle(b, hl_inv), None
+    # b may be a Hopf bundle already, whose inverse is replaced
+    return HopfBundle(**dict(vars(b), hl_inv=hl_inv)), None
 
 
 # ------------------------------------------------------------------ checkers
@@ -268,7 +203,6 @@ def check_bimonad_laws(model: Model, b, budget: CaseBudget) -> CheckReport:
     """Comonoidal endofunctor laws, compatibility of mu/eta, symmetry law."""
     if not model.symmetric:
         raise CapabilityError("check_bimonad_laws needs a symmetric model")
-    b = as_bimonad(b)
     failures, cases = [], 0
     objs = _objects(model, budget)
     T, mu, eta, m, mI = b.on_obj, b.mu, b.eta, b.m, b.m_unit
@@ -333,7 +267,8 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
     Also checks that the fusion operators and their inverses are algebra
     morphisms between the corresponding free algebras.
     """
-    from .eilenberg_moore import algebra_tensor, free_algebra, is_algebra_morphism
+    from .eilenberg_moore import (AlgebraLawError, algebra_tensor,
+                                  free_algebra, is_algebra_morphism)
 
     if not model.symmetric:
         raise CapabilityError("check_hopf needs a symmetric model")
@@ -381,30 +316,27 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
         add("fusion_h3", {"A": A, "B": B},
             model.compose(h.on_mor(model.tensor(ident(A), mu(B))),
                           h.hl_inv(A, TB)),
-            model.compose(h.hl_inv(A, B),
-                          model.tensor(ident(TA), mu(B))))
+            model.compose(hli, model.tensor(ident(TA), mu(B))))
         # h4: the inverse turns eta tensor identity into eta
         add("fusion_h4", {"A": A, "B": B},
             eta(model.tensor_obj(A, TB)),
-            model.compose(h.hl_inv(A, B), model.tensor(eta(A), ident(TB))))
+            model.compose(hli, model.tensor(eta(A), ident(TB))))
         # algebra-morphism facts for fusion and its inverse; the tensor of
         # free algebras only exists when the comonoidal laws actually hold
-        from .eilenberg_moore import AlgebraLawError
         try:
-            free_pair = algebra_tensor(model, h.bimonad,
-                                       free_algebra(model, h.monad, A),
-                                       free_algebra(model, h.monad, B))
+            free_pair = algebra_tensor(model, h, free_algebra(model, h, A),
+                                       free_algebra(model, h, B))
         except AlgebraLawError as err:
             cases += 1
             failures.append(Failure("fusion_free_algebra_tensor_invalid",
                                     {"A": A, "B": B}, err.lhs, err.rhs))
         else:
-            free_src = free_algebra(model, h.monad, model.tensor_obj(A, TB))
+            free_src = free_algebra(model, h, model.tensor_obj(A, TB))
             cases += 2
-            if not is_algebra_morphism(model, h.monad, free_src, free_pair, hl):
+            if not is_algebra_morphism(model, h, free_src, free_pair, hl):
                 failures.append(Failure("fusion_left_algebra_morphism",
                                         {"A": A, "B": B}, hl, hl))
-            if not is_algebra_morphism(model, h.monad, free_pair, free_src, hli):
+            if not is_algebra_morphism(model, h, free_pair, free_src, hli):
                 failures.append(Failure("fusion_left_inverse_algebra_morphism",
                                         {"A": A, "B": B}, hli, hli))
 
@@ -434,11 +366,10 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
     """
     from .eilenberg_moore import check_traced_monad
 
-    b = as_bimonad(bundle)
     failures, cases = [], 0
     findings = {}
     objs = _objects(model, budget)
-    T, mu, eta = b.on_obj, b.mu, b.eta
+    T, mu, eta = bundle.on_obj, bundle.mu, bundle.eta
     I = model.unit_obj()
 
     mu_invertible = True
@@ -453,7 +384,7 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
             break
         TA = T(A)
         if not (model.mor_eq(inv, eta(TA))
-                and model.mor_eq(inv, b.on_mor(eta(A)))):
+                and model.mor_eq(inv, bundle.on_mor(eta(A)))):
             inv_is_eta = False
             failures.append(Failure("mu_inverse_is_eta", {"A": A}, inv, eta(TA)))
     findings["mu_invertible"] = mu_invertible
@@ -461,7 +392,7 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
         findings["mu_witness"] = repr(mu_witness)
     findings["mu_inverse_is_eta"] = mu_invertible and inv_is_eta
 
-    unit_iso = model.mor_eq(model.compose(eta(I), b.m_unit),
+    unit_iso = model.mor_eq(model.compose(eta(I), bundle.m_unit),
                             model.identity(T(I)))
     cases += 1
     findings["unit_iso"] = unit_iso
@@ -474,24 +405,24 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
             failures.append(Failure(
                 "hopf_idempotence_criterion",
                 {"mu_invertible": mu_invertible, "unit_iso": unit_iso},
-                model.compose(eta(I), b.m_unit), model.identity(T(I))))
+                model.compose(eta(I), bundle.m_unit), model.identity(T(I))))
 
     exhaustive_ok = True
     if findings["idempotent"]:
         # eta at T(A) equals T of eta at A
         for A in objs:
             cases += 1
-            lhs, rhs = eta(T(A)), b.on_mor(eta(A))
+            lhs, rhs = eta(T(A)), bundle.on_mor(eta(A))
             if not model.mor_eq(lhs, rhs):
                 failures.append(Failure("idempotent_eta_shift", {"A": A}, lhs, rhs))
         if model.traced:
-            sub = check_traced_monad(model, b, budget)
+            sub = check_traced_monad(model, bundle, budget)
             findings["traced_monad_verdict"] = sub.verdict
             cases += sub.cases_run
             failures.extend(sub.failures)
             exhaustive_ok = sub.verdict != "inconclusive"
 
-    return _finish(f"idempotence[{b.name}]", model.name, cases, failures,
+    return _finish(f"idempotence[{bundle.name}]", model.name, cases, failures,
                    exhaustive_ok=exhaustive_ok, findings=findings)
 
 
@@ -503,15 +434,14 @@ def trace_meta_check(model: Model, bundle) -> CheckReport:
     """
     if not (model.traced and model.symmetric):
         raise CapabilityError("trace_meta_check needs a traced symmetric model")
-    b = as_bimonad(bundle)
     I = model.unit_obj()
-    TI = b.on_obj(I)
+    TI = bundle.on_obj(I)
     loop = model.seq(model.lunit(TI),
-                     b.on_mor(model.lunit_inv(I)),
-                     b.m(I, I))
+                     bundle.on_mor(model.lunit_inv(I)),
+                     bundle.m(I, I))
     lhs = model.trace(TI, I, TI, loop)
-    rhs = b.eta(I)
+    rhs = bundle.eta(I)
     holds = model.mor_eq(lhs, rhs)
     failures = [] if holds else [Failure("trace_meta", {}, lhs, rhs)]
-    return _finish(f"trace_meta[{b.name}]", model.name, 1, failures,
+    return _finish(f"trace_meta[{bundle.name}]", model.name, 1, failures,
                    findings={"holds": holds})

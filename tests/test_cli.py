@@ -94,6 +94,17 @@ def test_out_of_range_budget_exit_code(capsys):
         assert f"argument {option}: must be >= 1" in capsys.readouterr().err
 
 
+def test_scenario_table_rejects_empty_budgets(monkeypatch, capsys):
+    # the script's exit status counts mismatches, so a bad option is not one
+    monkeypatch.setattr("sys.argv",
+                        ["run_all_scenarios.py", "--max-size", "0"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_all_scenarios.py"),
+                       run_name="__main__")
+    assert exc.value.code == 2
+    assert "argument --max-size: must be >= 1" in capsys.readouterr().err
+
+
 def test_verdict_mismatch_exits_nonzero(monkeypatch, capsys):
     import tracedcat.cli as cli
 

@@ -9,7 +9,7 @@ from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import FinCppoModel
-from tracedcat.monads import HopfBundle, identity_hopf_bundle
+from tracedcat.monads import identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
                                        algebra_tensor, check_fix_coherence,
                                        check_trace_coherence,
@@ -28,24 +28,24 @@ SMALL = CaseBudget(seed=13, cases=15, max_object_size=2)
 
 def test_free_algebra_examples(mat, zle, qc2, nbundle):
     ident = identity_hopf_bundle(mat)
-    fa = free_algebra(mat, ident.monad, 3)
+    fa = free_algebra(mat, ident, 3)
     assert fa.carrier == 3 and mat.mor_eq(fa.action, mat.identity(3))
 
-    fq = free_algebra(mat, qc2.monad, 1)
+    fq = free_algebra(mat, qc2, 1)
     assert fq.carrier == 2
     assert dense_rows(fq.action) == ((1, 0, 0, 1), (0, 1, 1, 0))
 
-    fn = free_algebra(zle, nbundle.monad, -3)
+    fn = free_algebra(zle, nbundle, -3)
     assert fn.carrier == 0 and fn.action == zle.arrow(0, 0)
 
 
 def test_algebra_validation(mat, qc2):
-    good = free_algebra(mat, qc2.monad, 1)
-    validate_algebra(mat, qc2.monad, good)
+    good = free_algebra(mat, qc2, 1)
+    validate_algebra(mat, qc2, good)
     # passes the unit law but not the multiplication law
     bad = TAlgebra(1, mat.morphism(2, 1, [[1, 2]]))
     with pytest.raises(AlgebraLawError) as err:
-        validate_algebra(mat, qc2.monad, bad)
+        validate_algebra(mat, qc2, bad)
     assert err.value.law == "algebra_mult"
 
 
@@ -66,16 +66,16 @@ def test_unit_algebra(mat, qc2):
 
 
 def test_enumerate_algebras_on_truncation(zle, nbundle):
-    assert len(enumerate_algebras(zle, nbundle.monad, 5)) == 1
-    (alg,) = enumerate_algebras(zle, nbundle.monad, 5)
+    assert len(enumerate_algebras(zle, nbundle, 5)) == 1
+    (alg,) = enumerate_algebras(zle, nbundle, 5)
     assert alg.action == zle.arrow(5, 5)
-    assert enumerate_algebras(zle, nbundle.monad, -5) == []
+    assert enumerate_algebras(zle, nbundle, -5) == []
 
 
 def test_idempotent_algebra_uniqueness(zle, nbundle):
     # at most one structure per carrier; exactly one iff the unit inverts
     for n in range(-6, 7):
-        algs = enumerate_algebras(zle, nbundle.monad, n)
+        algs = enumerate_algebras(zle, nbundle, n)
         eta_invertible = zle.invert(nbundle.eta(n)) is not None
         assert len(algs) <= 1
         assert (len(algs) == 1) == eta_invertible
@@ -87,27 +87,27 @@ def test_enumerate_algebras_needs_source_on_mat(mat, qc2):
     bare = MonadBundle(mat, "bare", qc2.on_obj, qc2.on_mor, qc2.mu, qc2.eta)
     with pytest.raises(CapabilityError):
         enumerate_algebras(mat, bare, 1)
-    assert len(enumerate_algebras(mat, qc2.monad, 1)) == 2  # trivial + sign
+    assert len(enumerate_algebras(mat, qc2, 1)) == 2  # trivial + sign
 
 
 def test_algebra_morphism_witness(mat, qc2):
     table = group_table_c2()
     reps = group_representations(mat, table)
     sign = algebra_from_rep(mat, table, reps["sign"])
-    assert is_algebra_morphism(mat, qc2.monad, sign, sign, mat.identity(1))
+    assert is_algebra_morphism(mat, qc2, sign, sign, mat.identity(1))
     regular = algebra_from_rep(mat, table, reps["regular"])
     skew = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert not is_algebra_morphism(mat, qc2.monad, regular, regular, skew)
+    assert not is_algebra_morphism(mat, qc2, regular, regular, skew)
 
 
 def test_free_extension_property(zle, fincppo, nbundle):
     for carrier in (2, 5):
-        target = enumerate_algebras(zle, nbundle.monad, carrier)[0]
-        assert free_extension_agrees(zle, nbundle.monad, -1, target)
+        target = enumerate_algebras(zle, nbundle, carrier)[0]
+        assert free_extension_agrees(zle, nbundle, -1, target)
     from tracedcat.model_order import sierpinski, sigma_meet_bimonad
     meet = sigma_meet_bimonad(fincppo)
-    for tgt in enumerate_algebras(fincppo, meet.monad, sierpinski()):
-        assert free_extension_agrees(fincppo, meet.monad, sierpinski(), tgt)
+    for tgt in enumerate_algebras(fincppo, meet, sierpinski()):
+        assert free_extension_agrees(fincppo, meet, sierpinski(), tgt)
 
 
 def test_averaged_samples_are_algebra_morphisms(mat, qc2, qs3):
@@ -118,19 +118,19 @@ def test_averaged_samples_are_algebra_morphisms(mat, qc2, qs3):
     rng = random.Random(31)
     for bundle in (qc2, qs3):
         pool = [alg for dim in (1, 2)
-                for alg in enumerate_algebras(mat, bundle.monad, dim)]
+                for alg in enumerate_algebras(mat, bundle, dim)]
         for _ in range(10):
             a, b, x = (pool[rng.randrange(len(pool))] for _ in range(3))
             src = algebra_tensor(mat, bundle, a, x)
             tgt = algebra_tensor(mat, bundle, b, x)
             for f in sample_algebra_morphisms(mat, bundle, rng, src, tgt, k=2):
-                assert is_algebra_morphism(mat, bundle.monad, src, tgt, f)
+                assert is_algebra_morphism(mat, bundle, src, tgt, f)
 
 
 def test_traced_monad_checks(zle, nbundle, mat, qc2):
     window = CaseBudget(seed=1, cases=20, max_object_size=6)
     assert check_traced_monad(zle, nbundle, window).passed
-    assert check_traced_monad(mat, qc2.bimonad, BUDGET).passed
+    assert check_traced_monad(mat, qc2, BUDGET).passed
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):
@@ -153,7 +153,8 @@ def test_crosscheck_agreement_and_mutation(mat, qc2):
             rows[0][0] += 1
         return mat.morphism(good.dom, good.cod, rows)
 
-    broken = crosscheck_main_theorem(mat, HopfBundle(qc2.bimonad, bad), BUDGET)
+    broken = crosscheck_main_theorem(
+        mat, dataclasses.replace(qc2, hl_inv=bad), BUDGET)
     assert broken.findings["traced_side"] == "fail"
     assert broken.findings["coherent_side"] == "fail"
     assert broken.findings["agree"]
@@ -181,12 +182,9 @@ def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
     # the coherence side meets declined hom-sets
     hopf = identity_hopf_bundle(capped_pfn)
     uncapped = PfnModel()
-    monad = dataclasses.replace(
-        hopf.bimonad.monad,
-        algmor_enumerator=lambda src, tgt: uncapped.enumerate_hom(
-            src.carrier, tgt.carrier))
     hopf = dataclasses.replace(
-        hopf, bimonad=dataclasses.replace(hopf.bimonad, monad=monad))
+        hopf, algmor_enumerator=lambda src, tgt: uncapped.enumerate_hom(
+            src.carrier, tgt.carrier))
     budget = CaseBudget(seed=0, cases=20, max_object_size=2)
 
     cross = crosscheck_main_theorem(capped_pfn, hopf, budget)

@@ -116,19 +116,19 @@ def test_modules(mat, qc2):
     # C2-modules are the algebras of H (x) -: the regular module is the free
     # algebra on the unit, the trivial module is the unit algebra
     d = group_algebra(mat, group_table_c2())
-    reg = free_algebra(mat, qc2.monad, 1)
+    reg = free_algebra(mat, qc2, 1)
     assert reg.carrier == 2 and mat.mor_eq(reg.action, d.mult)
-    assert is_algebra(mat, qc2.monad, reg)
+    assert is_algebra(mat, qc2, reg)
     triv = unit_algebra(mat, qc2)
     assert dense_rows(triv.action) == ((1, 1),)
     sign = TAlgebra(1, mat.morphism(2, 1, [[1, -1]]))
-    assert is_algebra(mat, qc2.monad, sign)
+    assert is_algebra(mat, qc2, sign)
     tensored = algebra_tensor(mat, qc2, sign, sign)
     assert dense_rows(tensored.action) == ((1, 1),)  # trivial again
 
-    assert is_algebra_morphism(mat, qc2.monad, reg, reg, mat.identity(2))
+    assert is_algebra_morphism(mat, qc2, reg, reg, mat.identity(2))
     skew = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert not is_algebra_morphism(mat, qc2.monad, reg, reg, skew)
+    assert not is_algebra_morphism(mat, qc2, reg, reg, skew)
 
 
 def test_noncocommutative_comultiplication_breaks_symmetry(mat):

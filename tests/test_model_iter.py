@@ -75,7 +75,7 @@ def test_iteration_axioms_exhaustive_tiny(pfn):
 def test_exception_bundle_empty_is_identity_like(pfn):
     budget = CaseBudget(seed=2, cases=20, max_object_size=2)
     empty = exception_bimonad(pfn, label_set())
-    assert check_monad_laws(pfn, empty.monad, budget).passed
+    assert check_monad_laws(pfn, empty, budget).passed
     assert check_bimonad_laws(pfn, empty, budget).passed
     assert idempotence_suite(pfn, empty, budget).findings["idempotent"]
 
@@ -83,7 +83,7 @@ def test_exception_bundle_empty_is_identity_like(pfn):
 def test_exception_bundle_err_computed_verdicts(pfn):
     budget = CaseBudget(seed=2, cases=20, max_object_size=2)
     err = exception_bimonad(pfn, label_set("err"))
-    assert check_monad_laws(pfn, err.monad, budget).passed
+    assert check_monad_laws(pfn, err, budget).passed
     report = check_bimonad_laws(pfn, err, budget)
     assert report.verdict == "fail"
     laws = {f.law for f in report.failures}

@@ -129,9 +129,9 @@ def test_cup_cap_are_algebra_morphisms_for_lift(mat, qc2):
         unit = unit_algebra(mat, qc2)
         cupped = algebra_tensor(mat, qc2, dual, alg)
         capped = algebra_tensor(mat, qc2, alg, dual)
-        assert is_algebra_morphism(mat, qc2.monad, cupped, unit,
+        assert is_algebra_morphism(mat, qc2, cupped, unit,
                                    mat.cup(alg.carrier))
-        assert is_algebra_morphism(mat, qc2.monad, unit, capped,
+        assert is_algebra_morphism(mat, qc2, unit, capped,
                                    mat.cap(alg.carrier))
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tracedcat.core import BoundaryError, EmptyHomError, UsageError
+from tracedcat.core import (BoundaryError, EmptyHomError, ModelMismatchError,
+                            UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
 from tracedcat.model_order import (FinCppoModel, PairOb,
@@ -104,18 +105,18 @@ def test_canonical_bimonad_matches_diagonal_built_one(fincppo):
 def test_equivariant_enumerator_agrees_with_filtering(fincppo):
     meet = sigma_meet_bimonad(fincppo)
     sig = sierpinski()
-    algs = enumerate_algebras(fincppo, meet.monad, sig)
+    algs = enumerate_algebras(fincppo, meet, sig)
     assert len(algs) >= 2  # the meet action and the constant action
     assert any(a.action.payload == (0, 0, 0, 1) for a in algs)  # meet itself
     src = algebra_tensor(fincppo, meet, algs[0], algs[1])
     tgt = algebra_tensor(fincppo, meet, algs[1], algs[1])
-    fast = {f.payload for f in meet.monad.algmor_enumerator(src, tgt)}
+    fast = {f.payload for f in meet.algmor_enumerator(src, tgt)}
     slow = {f.payload
             for f in (fincppo.enumerate_hom(src.carrier, tgt.carrier) or [])
-            if is_algebra_morphism(fincppo, meet.monad, src, tgt, f)}
+            if is_algebra_morphism(fincppo, meet, src, tgt, f)}
     assert fast == slow
-    for f in enumerate_algebra_morphisms(fincppo, meet.monad, src, tgt):
-        assert is_algebra_morphism(fincppo, meet.monad, src, tgt, f)
+    for f in enumerate_algebra_morphisms(fincppo, meet, src, tgt):
+        assert is_algebra_morphism(fincppo, meet, src, tgt, f)
 
 
 def test_two_trace_witness(two_traces):
@@ -158,6 +159,12 @@ def test_pair_model_is_componentwise(two_traces):
     assert prod.lunit(B).payload == (lfp.lunit(chain), gfp.lunit(sig))
     assert prod.runit_inv(C).payload == (lfp.runit_inv(sig),
                                          gfp.runit_inv(chain))
+    # the factors' tensors skip their own checks, so the pair model's
+    # check_obj must still reject a foreign or unbounded component
+    vee = poset_from_pairs(("z", "a", "b"), [("z", "a"), ("z", "b")])
+    for bad in (PairOb(sig, 3), PairOb(sig, vee)):
+        with pytest.raises(ModelMismatchError):
+            prod.tensor_obj(A, bad)
 
 
 def test_sierpinski_meet_results(sierpinski_results):
@@ -204,6 +211,6 @@ def test_sierpinski_join_results(sierpinski_results):
 def test_join_module_actions_enumerandae(fincppo):
     join = sigma_join_bimonad(fincppo)
     sig = sierpinski()
-    algs = enumerate_algebras(fincppo, join.monad, sig)
+    algs = enumerate_algebras(fincppo, join, sig)
     # the join action on the lattice itself is among them
     assert any(a.action.payload == (0, 1, 1, 1) for a in algs)

@@ -1,6 +1,10 @@
+import dataclasses
+
+from tracedcat.eilenberg_moore import free_algebra
 from tracedcat.laws import CaseBudget
 from tracedcat.model_linear import dense_rows
-from tracedcat.monads import (HopfBundle, check_bimonad_laws, check_hopf,
+from tracedcat.monads import (BimonadBundle, HopfBundle, MonadBundle,
+                              check_bimonad_laws, check_hopf,
                               check_monad_laws, fusion_left, fusion_right,
                               hopf_from_bimonad, identity_hopf_bundle,
                               idempotence_suite, trace_meta_check,
@@ -14,7 +18,7 @@ def test_identity_bundle_everywhere(mat, zle, fincppo, pfn):
     for model in (mat, zle, fincppo, pfn):
         bundle = identity_hopf_bundle(model)
         budget = SMALL if model.name in ("fin_cppo", "pfn") else BUDGET
-        assert check_monad_laws(model, bundle.monad, budget).passed
+        assert check_monad_laws(model, bundle, budget).passed
         assert check_bimonad_laws(model, bundle, budget).passed
         assert check_hopf(model, bundle, budget).passed
         idem = idempotence_suite(model, bundle, budget)
@@ -22,17 +26,36 @@ def test_identity_bundle_everywhere(mat, zle, fincppo, pfn):
 
 
 def test_n_bundle_laws(zle, nbundle):
-    assert check_monad_laws(zle, nbundle.monad, BUDGET).passed
+    assert check_monad_laws(zle, nbundle, BUDGET).passed
     assert check_bimonad_laws(zle, nbundle, BUDGET).passed
 
 
 def test_group_bundle_laws(mat, qc2, qs3):
-    assert check_monad_laws(mat, qc2.monad, BUDGET).passed
+    assert check_monad_laws(mat, qc2, BUDGET).passed
     assert check_bimonad_laws(mat, qc2, BUDGET).passed
     assert check_hopf(mat, qc2, BUDGET).passed
-    assert check_monad_laws(mat, qs3.monad, SMALL).passed
+    assert check_monad_laws(mat, qs3, SMALL).passed
     assert check_bimonad_laws(mat, qs3, SMALL).passed
     assert check_hopf(mat, qs3, SMALL).passed
+
+
+def test_hopf_bundle_is_a_bimonad_and_a_monad_bundle(mat, qc2):
+    # a Hopf bundle goes wherever a bimonad or a monad bundle is expected,
+    # hooks included
+    searched, witness = hopf_from_bimonad(mat, qc2, SMALL)
+    assert witness is None
+    replaced = dataclasses.replace(qc2, hl_inv=searched.hl_inv)
+    for bundle in (searched, replaced):
+        assert isinstance(bundle, HopfBundle)
+        assert isinstance(bundle, BimonadBundle)
+        assert isinstance(bundle, MonadBundle)
+        assert bundle.algebra_source is qc2.algebra_source
+        assert bundle.algmor_sampler is qc2.algmor_sampler
+    assert check_monad_laws(mat, searched, SMALL).passed
+    assert check_hopf(mat, searched, SMALL).passed
+    free = free_algebra(mat, searched, 1)
+    assert free.carrier == qc2.on_obj(1)
+    assert mat.mor_eq(free.action, qc2.mu(1))
 
 
 def test_fusion_identity_monad_collapses(mat):
@@ -125,7 +148,7 @@ def test_broken_inverse_fails_hopf_suite(mat, qc2):
             rows[0][0] += 1
         return mat.morphism(good.dom, good.cod, rows)
 
-    broken = HopfBundle(qc2.bimonad, bad)
+    broken = dataclasses.replace(qc2, hl_inv=bad)
     report = check_hopf(mat, broken, SMALL)
     assert report.verdict == "fail"
 
