@@ -11,7 +11,7 @@ obvious at a glance.
 
 import argparse
 
-from tracedcat.model_order import int_poset_model, n_monad
+from tracedcat.model_order import n_monad
 from tracedcat.monads import fusion_left, try_invert_fusion
 
 
@@ -20,8 +20,7 @@ def main():
     parser.add_argument("--window", type=int, default=4)
     args = parser.parse_args()
 
-    model = int_poset_model()
-    bundle = n_monad(model)
+    bundle = n_monad()
     w = args.window
     print("rows a, columns b; '.' invertible, 'X' not:")
     header = "     " + " ".join(f"{b:3d}" for b in range(-w, w + 1))
@@ -30,7 +29,7 @@ def main():
     for a in range(-w, w + 1):
         cells = []
         for b in range(-w, w + 1):
-            if try_invert_fusion(model, bundle, a, b) is None:
+            if try_invert_fusion(bundle, a, b) is None:
                 cells.append("  X")
                 bad.append((a, b))
             else:
@@ -38,7 +37,7 @@ def main():
         print(f"{a:4d} " + " ".join(cells))
     print()
     for a, b in bad[:6]:
-        h = fusion_left(model, bundle, a, b)
+        h = fusion_left(bundle, a, b)
         print(f"fusion at ({a:3d}, {b:3d}): object {h.dom} vs {h.cod}")
     if bad:
         smallest = min(bad, key=lambda p: (abs(p[0]) + abs(p[1]), p))

@@ -9,12 +9,11 @@ bundles with fusion operators, the algebra machinery over them, and a CLI
 """
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, Model,
-                   ModelError, ModelMismatchError, Morphism, UsageError,
-                   eval_term, structural, trace)
+                   ModelError, ModelMismatchError, Morphism, UsageError)
 from .laws import CaseBudget, CheckReport, Failure
 
 __all__ = [
     "BoundaryError", "CapabilityError", "CaseBudget", "CheckReport",
     "EmptyHomError", "Failure", "Model", "ModelError", "ModelMismatchError",
-    "Morphism", "UsageError", "eval_term", "structural", "trace",
+    "Morphism", "UsageError",
 ]

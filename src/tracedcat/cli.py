@@ -113,54 +113,69 @@ def serialize_report(report: CheckReport):
 # ------------------------------------------------------------------ loaders
 
 
-def load_poset(path) -> FinPoset:
-    """Text format: 'elements: a b ...' then 'le: x y' lines."""
-    elements = None
-    pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("elements:"):
-                elements = line[len("elements:"):].split()
-            elif line.startswith("le:"):
-                parts = line[len("le:"):].split()
-                if len(parts) != 2:
-                    raise UsageError(f"{path}:{lineno}: 'le:' wants two labels")
-                pairs.append((parts[0], parts[1]))
-            else:
-                raise UsageError(f"{path}:{lineno}: unrecognized line {line!r}")
+def _read_table_file(path, key, arity):
+    """The 'elements:' labels and the 'key:' lines of a text table file.
+
+    Returns ``(elements, [(lineno, labels), ...])``; '#' starts a comment.
+    Raises :class:`UsageError`, naming the path and the line, on a file that
+    cannot be read as UTF-8 text, an unrecognized line, a 'key:' line
+    without ``arity`` labels, and a missing or a second 'elements:' line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as err:
+        raise UsageError(
+            f"{path}: cannot read: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not UTF-8 text: {err.reason}") from err
+    elements, elements_line, entries = None, None, []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            if elements_line is not None:
+                raise UsageError(f"{path}:{lineno}: second 'elements:' line "
+                                 f"(the first is line {elements_line})")
+            elements, elements_line = line[len("elements:"):].split(), lineno
+        elif line.startswith(f"{key}:"):
+            labels = line[len(key) + 1:].split()
+            if len(labels) != arity:
+                raise UsageError(
+                    f"{path}:{lineno}: '{key}:' wants {arity} labels")
+            entries.append((lineno, labels))
+        else:
+            raise UsageError(f"{path}:{lineno}: unrecognized line {line!r}")
     if elements is None:
         raise UsageError(f"{path}: missing 'elements:' line")
+    return elements, entries
+
+
+def load_poset(path) -> FinPoset:
+    """Text format: 'elements: a b ...' then 'le: x y' lines."""
+    elements, entries = _read_table_file(path, "le", 2)
     try:
-        return poset_from_pairs(elements, pairs)
+        return poset_from_pairs(elements, [(x, y) for _, (x, y) in entries])
     except UsageError as err:
         raise UsageError(f"{path}: {err}") from err
 
 
 def load_group(path) -> GroupTable:
-    """Text format: 'elements: e g ...' then 'mul: x y z' meaning x*y = z."""
-    elements = None
-    mul = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("elements:"):
-                elements = tuple(line[len("elements:"):].split())
-            elif line.startswith("mul:"):
-                parts = line[len("mul:"):].split()
-                if len(parts) != 3:
-                    raise UsageError(f"{path}:{lineno}: 'mul:' wants three labels")
-                mul[(parts[0], parts[1])] = parts[2]
-            else:
-                raise UsageError(f"{path}:{lineno}: unrecognized line {line!r}")
-    if elements is None:
-        raise UsageError(f"{path}: missing 'elements:' line")
+    """Text format: 'elements: e g ...' then 'mul: x y z' meaning x*y = z.
+
+    Each product is given once: a second 'mul: x y' line is an error.
+    """
+    elements, entries = _read_table_file(path, "mul", 3)
+    mul, given_at = {}, {}
+    for lineno, (x, y, z) in entries:
+        if (x, y) in given_at:
+            raise UsageError(f"{path}:{lineno}: product {x}*{y} is already "
+                             f"given at line {given_at[(x, y)]}")
+        given_at[(x, y)] = lineno
+        mul[(x, y)] = z
     try:
-        return GroupTable(elements, mul)
+        return GroupTable(tuple(elements), mul)
     except UsageError as err:
         raise UsageError(f"{path}: {err}") from err
 
@@ -174,28 +189,27 @@ def _verdicts_match(suites, expected):
 
 
 def _run_z_not_hopf(config: RunConfig):
-    model = int_poset_model()
-    bundle = n_monad(model)
+    bundle = n_monad()
     window = max(config.max_size, 6)
     budget = config.budget(max_size=window)
     suites = [
-        ("monad_laws", check_monad_laws(model, bundle, budget)),
-        ("bimonad_laws", check_bimonad_laws(model, bundle, budget)),
-        ("traced_monad", check_traced_monad(model, bundle, budget)),
-        ("idempotence", idempotence_suite(model, bundle, budget)),
-        ("trace_meta", trace_meta_check(model, bundle)),
+        ("monad_laws", check_monad_laws(bundle, budget)),
+        ("bimonad_laws", check_bimonad_laws(bundle, budget)),
+        ("traced_monad", check_traced_monad(bundle, budget)),
+        ("idempotence", idempotence_suite(bundle, budget)),
+        ("trace_meta", trace_meta_check(bundle)),
     ]
     # the fusion operator fails to invert; the text's instance is (-2, 1)
     # with objects 0 vs 1, and an exhaustive size-ordered search finds the
     # even smaller pair (-1, 1) first
-    paper_pair = fusion_left(model, bundle, -2, 1)
+    paper_pair = fusion_left(bundle, -2, 1)
     pinned_ok = (paper_pair.dom == 0 and paper_pair.cod == 1
-                 and try_invert_fusion(model, bundle, -2, 1) is None)
+                 and try_invert_fusion(bundle, -2, 1) is None)
     witness = None
     for a, b in sorted(((a, b) for a in range(-window, window + 1)
                         for b in range(-window, window + 1)),
                        key=lambda p: (abs(p[0]) + abs(p[1]), p)):
-        if try_invert_fusion(model, bundle, a, b) is None:
+        if try_invert_fusion(bundle, a, b) is None:
             witness = (a, b)
             break
     expected = {"monad_laws": "pass", "bimonad_laws": "pass",
@@ -256,13 +270,12 @@ def _run_group_algebra(config: RunConfig, group_name):
     budget = config.budget(max_size=size)
     suites = [
         ("hopf_monoid_laws", validate_hopf_monoid(model, d)),
-        ("monad_laws", check_monad_laws(model, bundle, budget)),
-        ("bimonad_laws", check_bimonad_laws(model, bundle, budget)),
-        ("hopf_laws", check_hopf(model, bundle, budget)),
-        ("trace_coherence", check_trace_coherence(model, bundle, budget)),
-        ("traced_monad", check_traced_monad(model, bundle, budget)),
-        ("module_traces", verify_representable_coherence(model, d, budget,
-                                                         bundle=bundle)),
+        ("monad_laws", check_monad_laws(bundle, budget)),
+        ("bimonad_laws", check_bimonad_laws(bundle, budget)),
+        ("hopf_laws", check_hopf(bundle, budget)),
+        ("trace_coherence", check_trace_coherence(bundle, budget)),
+        ("traced_monad", check_traced_monad(bundle, budget)),
+        ("module_traces", verify_representable_coherence(bundle, budget)),
     ]
     expected = {name: "pass" for name, _ in suites}
     ok = _verdicts_match(suites, expected)
@@ -301,16 +314,16 @@ def _run_pfn_exception(config: RunConfig):
     small = config.budget(max_size=1)
     results = []
     empty = exception_bimonad(model, label_set())
-    results.append(("bimonad_laws_empty", check_bimonad_laws(model, empty, budget)))
+    results.append(("bimonad_laws_empty", check_bimonad_laws(empty, budget)))
     results.append(("corollary_identity",
-                    cocartesian_corollary_check(model, identity_hopf_bundle(model),
+                    cocartesian_corollary_check(identity_hopf_bundle(model),
                                                 small)))
     err = exception_bimonad(model, label_set("err"))
-    results.append(("bimonad_laws_err", check_bimonad_laws(model, err, budget)))
+    results.append(("bimonad_laws_err", check_bimonad_laws(err, budget)))
     from .monads import hopf_from_bimonad
-    pseudo, _ = hopf_from_bimonad(model, err, small)
+    pseudo, _ = hopf_from_bimonad(err, small)
     results.append(("corollary_err",
-                    cocartesian_corollary_check(model, pseudo, small)))
+                    cocartesian_corollary_check(pseudo, small)))
     expected = {"bimonad_laws_empty": "pass", "corollary_identity": "pass",
                 "bimonad_laws_err": "fail", "corollary_err": "pass"}
     err_findings = results[3][1].findings
@@ -354,11 +367,10 @@ def _run_mainthm(config: RunConfig, bundle_name):
         raise UsageError(f"unknown bundle {bundle_name!r}; choose from "
                          f"{sorted(_HOPF_BUNDLES)}")
     bundle = _HOPF_BUNDLES[bundle_name]()
-    model = bundle.model
     size = 2 if bundle_name.startswith("qs3") else min(config.max_size, 3)
-    if model.name in ("fin_cppo", "pfn"):
+    if bundle.model.name in ("fin_cppo", "pfn"):
         size = min(size, 2)
-    report = crosscheck_main_theorem(model, bundle, config.budget(max_size=size))
+    report = crosscheck_main_theorem(bundle, config.budget(max_size=size))
     suites = [("mainthm_crosscheck", report)]
     expect_fail = bundle_name.endswith("-mutated")
     sides_fail = (report.findings["traced_side"] == "fail"
@@ -377,12 +389,10 @@ def _run_trace_meta(config: RunConfig, bundle_name):
         raise UsageError(f"unknown bundle {bundle_name!r}; choose from "
                          f"{sorted(expectations)}")
     if bundle_name == "n":
-        model = int_poset_model()
-        bundle = n_monad(model)
+        bundle = n_monad()
     else:
         bundle = _HOPF_BUNDLES[bundle_name]()
-        model = bundle.model
-    report = trace_meta_check(model, bundle)
+    report = trace_meta_check(bundle)
     suites = [("trace_meta", report)]
     want = expectations[bundle_name]
     ok = report.findings["holds"] == want
@@ -558,8 +568,13 @@ def main(argv=None):
         return 2
     text = format_report(payload, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror or err}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if payload["expected_match"] else 1

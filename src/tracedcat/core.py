@@ -104,14 +104,6 @@ class Model:
     def _tensor_obj(self, A, B):
         raise NotImplementedError
 
-    def factor_tensor(self, AB, X):
-        """Return the object A with ``A (x) X == AB``.
-
-        Raises :class:`UsageError` when A is not uniquely determined and
-        :class:`BoundaryError` when no factorisation exists.
-        """
-        raise NotImplementedError
-
     # -------------------------------------------------------------- morphisms
 
     def check_mor(self, f: Morphism) -> None:
@@ -302,193 +294,3 @@ class Model:
             self.assoc(P, R, self.tensor_obj(Q, S)),
         )
 
-
-_STRUCTURAL_ARITY = {
-    "assoc": 3, "assoc_inv": 3,
-    "lunit": 1, "lunit_inv": 1, "runit": 1, "runit_inv": 1,
-    "sym": 2,
-}
-
-
-def structural(model: Model, kind: str, objects) -> Morphism:
-    """Look up one of the seven coherence isomorphisms by name."""
-    if kind not in _STRUCTURAL_ARITY:
-        raise UsageError(f"unknown structural morphism kind {kind!r}")
-    objects = list(objects)
-    want = _STRUCTURAL_ARITY[kind]
-    if len(objects) != want:
-        raise UsageError(
-            f"structural {kind!r} takes {want} object(s), got {len(objects)}")
-    return getattr(model, kind)(*objects)
-
-
-def trace(model: Model, X, f: Morphism, A=None, B=None) -> Morphism:
-    """Trace out X from f, inferring A and B when the model permits it."""
-    if A is None:
-        A = model.factor_tensor(f.dom, X)
-    if B is None:
-        B = model.factor_tensor(f.cod, X)
-    return model.trace(X, A, B, f)
-
-
-# --------------------------------------------------------------------- terms
-
-@dataclass(frozen=True)
-class Term:
-    """Composite expressions over a model, evaluated by :func:`eval_term`."""
-
-
-@dataclass(frozen=True)
-class Prim(Term):
-    f: Morphism
-
-
-@dataclass(frozen=True)
-class Id(Term):
-    obj: Any
-
-
-@dataclass(frozen=True)
-class Compose(Term):
-    after: Term
-    before: Term
-
-
-@dataclass(frozen=True)
-class Tensor(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Sym(Term):
-    a: Any
-    b: Any
-
-
-@dataclass(frozen=True)
-class Assoc(Term):
-    a: Any
-    b: Any
-    c: Any
-
-
-@dataclass(frozen=True)
-class AssocInv(Term):
-    a: Any
-    b: Any
-    c: Any
-
-
-@dataclass(frozen=True)
-class LUnit(Term):
-    a: Any
-
-
-@dataclass(frozen=True)
-class LUnitInv(Term):
-    a: Any
-
-
-@dataclass(frozen=True)
-class RUnit(Term):
-    a: Any
-
-
-@dataclass(frozen=True)
-class RUnitInv(Term):
-    a: Any
-
-
-@dataclass(frozen=True)
-class Trace(Term):
-    x: Any
-    body: Term
-    a: Any = None
-    b: Any = None
-
-
-def term_boundaries(model: Model, t: Term):
-    """Bottom-up typing pass; raises naming the offending subterm."""
-    if isinstance(t, Prim):
-        model.check_mor(t.f)
-        return t.f.dom, t.f.cod
-    if isinstance(t, Id):
-        model.check_obj(t.obj)
-        return t.obj, t.obj
-    if isinstance(t, Compose):
-        d1, c1 = term_boundaries(model, t.before)
-        d2, c2 = term_boundaries(model, t.after)
-        if c1 != d2:
-            raise BoundaryError(
-                f"ill-typed Compose: {t.before!r} ends at {c1!r} but "
-                f"{t.after!r} starts at {d2!r}")
-        return d1, c2
-    if isinstance(t, Tensor):
-        d1, c1 = term_boundaries(model, t.left)
-        d2, c2 = term_boundaries(model, t.right)
-        return model.tensor_obj(d1, d2), model.tensor_obj(c1, c2)
-    if isinstance(t, Sym):
-        return (model.tensor_obj(t.a, t.b), model.tensor_obj(t.b, t.a))
-    if isinstance(t, Assoc):
-        bc = model.tensor_obj(t.b, t.c)
-        ab = model.tensor_obj(t.a, t.b)
-        return model.tensor_obj(t.a, bc), model.tensor_obj(ab, t.c)
-    if isinstance(t, AssocInv):
-        bc = model.tensor_obj(t.b, t.c)
-        ab = model.tensor_obj(t.a, t.b)
-        return model.tensor_obj(ab, t.c), model.tensor_obj(t.a, bc)
-    if isinstance(t, LUnit):
-        return model.tensor_obj(model.unit_obj(), t.a), t.a
-    if isinstance(t, LUnitInv):
-        return t.a, model.tensor_obj(model.unit_obj(), t.a)
-    if isinstance(t, RUnit):
-        return model.tensor_obj(t.a, model.unit_obj()), t.a
-    if isinstance(t, RUnitInv):
-        return t.a, model.tensor_obj(t.a, model.unit_obj())
-    if isinstance(t, Trace):
-        d, c = term_boundaries(model, t.body)
-        a = t.a if t.a is not None else model.factor_tensor(d, t.x)
-        b = t.b if t.b is not None else model.factor_tensor(c, t.x)
-        if model.tensor_obj(a, t.x) != d or model.tensor_obj(b, t.x) != c:
-            raise BoundaryError(
-                f"ill-typed Trace over {t.x!r}: body is {d!r}->{c!r}")
-        return a, b
-    raise UsageError(f"not a Term: {t!r}")
-
-
-def eval_term(model: Model, t: Term) -> Morphism:
-    """Evaluate a term by structural recursion into a single morphism."""
-    term_boundaries(model, t)  # fail fast with a named subterm
-    return _eval(model, t)
-
-
-def _eval(model: Model, t: Term) -> Morphism:
-    if isinstance(t, Prim):
-        return t.f
-    if isinstance(t, Id):
-        return model.identity(t.obj)
-    if isinstance(t, Compose):
-        return model.compose(_eval(model, t.after), _eval(model, t.before))
-    if isinstance(t, Tensor):
-        return model.tensor(_eval(model, t.left), _eval(model, t.right))
-    if isinstance(t, Sym):
-        return model.sym(t.a, t.b)
-    if isinstance(t, Assoc):
-        return model.assoc(t.a, t.b, t.c)
-    if isinstance(t, AssocInv):
-        return model.assoc_inv(t.a, t.b, t.c)
-    if isinstance(t, LUnit):
-        return model.lunit(t.a)
-    if isinstance(t, LUnitInv):
-        return model.lunit_inv(t.a)
-    if isinstance(t, RUnit):
-        return model.runit(t.a)
-    if isinstance(t, RUnitInv):
-        return model.runit_inv(t.a)
-    if isinstance(t, Trace):
-        body = _eval(model, t.body)
-        a = t.a if t.a is not None else model.factor_tensor(body.dom, t.x)
-        b = t.b if t.b is not None else model.factor_tensor(body.cod, t.x)
-        return model.trace(t.x, a, b, body)
-    raise UsageError(f"not a Term: {t!r}")

@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import CapabilityError, Model, Morphism
+from .core import CapabilityError, Morphism
 from .laws import (CaseBudget, CheckReport, Failure, LawSpec, _finish,
                    _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
 from .monads import HopfBundle, MonadBundle, fusion_left
@@ -45,7 +45,8 @@ class AlgebraLawError(Exception):
         self.rhs = rhs
 
 
-def algebra_law_failures(model: Model, monad: MonadBundle, alg: TAlgebra):
+def algebra_law_failures(monad: MonadBundle, alg: TAlgebra):
+    model = monad.model
     A, a = alg.carrier, alg.action
     out = []
     lhs = model.compose(a, monad.eta(A))
@@ -59,45 +60,48 @@ def algebra_law_failures(model: Model, monad: MonadBundle, alg: TAlgebra):
     return out
 
 
-def is_algebra(model, monad, alg) -> bool:
-    return not algebra_law_failures(model, monad, alg)
+def is_algebra(monad, alg) -> bool:
+    return not algebra_law_failures(monad, alg)
 
 
-def validate_algebra(model, monad, alg) -> TAlgebra:
-    bad = algebra_law_failures(model, monad, alg)
+def validate_algebra(monad, alg) -> TAlgebra:
+    bad = algebra_law_failures(monad, alg)
     if bad:
         law, lhs, rhs = bad[0]
         raise AlgebraLawError(law, alg, lhs, rhs)
     return alg
 
 
-def is_algebra_morphism(model, monad, src: TAlgebra, tgt: TAlgebra,
+def is_algebra_morphism(monad, src: TAlgebra, tgt: TAlgebra,
                         f: Morphism) -> bool:
+    model = monad.model
     lhs = model.compose(f, src.action)
     rhs = model.compose(tgt.action, monad.on_mor(f))
     return model.mor_eq(lhs, rhs)
 
 
-def free_algebra(model: Model, monad: MonadBundle, A) -> TAlgebra:
+def free_algebra(monad: MonadBundle, A) -> TAlgebra:
     return TAlgebra(monad.on_obj(A), monad.mu(A))
 
 
-def unit_algebra(model: Model, b) -> TAlgebra:
-    return validate_algebra(model, b, TAlgebra(model.unit_obj(), b.m_unit))
+def unit_algebra(b) -> TAlgebra:
+    return validate_algebra(b, TAlgebra(b.model.unit_obj(), b.m_unit))
 
 
-def algebra_tensor(model: Model, b, left: TAlgebra, right: TAlgebra) -> TAlgebra:
+def algebra_tensor(b, left: TAlgebra, right: TAlgebra) -> TAlgebra:
     """(A, a) (x) (B, b) carried by A (x) B with action (a (x) b) o m."""
+    model = b.model
     A, B = left.carrier, right.carrier
     action = model.compose(model.tensor(left.action, right.action), b.m(A, B))
-    return validate_algebra(model, b, TAlgebra(model.tensor_obj(A, B), action))
+    return validate_algebra(b, TAlgebra(model.tensor_obj(A, B), action))
 
 
 # --------------------------------------------------------------- enumeration
 
 
-def enumerate_algebras(model: Model, monad: MonadBundle, A) -> list:
+def enumerate_algebras(monad: MonadBundle, A) -> list:
     """Every algebra structure on carrier A (complete on enumerable models)."""
+    model = monad.model
     if monad.algebra_source is not None:
         return [alg for alg in monad.algebra_source(A) if alg.carrier == A]
     homs = model.enumerate_hom(monad.on_obj(A), A)
@@ -106,36 +110,36 @@ def enumerate_algebras(model: Model, monad: MonadBundle, A) -> list:
             f"model {model.name!r} has no hom enumerator and bundle "
             f"{monad.name!r} registered no algebra generator")
     return [TAlgebra(A, a) for a in homs
-            if is_algebra(model, monad, TAlgebra(A, a))]
+            if is_algebra(monad, TAlgebra(A, a))]
 
 
-def algebra_pool(model: Model, monad: MonadBundle, budget: CaseBudget) -> list:
+def algebra_pool(monad: MonadBundle, budget: CaseBudget) -> list:
     """Algebras over every object in the budgeted pool, size-ordered."""
     pool = []
-    for A in _size_sorted_objects(model, budget):
-        pool.extend(enumerate_algebras(model, monad, A))
+    for A in _size_sorted_objects(monad.model, budget):
+        pool.extend(enumerate_algebras(monad, A))
     return pool
 
 
-def enumerate_algebra_morphisms(model: Model, monad: MonadBundle,
-                                src: TAlgebra, tgt: TAlgebra):
+def enumerate_algebra_morphisms(monad: MonadBundle, src: TAlgebra,
+                                tgt: TAlgebra):
     """All algebra morphisms src -> tgt, or None when not enumerable."""
     if monad.algmor_enumerator is not None:
         out = monad.algmor_enumerator(src, tgt)
         if out is not None:
             return out
-    homs = model.enumerate_hom(src.carrier, tgt.carrier)
+    homs = monad.model.enumerate_hom(src.carrier, tgt.carrier)
     if homs is None:
         return None
-    return [f for f in homs if is_algebra_morphism(model, monad, src, tgt, f)]
+    return [f for f in homs if is_algebra_morphism(monad, src, tgt, f)]
 
 
-def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
-                             tgt: TAlgebra, k=1) -> list:
+def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra,
+                             k=1) -> list:
     """k algebra morphisms src -> tgt drawn through the bundle's sampler."""
     if b.algmor_sampler is not None:
         return [b.algmor_sampler(rng, src, tgt) for _ in range(k)]
-    found = enumerate_algebra_morphisms(model, b, src, tgt)
+    found = enumerate_algebra_morphisms(b, src, tgt)
     if found is None:
         raise CapabilityError(
             f"bundle {b.name!r} has neither an algebra-morphism sampler nor "
@@ -148,12 +152,13 @@ def sample_algebra_morphisms(model: Model, b, rng, src: TAlgebra,
 # ------------------------------------------------------- traced-monad checker
 
 
-def _conclusion_failure(model, b, law, algs, algB, f, g):
+def _conclusion_failure(b, law, algs, algB, f, g):
     """The failure of ``g : A -> B`` to be an algebra morphism, or None.
 
     ``algs`` are the algebras the case ranges over, ``(X, A)`` or
     ``(X, A, B)``; they and ``f`` make up the witness.
     """
+    model = b.model
     lhs = model.compose(g, algs[1].action)
     rhs = model.compose(algB.action, b.on_mor(g))
     if model.mor_eq(lhs, rhs):
@@ -166,7 +171,7 @@ def _conclusion_failure(model, b, law, algs, algB, f, g):
     return Failure(law, inputs, lhs, rhs)
 
 
-def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
+def _check_lifting(b, budget: CaseBudget, suite, law, arity,
                    lift) -> CheckReport:
     """Exhaustive lifting loop of the traced and fixed-point checkers.
 
@@ -180,12 +185,12 @@ def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
     ``inconclusive`` unless a failure is found.
     """
     failures, cases, skipped = [], 0, 0
-    pool = algebra_pool(model, b, budget)
+    pool = algebra_pool(b, budget)
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
-        src = algebra_tensor(model, b, algA, algX)
+        src = algebra_tensor(b, algA, algX)
         algB, tgt, op = lift(*algs)
-        fs = enumerate_algebra_morphisms(model, b, src, tgt)
+        fs = enumerate_algebra_morphisms(b, src, tgt)
         if fs is None:
             skipped += 1  # hom-set beyond the enumeration cap
             continue
@@ -195,7 +200,7 @@ def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
             g = op(f)
             if g.payload in decided:
                 continue
-            bad = _conclusion_failure(model, b, law, algs, algB, f, g)
+            bad = _conclusion_failure(b, law, algs, algB, f, g)
             if bad:
                 failures.append(bad)
                 break
@@ -205,16 +210,17 @@ def _check_lifting(model: Model, b, budget: CaseBudget, suite, law, arity,
     findings = ({"quantification": "exhaustive_with_skips",
                  "skipped_object_tuples": skipped} if skipped
                 else {"quantification": "exhaustive"})
-    return _finish(suite, model.name, cases, failures,
+    return _finish(suite, b.model.name, cases, failures,
                    exhaustive_ok=not skipped, findings=findings)
 
 
-def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
+def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
     """Traces of algebra morphisms must be algebra morphisms again.
 
     Exhaustive over algebra triples and algebra morphisms when the model
     enumerates hom-sets; otherwise sampled and refutation-sound only.
     """
+    model = b.model
     if not (model.traced and model.symmetric):
         raise CapabilityError("check_traced_monad needs a traced symmetric model")
     suite = f"traced_monad[{b.name}]"
@@ -222,11 +228,11 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
             and (b.algebra_source is None or b.algebra_source_complete)):
 
         def lift(algX, algA, algB):
-            return (algB, algebra_tensor(model, b, algB, algX),
+            return (algB, algebra_tensor(b, algB, algX),
                     functools.partial(model.trace, algX.carrier,
                                       algA.carrier, algB.carrier))
 
-        return _check_lifting(model, b, budget, suite,
+        return _check_lifting(b, budget, suite,
                               "traced_monad_conclusion", 3, lift)
 
     if b.algebra_source is None:
@@ -234,17 +240,17 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
             f"bundle {b.name!r} needs a registered algebra generator on "
             f"model {model.name!r}")
     failures, cases = [], 0
-    pool = algebra_pool(model, b, budget)
+    pool = algebra_pool(b, budget)
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
         algs = [pool[rng.randrange(len(pool))] for _ in range(3)]
         algX, algA, algB = algs
-        src = algebra_tensor(model, b, algA, algX)
-        tgt = algebra_tensor(model, b, algB, algX)
-        for f in sample_algebra_morphisms(model, b, rng, src, tgt, k=1):
+        src = algebra_tensor(b, algA, algX)
+        tgt = algebra_tensor(b, algB, algX)
+        for f in sample_algebra_morphisms(b, rng, src, tgt, k=1):
             cases += 1
             trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-            bad = _conclusion_failure(model, b, "traced_monad_conclusion",
+            bad = _conclusion_failure(b, "traced_monad_conclusion",
                                       algs, algB, f, trf)
             if bad:
                 failures.append(bad)
@@ -255,26 +261,27 @@ def check_traced_monad(model: Model, b, budget: CaseBudget) -> CheckReport:
 # ----------------------------------------------------------- trace coherence
 
 
-def coherence_sides(model: Model, hopf: HopfBundle, A, B, X, f):
+def coherence_sides(hopf: HopfBundle, A, B, X, f):
     """Inputs and both sides of the coherence equation.
 
     Here f : A (x) T(X) -> B (x) T(X).
     """
+    model = hopf.model
     TX = hopf.on_obj(X)
     lhs = hopf.on_mor(model.trace(TX, A, B, f))
     conj = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f),
-                     fusion_left(model, hopf, B, X))
+                     fusion_left(hopf, B, X))
     rhs = model.trace(TX, hopf.on_obj(A), hopf.on_obj(B), conj)
     return {"A": A, "B": B, "X": X, "f": f}, lhs, rhs
 
 
-def check_trace_coherence(model: Model, hopf: HopfBundle,
-                          budget: CaseBudget) -> CheckReport:
+def check_trace_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
     """Trace and functor commute through the fusion-operator conjugation.
 
     Exhaustive over the size-sorted object pool when the model enumerates
     hom-sets; otherwise sampled and refutation-sound only.
     """
+    model = hopf.model
     if not (model.traced and model.symmetric):
         raise CapabilityError("check_trace_coherence needs a traced symmetric model")
     enumerable = _homs_enumerable(model)
@@ -284,7 +291,7 @@ def check_trace_coherence(model: Model, hopf: HopfBundle,
         return ((model.tensor_obj(A, TX), model.tensor_obj(B, TX)),)
 
     spec = LawSpec("trace_coherence", 3,
-                   functools.partial(coherence_sides, model, hopf), homs)
+                   functools.partial(coherence_sides, hopf), homs)
     report = _run_specs(model, budget, f"trace_coherence[{hopf.name}]",
                         (spec,), enumerable,
                         _size_sorted_objects(model, budget))
@@ -305,7 +312,7 @@ def _agree(a, b):
     return a == b
 
 
-def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
+def crosscheck_main_theorem(hopf: HopfBundle,
                             budget: CaseBudget) -> CheckReport:
     """Verdicts of the two characterisations must agree on Hopf bundles.
 
@@ -316,9 +323,10 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
     """
     from .monads import check_hopf
 
-    gate = check_hopf(model, hopf, budget)
-    traced = check_traced_monad(model, hopf, budget)
-    coherent = check_trace_coherence(model, hopf, budget)
+    model = hopf.model
+    gate = check_hopf(hopf, budget)
+    traced = check_traced_monad(hopf, budget)
+    coherent = check_trace_coherence(hopf, budget)
     traced_side = traced.verdict if gate.passed else "fail"
     coherent_side = coherent.verdict if gate.passed else "fail"
     agree = _agree(traced_side, coherent_side)
@@ -344,8 +352,9 @@ def crosscheck_main_theorem(model: Model, hopf: HopfBundle,
 # ------------------------------------------------- fixed-point reformulation
 
 
-def fix_coherence_sides(model: Model, hopf: HopfBundle, A, X, f):
+def fix_coherence_sides(hopf: HopfBundle, A, X, f):
     """Inputs and both sides of the fixed-point form, f : A x T(X) -> T(X)."""
+    model = hopf.model
     TX = hopf.on_obj(X)
     lhs = model.compose(hopf.mu(X), hopf.on_mor(model.fix(TX, A, f)))
     inner = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f), hopf.mu(X))
@@ -353,13 +362,13 @@ def fix_coherence_sides(model: Model, hopf: HopfBundle, A, X, f):
     return {"A": A, "X": X, "f": f}, lhs, rhs
 
 
-def check_fix_coherence(model: Model, hopf: HopfBundle,
-                        budget: CaseBudget) -> CheckReport:
+def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
     """Fixed-point form of coherence; verdict must match the trace form.
 
     When either form is inconclusive the two are not compared and a passing
     report becomes inconclusive.
     """
+    model = hopf.model
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("check_fix_coherence needs a traced cartesian "
                               "model with a fixed-point operator")
@@ -369,11 +378,11 @@ def check_fix_coherence(model: Model, hopf: HopfBundle,
         return ((model.tensor_obj(A, TX), TX),)
 
     spec = LawSpec("fix_coherence", 2,
-                   functools.partial(fix_coherence_sides, model, hopf), homs)
+                   functools.partial(fix_coherence_sides, hopf), homs)
     report = _run_specs(model, budget, f"fix_coherence[{hopf.name}]",
                         (spec,), _homs_enumerable(model),
                         _size_sorted_objects(model, budget))
-    other = check_trace_coherence(model, hopf, budget)
+    other = check_trace_coherence(hopf, budget)
     matches = _agree(report.verdict, other.verdict)
     report.findings["matches_trace_coherence"] = matches
     if matches is False:
@@ -387,8 +396,9 @@ def check_fix_coherence(model: Model, hopf: HopfBundle,
     return report
 
 
-def check_traced_via_fix(model: Model, b, budget: CaseBudget) -> CheckReport:
+def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
     """Fixed points of algebra morphisms must be algebra morphisms again."""
+    model = b.model
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("check_traced_via_fix needs a traced cartesian "
                               "model with a fixed-point operator")
@@ -397,15 +407,14 @@ def check_traced_via_fix(model: Model, b, budget: CaseBudget) -> CheckReport:
         return algX, algX, functools.partial(model.fix, algX.carrier,
                                              algA.carrier)
 
-    return _check_lifting(model, b, budget, f"traced_via_fix[{b.name}]",
+    return _check_lifting(b, budget, f"traced_via_fix[{b.name}]",
                           "fix_monad_conclusion", 2, lift)
 
 
 # ------------------------------------------------------------ initial units
 
 
-def cocartesian_corollary_check(model: Model, bundle,
-                                budget: CaseBudget) -> CheckReport:
+def cocartesian_corollary_check(bundle, budget: CaseBudget) -> CheckReport:
     """On models whose unit is initial: coherent iff idempotent.
 
     The biconditional presumes an actual symmetric Hopf monad, so the check
@@ -414,25 +423,26 @@ def cocartesian_corollary_check(model: Model, bundle,
     """
     from .monads import check_bimonad_laws, check_hopf, idempotence_suite
 
+    model = bundle.model
     if not model.cocartesian:
         raise CapabilityError("cocartesian_corollary_check needs a "
                               "cocartesian model")
     findings = {}
     failures = []
     cases = 0
-    bi = check_bimonad_laws(model, bundle, budget)
+    bi = check_bimonad_laws(bundle, budget)
     cases += bi.cases_run
     findings["bimonad_laws"] = bi.verdict
-    idem = idempotence_suite(model, bundle, budget)
+    idem = idempotence_suite(bundle, budget)
     cases += idem.cases_run
     findings["idempotent"] = idem.findings.get("idempotent")
     hopf_verdict = None
     coherent = None
     if isinstance(bundle, HopfBundle):
-        hv = check_hopf(model, bundle, budget)
+        hv = check_hopf(bundle, budget)
         cases += hv.cases_run
         hopf_verdict = hv.verdict
-        co = check_trace_coherence(model, bundle, budget)
+        co = check_trace_coherence(bundle, budget)
         cases += co.cases_run
         coherent = co.verdict
         findings["hopf_laws"] = hopf_verdict
@@ -460,14 +470,14 @@ def cocartesian_corollary_check(model: Model, bundle,
 # ------------------------------------------------------------- free algebras
 
 
-def free_extension_agrees(model: Model, monad: MonadBundle, A,
-                          tgt: TAlgebra) -> bool:
+def free_extension_agrees(monad: MonadBundle, A, tgt: TAlgebra) -> bool:
     """Morphisms out of a free algebra agree iff they agree after eta.
 
     Checked by enumeration; only available on enumerable models.
     """
-    free = free_algebra(model, monad, A)
-    morphs = enumerate_algebra_morphisms(model, monad, free, tgt)
+    model = monad.model
+    free = free_algebra(monad, A)
+    morphs = enumerate_algebra_morphisms(monad, free, tgt)
     if morphs is None:
         raise CapabilityError("free_extension_agrees needs enumerable homs")
     for f, g in itertools.combinations(morphs, 2):

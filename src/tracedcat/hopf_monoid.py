@@ -190,7 +190,7 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
 
     probe = model.enumerate_objects(verify_max_size) or [model.unit_obj()]
     for A, B in itertools.product(probe, repeat=2):
-        hl = fusion_left(model, bimonad, A, B)
+        hl = fusion_left(bimonad, A, B)
         inv = hl_inv(A, B)
         if not (model.mor_eq(model.compose(hl, inv), model.identity(hl.cod))
                 and model.mor_eq(model.compose(inv, hl),
@@ -204,9 +204,8 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
 # ------------------------------------------------- representable coherence
 
 
-def verify_representable_coherence(model: Model, d: HopfMonoidData,
-                                   budget: CaseBudget,
-                                   bundle: HopfBundle = None) -> CheckReport:
+def verify_representable_coherence(bundle: HopfBundle,
+                                   budget: CaseBudget) -> CheckReport:
     """The induced bundle lifts the trace: coherence, traced-monad property,
     and the direct module statement (traces of module morphisms between
     module tensors are module morphisms)."""
@@ -215,10 +214,9 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
                                   is_algebra_morphism,
                                   sample_algebra_morphisms)
 
-    if bundle is None:
-        bundle = induced_hopf_monad(model, d)
-    coh = check_trace_coherence(model, bundle, budget)
-    traced = check_traced_monad(model, bundle, budget)
+    model = bundle.model
+    coh = check_trace_coherence(bundle, budget)
+    traced = check_traced_monad(bundle, budget)
     failures = list(coh.failures) + list(traced.failures)
     cases = coh.cases_run + traced.cases_run
 
@@ -227,12 +225,12 @@ def verify_representable_coherence(model: Model, d: HopfMonoidData,
     for case in range(max(10, budget.cases // 2)):
         rng = _rng(budget, "module_trace", case)
         A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
-        mA, mB, mX = (free_algebra(model, bundle, o) for o in (A, B, X))
-        src = algebra_tensor(model, bundle, mA, mX)
-        tgt = algebra_tensor(model, bundle, mB, mX)
-        for f in sample_algebra_morphisms(model, bundle, rng, src, tgt):
+        mA, mB, mX = (free_algebra(bundle, o) for o in (A, B, X))
+        src = algebra_tensor(bundle, mA, mX)
+        tgt = algebra_tensor(bundle, mB, mX)
+        for f in sample_algebra_morphisms(bundle, rng, src, tgt):
             cases += 1
-            if not is_algebra_morphism(model, bundle, src, tgt, f):
+            if not is_algebra_morphism(bundle, src, tgt, f):
                 failures.append(Failure("module_morphism_premise",
                                         {"A": A, "B": B, "X": X}, f, f))
                 continue
@@ -470,7 +468,7 @@ def group_hopf_bundle(model, table: GroupTable, name=None) -> HopfBundle:
     algebras = []
     for rep in reps.values():
         alg = algebra_from_rep(model, table, rep)
-        validate_algebra(model, plain_monad, alg)
+        validate_algebra(plain_monad, alg)
         algebras.append(alg)
 
     def algebra_source(A):

@@ -59,25 +59,6 @@ class PfnModel(Model):
         return FinLabelSet(tuple((0, x) for x in A.labels)
                            + tuple((1, y) for y in B.labels))
 
-    def factor_tensor(self, AB, X):
-        self.check_obj(AB)
-        self.check_obj(X)
-        k = AB.size - X.size
-        if k < 0:
-            raise BoundaryError("object too small to factor")
-        tail = AB.labels[k:]
-        if tail != tuple((1, x) for x in X.labels):
-            raise BoundaryError(f"object does not end in the (+)-image of {X!r}")
-        firsts = []
-        for lab in AB.labels[:k]:
-            if not (isinstance(lab, tuple) and len(lab) == 2 and lab[0] == 0):
-                raise BoundaryError("object is not a tagged disjoint union")
-            firsts.append(lab[1])
-        A = FinLabelSet(tuple(firsts))
-        if self._tensor_obj(A, X) != AB:
-            raise BoundaryError(f"object does not factor as A (+) {X!r}")
-        return A
-
     # morphisms
     def table(self, dom, cod, images) -> Morphism:
         images = tuple(images)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (BoundaryError, Model, ModelMismatchError, Morphism,
-                   UsageError)
+from .core import Model, ModelMismatchError, Morphism, UsageError
 
 # ------------------------------------------------------------ sparse matrices
 
@@ -182,18 +181,6 @@ class MatModel(Model):
     def _tensor_obj(self, A, B):
         return A * B
 
-    def factor_tensor(self, AB, X):
-        self.check_obj(AB)
-        self.check_obj(X)
-        if X == 0:
-            if AB != 0:
-                raise BoundaryError(f"{AB} is not a multiple of 0")
-            raise UsageError(
-                "factor through dimension 0 is ambiguous; pass A and B explicitly")
-        if AB % X != 0:
-            raise BoundaryError(f"dimension {AB} does not factor through {X}")
-        return AB // X
-
     # morphisms
     def check_mor(self, f):
         super().check_mor(f)
@@ -318,7 +305,7 @@ def dense_mul(a, b):
     return tuple(out)
 
 
-def dual_algebra(model: MatModel, hopf, algebra):
+def dual_algebra(hopf, algebra):
     """Dual of an algebra over a Hopf bundle on the matrix model.
 
     The carrier is A* and the action threads the cap through the inverse
@@ -329,6 +316,7 @@ def dual_algebra(model: MatModel, hopf, algebra):
     """
     from .eilenberg_moore import TAlgebra, validate_algebra
 
+    model = hopf.model
     A = algebra.carrier
     a = algebra.action
     ad = model.dual_obj(A)
@@ -347,5 +335,5 @@ def dual_algebra(model: MatModel, hopf, algebra):
         model.lunit(ad),
     )
     out = TAlgebra(ad, action)
-    validate_algebra(model, hopf, out)
+    validate_algebra(hopf, out)
     return out

@@ -211,11 +211,6 @@ class IntPosetModel(Model):
     def _tensor_obj(self, A, B):
         return A + B
 
-    def factor_tensor(self, AB, X):
-        self.check_obj(AB)
-        self.check_obj(X)
-        return AB - X
-
     def arrow(self, n, m) -> Morphism:
         self.check_obj(n)
         self.check_obj(m)
@@ -347,25 +342,6 @@ class _PosetModel(Model):
 
     def _tensor_obj(self, A, B):
         return poset_product(A, B)
-
-    def factor_tensor(self, AB, X):
-        self.check_obj(AB)
-        self.check_obj(X)
-        if X.size == 0 or AB.size % X.size != 0:
-            raise BoundaryError(f"|{AB.size}| does not factor through |{X.size}|")
-        k = AB.size // X.size
-        firsts = []
-        for block in range(k):
-            el = AB.elements[block * X.size]
-            if not isinstance(el, tuple) or len(el) != 2:
-                raise BoundaryError("object is not a product of posets")
-            firsts.append(el[0])
-        le = frozenset((i, j) for i in range(k) for j in range(k)
-                       if AB.leq(i * X.size, j * X.size))
-        A = FinPoset(tuple(firsts), le)
-        if poset_product(A, X) != AB:
-            raise BoundaryError(f"object does not factor as A (x) {X!r}")
-        return A
 
     # morphisms: tables of codomain indices
     def table(self, dom: FinPoset, cod: FinPoset, images) -> Morphism:
@@ -637,10 +613,6 @@ class PairModel(Model):
         return PairOb(self.first._tensor_obj(A.left, B.left),
                       self.second._tensor_obj(A.right, B.right))
 
-    def factor_tensor(self, AB, X):
-        return PairOb(self.first.factor_tensor(AB.left, X.left),
-                      self.second.factor_tensor(AB.right, X.right))
-
     def pair_mor(self, f: Morphism, g: Morphism) -> Morphism:
         self.first.check_mor(f)
         self.second.check_mor(g)
@@ -765,8 +737,9 @@ def diagonal_preservation_check(budget: CaseBudget) -> CheckReport:
 # ------------------------------------------------- monoid bundles on posets
 
 
-def canonical_cartesian_bimonad(model: Model, monad: MonadBundle) -> BimonadBundle:
+def canonical_cartesian_bimonad(monad: MonadBundle) -> BimonadBundle:
     """The unique symmetric bimonad structure over a cartesian model."""
+    model = monad.model
     if not model.cartesian:
         raise CapabilityError("canonical bimonad needs a cartesian model")
 
@@ -829,7 +802,7 @@ def monoid_bimonad(model: _PosetModel, H: FinPoset, mult_table, unit_index,
             lambda src, tgt: _module_morphism_enumerator(model, H.size, src, tgt),
     }
     monad = induced_monad(model, H, mult, unit, name, **hooks)
-    return canonical_cartesian_bimonad(model, monad)
+    return canonical_cartesian_bimonad(monad)
 
 
 def sigma_meet_bimonad(model: FinCppoModel) -> BimonadBundle:
@@ -867,8 +840,8 @@ def sierpinski_scenarios(budget: CaseBudget = None, parts=("meet", "join")) -> d
         comult = model.pair(model.identity(sig), model.identity(sig))
         counit = model.terminal_map(sig)
         out["meet"] = {
-            "traced_monad": check_traced_monad(model, meet, budget),
-            "traced_via_fix": check_traced_via_fix(model, meet, budget),
+            "traced_monad": check_traced_monad(meet, budget),
+            "traced_via_fix": check_traced_via_fix(meet, budget),
             "antipodes": antipode_search(model, sig, mult, unit, comult,
                                          counit),
         }
@@ -887,8 +860,8 @@ def sierpinski_scenarios(budget: CaseBudget = None, parts=("meet", "join")) -> d
         rhs = model.compose(act, model.tensor(model.identity(sig), fx))
         top_top = 1 * sig.size + 1
         out["join"] = {
-            "traced_monad": check_traced_monad(model, join, budget),
-            "traced_via_fix": check_traced_via_fix(model, join, budget),
+            "traced_monad": check_traced_monad(join, budget),
+            "traced_via_fix": check_traced_via_fix(join, budget),
             "pinned_witness": {
                 "fix_is_constant_bottom": fx.payload == (0, 0),
                 "lhs_at_top_top": sig.elements[lhs.payload[top_top]],

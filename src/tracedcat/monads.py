@@ -1,11 +1,14 @@
 """Monad, bimonad and Hopf-monad bundles with their law checkers.
 
 Bundles are closures over finitely representable data; nothing is assumed,
-everything (naturality included) is checked.  As in the paper, each notion
-is the one before it plus structure: a :class:`BimonadBundle` is a
-:class:`MonadBundle` with a comonoidal structure ``m``/``m_unit``, and a
-:class:`HopfBundle` is a bimonad bundle with the inverse ``hl_inv`` of its
-left fusion operator.  So any bundle goes wherever a poorer one is expected.
+everything (naturality included) is checked.  A monad lives on one
+category, so a bundle carries its model as ``bundle.model``, and every
+function here that takes a bundle reads the model from it.  As in the
+paper, each notion is the one before it plus structure: a
+:class:`BimonadBundle` is a :class:`MonadBundle` with a comonoidal structure
+``m``/``m_unit``, and a :class:`HopfBundle` is a bimonad bundle with the
+inverse ``hl_inv`` of its left fusion operator.  So any bundle goes wherever
+a poorer one is expected.
 A richer bundle is built from a poorer one as
 ``BimonadBundle(**vars(monad), m=..., m_unit=...)`` and one field is changed
 with :func:`dataclasses.replace`.
@@ -82,27 +85,30 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
 # ------------------------------------------------------------------ fusion
 
 
-def fusion_left(model: Model, b, A, B) -> Morphism:
+def fusion_left(b, A, B) -> Morphism:
     """T(A (x) T(B)) -> T(A) (x) T(B)."""
+    model = b.model
     TB = b.on_obj(B)
     return model.compose(
         model.tensor(model.identity(b.on_obj(A)), b.mu(B)),
         b.m(A, TB))
 
 
-def fusion_right(model: Model, b, A, B) -> Morphism:
+def fusion_right(b, A, B) -> Morphism:
     """T(T(A) (x) B) -> T(A) (x) T(B)."""
+    model = b.model
     TA = b.on_obj(A)
     return model.compose(
         model.tensor(b.mu(A), model.identity(b.on_obj(B))),
         b.m(TA, B))
 
 
-def fusion_right_from_left(model: Model, h: HopfBundle, B, A):
+def fusion_right_from_left(h: HopfBundle, B, A):
     """h_r at (B, A) and its inverse, transported through the symmetry."""
+    model = h.model
     TA, TB = h.on_obj(A), h.on_obj(B)
     hr = model.seq(h.on_mor(model.sym(TB, A)),
-                   fusion_left(model, h, A, B),
+                   fusion_left(h, A, B),
                    model.sym(TA, TB))
     hr_inv = model.seq(model.sym(TB, TA),
                        h.hl_inv(A, B),
@@ -110,33 +116,34 @@ def fusion_right_from_left(model: Model, h: HopfBundle, B, A):
     return hr, hr_inv
 
 
-def try_invert_fusion(model: Model, b, A, B):
+def try_invert_fusion(b, A, B):
     """Model-level inverse of the left fusion operator, or None."""
-    return model.invert(fusion_left(model, b, A, B))
+    return b.model.invert(fusion_left(b, A, B))
 
 
-def hopf_from_bimonad(model: Model, b: BimonadBundle, budget: CaseBudget):
+def hopf_from_bimonad(b: BimonadBundle, budget: CaseBudget):
     """Search fusion inverses on the budgeted object pool.
 
     Returns ``(HopfBundle, None)`` when every checked pair inverts, else
     ``(None, witness)`` where the witness is the first (size-ordered) pair
     whose fusion operator has no inverse.
     """
+    model = b.model
     objs = _size_sorted_objects(model, budget)
     table = {}
     for A, B in sorted(itertools.product(objs, repeat=2),
                        key=lambda p: (model.obj_size(p[0]) + model.obj_size(p[1]),
                                       repr(p))):
-        inv = try_invert_fusion(model, b, A, B)
+        inv = try_invert_fusion(b, A, B)
         if inv is None:
-            hl = fusion_left(model, b, A, B)
+            hl = fusion_left(b, A, B)
             return None, {"A": A, "B": B, "fusion_dom": hl.dom,
                           "fusion_cod": hl.cod}
         table[(A, B)] = inv
 
     def hl_inv(A, B):
         if (A, B) not in table:
-            got = try_invert_fusion(model, b, A, B)
+            got = try_invert_fusion(b, A, B)
             if got is None:
                 raise UsageError(f"fusion operator not invertible at ({A!r}, {B!r})")
             table[(A, B)] = got
@@ -149,9 +156,9 @@ def hopf_from_bimonad(model: Model, b: BimonadBundle, budget: CaseBudget):
 # ------------------------------------------------------------------ checkers
 
 
-def check_monad_laws(model: Model, monad: MonadBundle,
-                     budget: CaseBudget) -> CheckReport:
+def check_monad_laws(monad: MonadBundle, budget: CaseBudget) -> CheckReport:
     """Unit laws, associativity, functoriality, naturality of mu and eta."""
+    model = monad.model
     failures, cases = [], 0
     objs = _objects(model, budget)
     T, mu, eta = monad.on_obj, monad.mu, monad.eta
@@ -199,8 +206,9 @@ def check_monad_laws(model: Model, monad: MonadBundle,
     return _finish(f"monad_laws[{monad.name}]", model.name, cases, failures)
 
 
-def check_bimonad_laws(model: Model, b, budget: CaseBudget) -> CheckReport:
+def check_bimonad_laws(b, budget: CaseBudget) -> CheckReport:
     """Comonoidal endofunctor laws, compatibility of mu/eta, symmetry law."""
+    model = b.model
     if not model.symmetric:
         raise CapabilityError("check_bimonad_laws needs a symmetric model")
     failures, cases = [], 0
@@ -261,7 +269,7 @@ def check_bimonad_laws(model: Model, b, budget: CaseBudget) -> CheckReport:
     return _finish(f"bimonad_laws[{b.name}]", model.name, cases, failures)
 
 
-def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
+def check_hopf(h: HopfBundle, budget: CaseBudget) -> CheckReport:
     """Invertibility of both fusion operators plus their standard identities.
 
     Also checks that the fusion operators and their inverses are algebra
@@ -270,6 +278,7 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
     from .eilenberg_moore import (AlgebraLawError, algebra_tensor,
                                   free_algebra, is_algebra_morphism)
 
+    model = h.model
     if not model.symmetric:
         raise CapabilityError("check_hopf needs a symmetric model")
     failures, cases = [], 0
@@ -289,21 +298,21 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
                                   0, pair_budget))
     for A, B in pairs:
         TA, TB = T(A), T(B)
-        hl = fusion_left(model, h, A, B)
+        hl = fusion_left(h, A, B)
         hli = h.hl_inv(A, B)
         add("fusion_left_invertible_right",
             {"A": A, "B": B}, model.compose(hl, hli),
             ident(model.tensor_obj(TA, TB)))
         add("fusion_left_invertible_left",
             {"A": A, "B": B}, model.compose(hli, hl), ident(hl.dom))
-        hr, hri = fusion_right_from_left(model, h, B, A)
+        hr, hri = fusion_right_from_left(h, B, A)
         add("fusion_right_invertible_right",
             {"A": A, "B": B}, model.compose(hr, hri), ident(hr.cod))
         add("fusion_right_invertible_left",
             {"A": A, "B": B}, model.compose(hri, hr), ident(hr.dom))
         # derived right fusion agrees with its own defining composite
         add("fusion_symmetry_relation", {"A": A, "B": B},
-            hr, fusion_right(model, h, B, A))
+            hr, fusion_right(h, B, A))
         # h1: restricting the fused T(B) leg to eta recovers m
         add("fusion_h1", {"A": A, "B": B},
             model.compose(hl, h.on_mor(model.tensor(ident(A), eta(B)))),
@@ -324,19 +333,19 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
         # algebra-morphism facts for fusion and its inverse; the tensor of
         # free algebras only exists when the comonoidal laws actually hold
         try:
-            free_pair = algebra_tensor(model, h, free_algebra(model, h, A),
-                                       free_algebra(model, h, B))
+            free_pair = algebra_tensor(h, free_algebra(h, A),
+                                       free_algebra(h, B))
         except AlgebraLawError as err:
             cases += 1
             failures.append(Failure("fusion_free_algebra_tensor_invalid",
                                     {"A": A, "B": B}, err.lhs, err.rhs))
         else:
-            free_src = free_algebra(model, h, model.tensor_obj(A, TB))
+            free_src = free_algebra(h, model.tensor_obj(A, TB))
             cases += 2
-            if not is_algebra_morphism(model, h, free_src, free_pair, hl):
+            if not is_algebra_morphism(h, free_src, free_pair, hl):
                 failures.append(Failure("fusion_left_algebra_morphism",
                                         {"A": A, "B": B}, hl, hl))
-            if not is_algebra_morphism(model, h, free_pair, free_src, hli):
+            if not is_algebra_morphism(h, free_pair, free_src, hli):
                 failures.append(Failure("fusion_left_inverse_algebra_morphism",
                                         {"A": A, "B": B}, hli, hli))
 
@@ -344,7 +353,7 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
     for A in objs:
         TA = T(A)
         lhs = model.seq(h.on_mor(model.lunit_inv(TA)),
-                        fusion_left(model, h, I, A),
+                        fusion_left(h, I, A),
                         model.tensor(h.m_unit, ident(TA)),
                         model.lunit(TA))
         add("fusion_mu_identity", {"A": A}, lhs, mu(A))
@@ -355,7 +364,7 @@ def check_hopf(model: Model, h: HopfBundle, budget: CaseBudget) -> CheckReport:
 # --------------------------------------------------------------- idempotence
 
 
-def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
+def idempotence_suite(bundle, budget: CaseBudget) -> CheckReport:
     """Decide idempotence and check the identities that come with it.
 
     Findings report: whether mu is invertible on the pool, whether its
@@ -366,6 +375,7 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
     """
     from .eilenberg_moore import check_traced_monad
 
+    model = bundle.model
     failures, cases = [], 0
     findings = {}
     objs = _objects(model, budget)
@@ -416,7 +426,7 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
             if not model.mor_eq(lhs, rhs):
                 failures.append(Failure("idempotent_eta_shift", {"A": A}, lhs, rhs))
         if model.traced:
-            sub = check_traced_monad(model, bundle, budget)
+            sub = check_traced_monad(bundle, budget)
             findings["traced_monad_verdict"] = sub.verdict
             cases += sub.cases_run
             failures.extend(sub.failures)
@@ -426,12 +436,13 @@ def idempotence_suite(model: Model, bundle, budget: CaseBudget) -> CheckReport:
                    exhaustive_ok=exhaustive_ok, findings=findings)
 
 
-def trace_meta_check(model: Model, bundle) -> CheckReport:
+def trace_meta_check(bundle) -> CheckReport:
     """Trace the comultiplication-at-unit loop and compare with eta.
 
     For trace-coherent Hopf bundles this single equation decides
     idempotence; for other bundles it is still a well-defined observable.
     """
+    model = bundle.model
     if not (model.traced and model.symmetric):
         raise CapabilityError("trace_meta_check needs a traced symmetric model")
     I = model.unit_obj()

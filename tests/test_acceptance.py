@@ -60,14 +60,14 @@ def test_criterion_01_trace_axiom_suites(mat, zle, fincppo, pfn, two_traces):
     _line(1, ok, f"all five trace axioms, zero failures ({detail})")
 
 
-def test_criterion_02_z_not_hopf(zle, nbundle):
+def test_criterion_02_z_not_hopf(nbundle):
     window = CaseBudget(seed=102, cases=10, max_object_size=6)
-    traced = check_traced_monad(zle, nbundle, window)
-    idem = idempotence_suite(zle, nbundle, window)
-    fusion = fusion_left(zle, nbundle, -2, 1)
+    traced = check_traced_monad(nbundle, window)
+    idem = idempotence_suite(nbundle, window)
+    fusion = fusion_left(nbundle, -2, 1)
     pinned = (fusion.dom, fusion.cod) == (0, 1) \
-        and try_invert_fusion(zle, nbundle, -2, 1) is None
-    bundle, witness = hopf_from_bimonad(zle, nbundle, window)
+        and try_invert_fusion(nbundle, -2, 1) is None
+    bundle, witness = hopf_from_bimonad(nbundle, window)
     # the quoted pair (-2, 1) reproduces the displayed values 0 vs 1; the
     # size-ordered search additionally turns up the smaller pair (-1, 1)
     ok = (traced.verdict == "pass" and pinned and bundle is None
@@ -114,13 +114,13 @@ def test_criterion_05_group_algebras(mat, qc2, qs3):
         big = CaseBudget(seed=105, cases=100, max_object_size=size)
         suites = [
             validate_hopf_monoid(mat, d),
-            check_monad_laws(mat, bundle, budget),
-            check_bimonad_laws(mat, bundle, budget),
-            check_hopf(mat, bundle, budget),
-            verify_representable_coherence(mat, d, big, bundle=bundle),
+            check_monad_laws(bundle, budget),
+            check_bimonad_laws(bundle, budget),
+            check_hopf(bundle, budget),
+            verify_representable_coherence(bundle, big),
         ]
         coherence_cases = suites[4].findings
-        traced = check_traced_monad(mat, bundle, budget)
+        traced = check_traced_monad(bundle, budget)
         suites.append(traced)
         results.append((name,
                         all(s.verdict == "pass" for s in suites),
@@ -137,14 +137,12 @@ def test_criterion_06_mainthm_crosscheck(mat, fincppo, pfn, qc2, qs3):
     budget = CaseBudget(seed=106, cases=40, max_object_size=3)
     small = CaseBudget(seed=106, cases=25, max_object_size=2)
     runs = {
-        "identity:mat": crosscheck_main_theorem(mat, identity_hopf_bundle(mat),
+        "identity:mat": crosscheck_main_theorem(identity_hopf_bundle(mat),
                                                 budget),
-        "identity:fincppo": crosscheck_main_theorem(
-            fincppo, identity_hopf_bundle(fincppo), small),
-        "identity:pfn": crosscheck_main_theorem(
-            pfn, identity_hopf_bundle(pfn), small),
-        "qc2": crosscheck_main_theorem(mat, qc2, budget),
-        "qs3": crosscheck_main_theorem(mat, qs3, small),
+        "identity:fincppo": crosscheck_main_theorem(identity_hopf_bundle(fincppo), small),
+        "identity:pfn": crosscheck_main_theorem(identity_hopf_bundle(pfn), small),
+        "qc2": crosscheck_main_theorem(qc2, budget),
+        "qs3": crosscheck_main_theorem(qs3, small),
     }
     agree = all(r.findings["agree"] and r.findings["traced_side"] == "pass"
                 for r in runs.values())
@@ -156,8 +154,7 @@ def test_criterion_06_mainthm_crosscheck(mat, fincppo, pfn, qc2, qs3):
             rows[0][0] += 1
         return mat.morphism(good.dom, good.cod, rows)
 
-    flipped = crosscheck_main_theorem(
-        mat, dataclasses.replace(qc2, hl_inv=mutated), budget)
+    flipped = crosscheck_main_theorem(dataclasses.replace(qc2, hl_inv=mutated), budget)
     both_fail = (flipped.findings["traced_side"] == "fail"
                  and flipped.findings["coherent_side"] == "fail"
                  and flipped.findings["agree"])
@@ -184,12 +181,12 @@ def test_criterion_07_mat_partial_trace(mat, qc2, qs3):
         reps = group_representations(mat, table)
         for rep_name, rep in reps.items():
             alg = algebra_from_rep(mat, table, rep)
-            dual = dual_algebra(mat, bundle, alg)  # validates internally
+            dual = dual_algebra(bundle, alg)  # validates internally
             duals_ok = duals_ok and dual.carrier == alg.carrier
     for dim in (0, 1, 3):
         ident = identity_hopf_bundle(mat)
-        alg = enumerate_algebras(mat, ident, dim)[0]
-        dual = dual_algebra(mat, ident, alg)
+        alg = enumerate_algebras(ident, dim)[0]
+        dual = dual_algebra(ident, alg)
         duals_ok = duals_ok and mat.mor_eq(dual.action, mat.identity(dim))
 
     ok = agree == 220 and snakes.verdict == "pass" and duals_ok
@@ -230,14 +227,14 @@ def test_criterion_09_two_traces_and_diagonal(two_traces):
           "breaks preservation")
 
 
-def test_criterion_10_trace_meta(mat, zle, nbundle, qc2):
-    ident = trace_meta_check(mat, identity_hopf_bundle(mat))
-    enn = trace_meta_check(zle, nbundle)
-    qtwo = trace_meta_check(mat, qc2)
+def test_criterion_10_trace_meta(mat, nbundle, qc2):
+    ident = trace_meta_check(identity_hopf_bundle(mat))
+    enn = trace_meta_check(nbundle)
+    qtwo = trace_meta_check(qc2)
     budget = CaseBudget(seed=110, cases=25, max_object_size=3)
-    idem_ident = idempotence_suite(mat, identity_hopf_bundle(mat), budget)
-    idem_n = idempotence_suite(zle, nbundle, budget)
-    idem_q = idempotence_suite(mat, qc2, budget)
+    idem_ident = idempotence_suite(identity_hopf_bundle(mat), budget)
+    idem_n = idempotence_suite(nbundle, budget)
+    idem_q = idempotence_suite(qc2, budget)
     consistent = (ident.findings["holds"] == idem_ident.findings["idempotent"]
                   and enn.findings["holds"] == idem_n.findings["idempotent"]
                   and qtwo.findings["holds"] == idem_q.findings["idempotent"])

@@ -81,9 +81,23 @@ def test_reports_match_pinned_digests():
     assert digests == PINNED_REPORTS
 
 
-def test_unknown_scenario_exit_code(capsys):
+def test_unknown_scenario_exit_code(tmp_path, capsys):
     assert main(["run", "does-not-exist"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+    # unreadable input files and an unwritable --out are usage errors too,
+    # not verdict mismatches
+    latin1 = tmp_path / "latin1.group"
+    latin1.write_bytes(b"elements: \xe9\n")
+    missing = tmp_path / "missing.group"
+    for argv, named in (
+            (["run", f"group-algebra:{missing}"], missing),
+            (["run", f"group-algebra:{tmp_path}"], tmp_path),
+            (["run", f"group-algebra:{latin1}"], latin1),
+            (["run", "trace-meta:n", "--out", str(missing / "report.txt")],
+             missing)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err
 
 
 def test_out_of_range_budget_exit_code(capsys):
@@ -148,6 +162,13 @@ def test_load_poset(tmp_path):
     with pytest.raises(UsageError, match="junk.poset:2"):
         load_poset(str(junk))
 
+    # a second 'elements:' line is an error, repeated 'le:' lines are not
+    twice = tmp_path / "twice.poset"
+    twice.write_text("elements: a b\nle: a b\nle: a b\nelements: a\n")
+    with pytest.raises(UsageError, match=r"twice.poset:4: second 'elements:' "
+                                         r"line \(the first is line 1\)"):
+        load_poset(str(twice))
+
 
 def test_load_group(tmp_path):
     path = tmp_path / "c2.group"
@@ -168,6 +189,18 @@ def test_load_group(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match="associativity fails on triple"):
         load_group(str(bad))
+
+    # a product given twice is an error in either order, naming both lines
+    for first, second in (("s s s", "s s e"), ("s s e", "s s s")):
+        dup = tmp_path / "dup.group"
+        dup.write_text(f"elements: e s\nmul: e e e\nmul: e s s\n"
+                       f"mul: s e s\nmul: {first}\nmul: {second}\n")
+        with pytest.raises(UsageError, match=r"dup.group:6: product s\*s is "
+                                             r"already given at line 5"):
+            load_group(str(dup))
+    dup.write_text("elements: e s\nelements: e s\n")
+    with pytest.raises(UsageError, match="dup.group:2: second 'elements:'"):
+        load_group(str(dup))
 
 
 def test_group_algebra_scenario_accepts_file(tmp_path):

@@ -1,8 +1,6 @@
 import pytest
 
-from tracedcat.core import (BoundaryError, Compose, Id, ModelMismatchError,
-                            Prim, RUnit, Sym, Tensor, Trace, UsageError,
-                            eval_term, structural, trace)
+from tracedcat.core import BoundaryError, ModelMismatchError
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import sierpinski
 from tracedcat.model_iter import label_set
@@ -52,14 +50,6 @@ def test_mat_sym_is_perfect_shuffle_involution(mat):
             assert rows[j * 2 + i][i * 3 + j] == 1
 
 
-def test_structural_dispatch_and_arity(zle):
-    assert structural(zle, "sym", [4, -1]) == zle.arrow(3, 3)
-    with pytest.raises(UsageError):
-        structural(zle, "assoc", [1, 2])
-    with pytest.raises(UsageError):
-        structural(zle, "spin", [1])
-
-
 def test_foreign_object_rejected(mat, pfn):
     with pytest.raises(ModelMismatchError):
         mat.identity(sierpinski())
@@ -86,110 +76,3 @@ def test_fincppo_trace_of_diagonal_is_bottom(fincppo):
     f = fincppo.table(dom, cod, (0, 3))  # (*, x) |-> (x, x)
     tr = fincppo.trace(sig, point, sig, f)
     assert tr.payload == (0,)  # lands on bottom
-
-
-def test_trace_inference_and_ambiguity(mat, zle):
-    f = mat.sample_hom(__import__("random").Random(0), 6, 6)
-    inferred = trace(mat, 2, f)
-    assert inferred == mat.trace(2, 3, 3, f)
-    with pytest.raises(UsageError):
-        mat.factor_tensor(0, 0)
-    assert zle.factor_tensor(5, 7) == -2
-
-
-def test_eval_term_basics(mat):
-    f = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert eval_term(mat, Compose(Id(2), Prim(f))) == f
-    assert eval_term(mat, Trace(2, Sym(2, 2))) == mat.identity(2)
-    # tensoring with the unit and removing it is the identity conjugation
-    t = Compose(RUnit(2), Tensor(Prim(f), Id(1)))
-    assert eval_term(mat, t) == f
-
-
-def test_eval_term_compositionality(mat):
-    import random
-    rng = random.Random(5)
-    f = mat.sample_hom(rng, 2, 3)
-    g = mat.sample_hom(rng, 3, 2)
-    t = Compose(Prim(g), Prim(f))
-    u = Tensor(t, Sym(1, 2))
-    direct = eval_term(mat, u)
-    manual = mat.tensor(mat.compose(g, f), mat.sym(1, 2))
-    assert direct == manual
-
-
-def test_eval_term_typecheck_error_names_subterm(mat):
-    f = mat.morphism(2, 3, [[1, 0], [0, 1], [1, 1]])
-    with pytest.raises(BoundaryError) as err:
-        eval_term(mat, Compose(Prim(f), Prim(f)))
-    assert "Compose" in str(err.value)
-
-
-def _term_strategy():
-    """Random well-typed terms over small matrix objects."""
-    from hypothesis import strategies as st
-
-    from tracedcat.core import (Assoc, AssocInv, Compose, Id, LUnit, Prim,
-                                RUnit, Sym, Tensor)
-    from tracedcat.model_linear import mat_model
-
-    model = mat_model()
-
-    def leaves(draw):
-        kind = draw(st.integers(0, 3))
-        if kind == 0:
-            dom = draw(st.integers(0, 3))
-            cod = draw(st.integers(0, 3))
-            rows = [[draw(st.integers(-2, 2)) for _ in range(dom)]
-                    for _ in range(cod)]
-            return Prim(model.morphism(dom, cod, rows))
-        if kind == 1:
-            return Id(draw(st.integers(0, 3)))
-        if kind == 2:
-            return Sym(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-        return Assoc(draw(st.integers(0, 2)), draw(st.integers(0, 2)),
-                     draw(st.integers(0, 2)))
-
-    def build(draw, depth):
-        if depth == 0:
-            return leaves(draw)
-        left = build(draw, depth - 1)
-        right = build(draw, depth - 1)
-        choice = draw(st.integers(0, 2))
-        if choice == 0:
-            return Tensor(left, right)
-        if choice == 1:
-            # compose with an identity to stay well typed
-            from tracedcat.core import term_boundaries
-            dom, _ = term_boundaries(model, left)
-            return Compose(left, Id(dom))
-        return left
-
-    return model, build
-
-
-def test_eval_term_respects_declared_boundaries():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from tracedcat.core import term_boundaries
-
-    model, build = _term_strategy()
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def run(data):
-        term = build(data.draw, data.draw(st.integers(0, 2)))
-        dom, cod = term_boundaries(model, term)
-        value = eval_term(model, term)
-        assert (value.dom, value.cod) == (dom, cod)
-
-    run()
-
-
-def test_trace_term_with_explicit_factors(zle, nbundle):
-    # additive tensor never determines factors from the boundary alone,
-    # so the term carries them explicitly
-    f = zle.arrow(1 + 4, 2 + 4)
-    t = Trace(4, Prim(f), a=1, b=2)
-    assert eval_term(zle, t) == zle.arrow(1, 2)

@@ -72,7 +72,7 @@ def test_trivial_hopf_monoid_on_unit(mat, fincppo):
                          lambda rng, src, tgt:
                              mat.sample_hom(rng, src.carrier, tgt.carrier)}
         bundle = induced_hopf_monad(model, d, name="trivial", **hooks)
-        report = verify_representable_coherence(model, d, BUDGET, bundle=bundle)
+        report = verify_representable_coherence(bundle, BUDGET)
         assert report.passed
 
 
@@ -116,19 +116,19 @@ def test_modules(mat, qc2):
     # C2-modules are the algebras of H (x) -: the regular module is the free
     # algebra on the unit, the trivial module is the unit algebra
     d = group_algebra(mat, group_table_c2())
-    reg = free_algebra(mat, qc2, 1)
+    reg = free_algebra(qc2, 1)
     assert reg.carrier == 2 and mat.mor_eq(reg.action, d.mult)
-    assert is_algebra(mat, qc2, reg)
-    triv = unit_algebra(mat, qc2)
+    assert is_algebra(qc2, reg)
+    triv = unit_algebra(qc2)
     assert dense_rows(triv.action) == ((1, 1),)
     sign = TAlgebra(1, mat.morphism(2, 1, [[1, -1]]))
-    assert is_algebra(mat, qc2, sign)
-    tensored = algebra_tensor(mat, qc2, sign, sign)
+    assert is_algebra(qc2, sign)
+    tensored = algebra_tensor(qc2, sign, sign)
     assert dense_rows(tensored.action) == ((1, 1),)  # trivial again
 
-    assert is_algebra_morphism(mat, qc2, reg, reg, mat.identity(2))
+    assert is_algebra_morphism(qc2, reg, reg, mat.identity(2))
     skew = mat.morphism(2, 2, [[1, 2], [3, 4]])
-    assert not is_algebra_morphism(mat, qc2, reg, reg, skew)
+    assert not is_algebra_morphism(qc2, reg, reg, skew)
 
 
 def test_noncocommutative_comultiplication_breaks_symmetry(mat):
@@ -146,11 +146,9 @@ def test_noncocommutative_comultiplication_breaks_symmetry(mat):
     assert not mat.mor_eq(lhs, rhs)
 
 
-def test_representable_coherence_for_groups(mat, qc2, qs3):
-    d2 = group_algebra(mat, group_table_c2())
-    assert verify_representable_coherence(mat, d2, BUDGET, bundle=qc2).passed
-    d3 = group_algebra(mat, group_table_s3())
-    assert verify_representable_coherence(mat, d3, BUDGET, bundle=qs3).passed
+def test_representable_coherence_for_groups(qc2, qs3):
+    assert verify_representable_coherence(qc2, BUDGET).passed
+    assert verify_representable_coherence(qs3, BUDGET).passed
 
 
 def test_representable_coherence_passes_traced_skips_through(capped_pfn,
@@ -159,15 +157,11 @@ def test_representable_coherence_passes_traced_skips_through(capped_pfn,
     # traced-monad side skips hom-sets above the 50-map cap
     check_trace_coherence = eilenberg_moore.check_trace_coherence
     monkeypatch.setattr(eilenberg_moore, "check_trace_coherence",
-                        lambda model, bundle, budget: check_trace_coherence(
-                            PfnModel(), bundle, budget))
-    I = capped_pfn.unit_obj()
-    d = HopfMonoidData(I, capped_pfn.lunit(I), capped_pfn.identity(I),
-                       capped_pfn.lunit_inv(I), capped_pfn.identity(I),
-                       capped_pfn.identity(I))
+                        lambda bundle, budget: check_trace_coherence(
+                            identity_hopf_bundle(PfnModel()), budget))
     report = verify_representable_coherence(
-        capped_pfn, d, CaseBudget(seed=0, cases=20, max_object_size=2),
-        bundle=identity_hopf_bundle(capped_pfn))
+        identity_hopf_bundle(capped_pfn),
+        CaseBudget(seed=0, cases=20, max_object_size=2))
     assert (report.verdict, report.cases_run) == ("inconclusive", 1571)
     assert not report.failures
     assert report.findings == {"trace_coherence": "pass",

@@ -1,0 +1,49 @@
+"""Source hygiene: every name a module imports is used.
+
+No linter ships with the project, so this scans each ``tracedcat`` module
+with :mod:`ast`.  A name counts as used when the module loads it anywhere,
+re-exports it through ``__all__``, or mentions it in a string annotation
+such as ``"TAlgebra"``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tracedcat"
+
+
+def unused_imports(source):
+    """The names imported by ``source`` that nothing in it refers to."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # __all__ entries and string annotations
+            used.add(node.value)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        (1, "os"), (2, "b")]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("import os.path\nos.sep\n") == []
+    assert unused_imports("from .x import T\n__all__ = ['T']\n") == []
+    assert unused_imports("from .x import T\ndef f() -> 'T': pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -86,8 +86,7 @@ def test_declined_hom_set_is_skipped_and_counted(capped_pfn):
     assert (report.verdict, report.cases_run) == ("inconclusive", 5232)
     assert report.findings == {"skipped_object_tuples": 110}
 
-    report = check_trace_coherence(capped_pfn,
-                                   identity_hopf_bundle(capped_pfn), budget)
+    report = check_trace_coherence(identity_hopf_bundle(capped_pfn), budget)
     assert (report.verdict, report.cases_run) == ("inconclusive", 173)
     assert report.findings == {"quantification": "exhaustive_with_skips",
                                "skipped_object_tuples": 6}

@@ -1,10 +1,8 @@
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracedcat.core import BoundaryError
 from tracedcat.laws import CaseBudget, check_trace_axioms
 from tracedcat.model_iter import exception_bimonad, label_set
 from tracedcat.monads import (check_bimonad_laws, check_monad_laws,
@@ -75,31 +73,31 @@ def test_iteration_axioms_exhaustive_tiny(pfn):
 def test_exception_bundle_empty_is_identity_like(pfn):
     budget = CaseBudget(seed=2, cases=20, max_object_size=2)
     empty = exception_bimonad(pfn, label_set())
-    assert check_monad_laws(pfn, empty, budget).passed
-    assert check_bimonad_laws(pfn, empty, budget).passed
-    assert idempotence_suite(pfn, empty, budget).findings["idempotent"]
+    assert check_monad_laws(empty, budget).passed
+    assert check_bimonad_laws(empty, budget).passed
+    assert idempotence_suite(empty, budget).findings["idempotent"]
 
 
 def test_exception_bundle_err_computed_verdicts(pfn):
     budget = CaseBudget(seed=2, cases=20, max_object_size=2)
     err = exception_bimonad(pfn, label_set("err"))
-    assert check_monad_laws(pfn, err, budget).passed
-    report = check_bimonad_laws(pfn, err, budget)
+    assert check_monad_laws(err, budget).passed
+    report = check_bimonad_laws(err, budget)
     assert report.verdict == "fail"
     laws = {f.law for f in report.failures}
     assert "comonoidal_counit_left" in laws
     # its fusion operator still inverts...
-    assert try_invert_fusion(pfn, err, label_set(0, 1), label_set(0)) is not None
+    assert try_invert_fusion(err, label_set(0, 1), label_set(0)) is not None
     # ...but the multiplication merges the two error summands: not injective
-    assert not idempotence_suite(pfn, err, budget).findings["mu_invertible"]
+    assert not idempotence_suite(err, budget).findings["mu_invertible"]
 
 
 def test_corollary_gate_excludes_pseudo_bundle(pfn):
     budget = CaseBudget(seed=3, cases=15, max_object_size=1)
     err = exception_bimonad(pfn, label_set("err"))
-    pseudo, witness = hopf_from_bimonad(pfn, err, budget)
+    pseudo, witness = hopf_from_bimonad(err, budget)
     assert witness is None
-    report = cocartesian_corollary_check(pfn, pseudo, budget)
+    report = cocartesian_corollary_check(pseudo, budget)
     assert report.findings["bimonad_laws"] == "fail"
     assert report.findings["corollary_applicable"] is False
     assert report.findings["idempotent"] is False
@@ -147,12 +145,3 @@ def test_tightening_on_random_tables(data):
                       model.compose(f, model.tensor(g, model.identity(X))))
     rhs = model.compose(model.trace(X, A, B, f), g)
     assert model.mor_eq(lhs, rhs)
-
-
-def test_factor_tensor_roundtrip(pfn):
-    A = label_set("a", "b")
-    X = label_set("x")
-    AB = pfn.tensor_obj(A, X)
-    assert pfn.factor_tensor(AB, X) == A
-    with pytest.raises(BoundaryError):
-        pfn.factor_tensor(A, X)

@@ -101,7 +101,7 @@ def test_dual_algebra_identity_monad_collapses(mat):
 
     ih = identity_hopf_bundle(mat)
     alg = TAlgebra(3, mat.identity(3))
-    dual = dual_algebra(mat, ih, alg)
+    dual = dual_algebra(ih, alg)
     assert dual.carrier == 3
     assert mat.mor_eq(dual.action, mat.identity(3))
 
@@ -110,11 +110,11 @@ def test_dual_algebra_c2_examples(mat, qc2):
     table = group_table_c2()
     reps = group_representations(mat, table)
     regular = algebra_from_rep(mat, table, reps["regular"])
-    dual = dual_algebra(mat, qc2, regular)
+    dual = dual_algebra(qc2, regular)
     # inverse transpose of a permutation representation is itself
     assert dense_rows(dual.action) == dense_rows(regular.action)
     sign = algebra_from_rep(mat, table, reps["sign"])
-    dual_sign = dual_algebra(mat, qc2, sign)
+    dual_sign = dual_algebra(qc2, sign)
     assert dense_rows(dual_sign.action) == ((1, -1),)
 
 
@@ -125,13 +125,13 @@ def test_cup_cap_are_algebra_morphisms_for_lift(mat, qc2):
     reps = group_representations(mat, table)
     for name in ("trivial", "sign", "regular"):
         alg = algebra_from_rep(mat, table, reps[name])
-        dual = dual_algebra(mat, qc2, alg)
-        unit = unit_algebra(mat, qc2)
-        cupped = algebra_tensor(mat, qc2, dual, alg)
-        capped = algebra_tensor(mat, qc2, alg, dual)
-        assert is_algebra_morphism(mat, qc2, cupped, unit,
+        dual = dual_algebra(qc2, alg)
+        unit = unit_algebra(qc2)
+        cupped = algebra_tensor(qc2, dual, alg)
+        capped = algebra_tensor(qc2, alg, dual)
+        assert is_algebra_morphism(qc2, cupped, unit,
                                    mat.cup(alg.carrier))
-        assert is_algebra_morphism(mat, qc2, unit, capped,
+        assert is_algebra_morphism(qc2, unit, capped,
                                    mat.cap(alg.carrier))
 
 
