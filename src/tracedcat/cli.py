@@ -32,9 +32,9 @@ from .monads import (check_bimonad_laws, check_hopf, check_monad_laws,
 from .eilenberg_moore import (check_trace_coherence, check_traced_monad,
                               cocartesian_corollary_check,
                               crosscheck_main_theorem)
-from .hopf_monoid import (GroupTable, group_algebra, group_hopf_bundle,
-                          group_table_c2, group_table_s3,
-                          validate_hopf_monoid, verify_representable_coherence)
+from .hopf_monoid import (GroupTable, group_hopf_bundle, group_table_c2,
+                          group_table_s3, validate_hopf_monoid,
+                          verify_representable_coherence)
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,16 @@ def load_poset(path) -> FinPoset:
 def load_group(path) -> GroupTable:
     """Text format: 'elements: e g ...' then 'mul: x y z' meaning x*y = z.
 
-    Each product is given once: a second 'mul: x y' line is an error.
+    Each product is given once, and only of declared elements: a second
+    'mul: x y' line, or a label missing from 'elements:', is an error.
     """
     elements, entries = _read_table_file(path, "mul", 3)
-    mul, given_at = {}, {}
+    mul, given_at, declared = {}, {}, set(elements)
     for lineno, (x, y, z) in entries:
+        for label in (x, y, z):
+            if label not in declared:
+                raise UsageError(f"{path}:{lineno}: '{label}' is not in the "
+                                 f"'elements:' line")
         if (x, y) in given_at:
             raise UsageError(f"{path}:{lineno}: product {x}*{y} is already "
                              f"given at line {given_at[(x, y)]}")
@@ -252,24 +257,23 @@ def _run_sierpinski(config: RunConfig, which):
 
 
 def _group_bundle(group_name):
+    """The group table, its group algebra's data and its Hopf bundle."""
     if group_name == "c2":
         table = group_table_c2()
     elif group_name == "s3":
         table = group_table_s3()
     else:
         table = load_group(group_name)
-    return table, group_hopf_bundle(mat_model(), table,
-                                    name=f"q[{group_name}]")
+    return (table, *group_hopf_bundle(mat_model(), table,
+                                      name=f"q[{group_name}]"))
 
 
 def _run_group_algebra(config: RunConfig, group_name):
-    table, bundle = _group_bundle(group_name)
-    model = bundle.model
-    d = group_algebra(model, table)
+    table, d, bundle = _group_bundle(group_name)
     size = min(config.max_size, 2 if len(table.elements) > 2 else 3)
     budget = config.budget(max_size=size)
     suites = [
-        ("hopf_monoid_laws", validate_hopf_monoid(model, d)),
+        ("hopf_monoid_laws", validate_hopf_monoid(bundle.model, d)),
         ("monad_laws", check_monad_laws(bundle, budget)),
         ("bimonad_laws", check_bimonad_laws(bundle, budget)),
         ("hopf_laws", check_hopf(bundle, budget)),
@@ -356,9 +360,9 @@ _HOPF_BUNDLES = {
     "identity:mat": lambda: identity_hopf_bundle(mat_model()),
     "identity:fincppo": lambda: identity_hopf_bundle(fincppo_model()),
     "identity:pfn": lambda: identity_hopf_bundle(pfn_model()),
-    "qc2": lambda: _group_bundle("c2")[1],
-    "qs3": lambda: _group_bundle("s3")[1],
-    "qc2-mutated": lambda: _mutate_hl_inv(_group_bundle("c2")[1]),
+    "qc2": lambda: _group_bundle("c2")[2],
+    "qs3": lambda: _group_bundle("s3")[2],
+    "qc2-mutated": lambda: _mutate_hl_inv(_group_bundle("c2")[2]),
 }
 
 

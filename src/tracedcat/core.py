@@ -1,10 +1,11 @@
 """Executable symmetric monoidal categories.
 
 A :class:`Model` bundles the operation table of one concrete category:
-objects, morphisms, tensor, structural isomorphisms, and optional extra
-structure (trace operator, duals, finite products or coproducts, fixed
-points).  Shipped models live in ``model_linear``, ``model_order`` and
-``model_iter``.
+objects, morphisms, tensor, symmetry, structural isomorphisms, and optional
+extra structure (trace operator, duals, finite products or coproducts, fixed
+points), each declared by a capability flag.  Every model enumerates its
+objects up to a size bound; a hom-set may decline to enumerate.  Shipped
+models live in ``model_linear``, ``model_order`` and ``model_iter``.
 
 Conventions used everywhere:
 
@@ -69,16 +70,24 @@ class Morphism:
 class Model:
     """Operation table of one executable symmetric monoidal category.
 
-    A subclass supplies its objects (``check_obj``, ``unit_obj``,
-    ``_tensor_obj`` and friends) and the primitives ``_identity``,
-    ``_compose``, ``_tensor``, ``_sym`` and, when traced, ``_trace``.  The
-    six associators and unitors are derived here through ``_strict``.  The
-    public wrappers do the boundary/ownership checking once, in one place.
-    Capability flags say which optional structure is present.
+    A subclass supplies its objects (``check_obj``, ``obj_size``,
+    ``unit_obj``, ``_tensor_obj``, and ``enumerate_objects``, which lists
+    every object up to a size bound), the primitives ``_identity``,
+    ``_compose``, ``_tensor`` and ``_sym``, and ``enumerate_hom`` (which may
+    decline a hom-set) and ``sample_hom``.  The six associators and unitors
+    are derived here through ``_strict``.  The public wrappers do the
+    boundary/ownership checking once, in one place.
+
+    Optional structure is declared by a flag; a model that sets it defines
+    the operations, and checkers test the flag before calling them:
+    ``traced``: ``_trace(X, A, B, f)``; ``compact``: ``dual_obj``,
+    ``cup(A) : A* (x) A -> I``, ``cap(A) : I -> A (x) A*``; ``cartesian``:
+    ``proj0``, ``proj1``, ``pair``, ``terminal_map``; ``has_conway``:
+    ``fix(X, A, f)``, the parametrized fixed point of ``f : A x X -> X``;
+    ``cocartesian``: ``inj0``, ``inj1``, ``copair``, ``initial_map``.
     """
 
     name = "abstract"
-    symmetric = True
     traced = False
     compact = False
     cartesian = False
@@ -206,59 +215,10 @@ class Model:
                 f"expected {A!r}(x){X!r} -> {B!r}(x){X!r}")
         return self._trace(X, A, B, f)
 
-    def _trace(self, X, A, B, f):
-        raise CapabilityError(f"model {self.name!r} has no trace operator")
-
-    # ----------------------------------------------------- optional structure
-
-    def dual_obj(self, A):
-        raise CapabilityError(f"model {self.name!r} is not compact closed")
-
-    def cup(self, A) -> Morphism:
-        """A* (x) A -> I."""
-        raise CapabilityError(f"model {self.name!r} is not compact closed")
-
-    def cap(self, A) -> Morphism:
-        """I -> A (x) A*."""
-        raise CapabilityError(f"model {self.name!r} is not compact closed")
-
-    # finite products (cartesian models)
-    def proj0(self, A, B) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cartesian")
-
-    def proj1(self, A, B) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cartesian")
-
-    def pair(self, f: Morphism, g: Morphism) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cartesian")
-
-    def terminal_map(self, A) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cartesian")
-
-    def fix(self, X, A, f: Morphism) -> Morphism:
-        """Parametrized fixed point of ``f : A x X -> X``."""
-        raise CapabilityError(f"model {self.name!r} has no fixed-point operator")
-
-    # finite coproducts (cocartesian models)
-    def inj0(self, A, B) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cocartesian")
-
-    def inj1(self, A, B) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cocartesian")
-
-    def copair(self, f: Morphism, g: Morphism) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cocartesian")
-
-    def initial_map(self, A) -> Morphism:
-        raise CapabilityError(f"model {self.name!r} is not cocartesian")
-
     # -------------------------------------------------- enumeration, sampling
 
-    def enumerate_objects(self, max_size) -> Optional[list]:
-        """All objects of size <= max_size, or None when not enumerable."""
-        return None
-
-    def sample_object(self, rng, max_size):
+    def enumerate_objects(self, max_size) -> list:
+        """All objects of size <= max_size (every model enumerates them)."""
         raise NotImplementedError
 
     def enumerate_hom(self, A, B) -> Optional[list]:

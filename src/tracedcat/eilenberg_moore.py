@@ -72,12 +72,18 @@ def validate_algebra(monad, alg) -> TAlgebra:
     return alg
 
 
+def algebra_morphism_sides(monad, src: TAlgebra, tgt: TAlgebra,
+                           f: Morphism):
+    """Both sides ``f o a`` and ``b o T(f)`` of the equation that makes
+    ``f`` an algebra morphism from ``src = (A, a)`` to ``tgt = (B, b)``."""
+    model = monad.model
+    return (model.compose(f, src.action),
+            model.compose(tgt.action, monad.on_mor(f)))
+
+
 def is_algebra_morphism(monad, src: TAlgebra, tgt: TAlgebra,
                         f: Morphism) -> bool:
-    model = monad.model
-    lhs = model.compose(f, src.action)
-    rhs = model.compose(tgt.action, monad.on_mor(f))
-    return model.mor_eq(lhs, rhs)
+    return monad.model.mor_eq(*algebra_morphism_sides(monad, src, tgt, f))
 
 
 def free_algebra(monad: MonadBundle, A) -> TAlgebra:
@@ -158,10 +164,8 @@ def _conclusion_failure(b, law, algs, algB, f, g):
     ``algs`` are the algebras the case ranges over, ``(X, A)`` or
     ``(X, A, B)``; they and ``f`` make up the witness.
     """
-    model = b.model
-    lhs = model.compose(g, algs[1].action)
-    rhs = model.compose(algB.action, b.on_mor(g))
-    if model.mor_eq(lhs, rhs):
+    lhs, rhs = algebra_morphism_sides(b, algs[1], algB, g)
+    if b.model.mor_eq(lhs, rhs):
         return None
     inputs = {}
     for name, alg in zip("XAB", algs):
@@ -221,8 +225,8 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
     enumerates hom-sets; otherwise sampled and refutation-sound only.
     """
     model = b.model
-    if not (model.traced and model.symmetric):
-        raise CapabilityError("check_traced_monad needs a traced symmetric model")
+    if not model.traced:
+        raise CapabilityError("check_traced_monad needs a traced model")
     suite = f"traced_monad[{b.name}]"
     if (_homs_enumerable(model)
             and (b.algebra_source is None or b.algebra_source_complete)):
@@ -282,8 +286,8 @@ def check_trace_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
     hom-sets; otherwise sampled and refutation-sound only.
     """
     model = hopf.model
-    if not (model.traced and model.symmetric):
-        raise CapabilityError("check_trace_coherence needs a traced symmetric model")
+    if not model.traced:
+        raise CapabilityError("check_trace_coherence needs a traced model")
     enumerable = _homs_enumerable(model)
 
     def homs(A, B, X):

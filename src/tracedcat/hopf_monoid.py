@@ -43,8 +43,6 @@ class HopfMonoidData:
 
 def validate_hopf_monoid(model: Model, d: HopfMonoidData) -> CheckReport:
     """Monoid, cocommutative-comonoid, bimonoid and antipode laws, exactly."""
-    if not model.symmetric:
-        raise CapabilityError("Hopf monoids live in symmetric models")
     H = d.carrier
     I = model.unit_obj()
     i = model.identity
@@ -178,8 +176,7 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
 
     The Sweedler transcription of the inverse is not taken on faith: the
     constructor brute-forces ``h_l o inv = id`` and ``inv o h_l = id`` over
-    all object pairs up to ``verify_max_size`` (or the unit object when the
-    model does not enumerate objects).
+    all object pairs up to ``verify_max_size``.
     """
     name = name or f"H({d.carrier!r})"
     bimonad = induced_bimonad(model, d.carrier, d.mult, d.unit, d.comult,
@@ -188,7 +185,7 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
     def hl_inv(A, B):
         return sweedler_fusion_inverse(model, d, A, B)
 
-    probe = model.enumerate_objects(verify_max_size) or [model.unit_obj()]
+    probe = model.enumerate_objects(verify_max_size)
     for A, B in itertools.product(probe, repeat=2):
         hl = fusion_left(bimonad, A, B)
         inv = hl_inv(A, B)
@@ -209,10 +206,9 @@ def verify_representable_coherence(bundle: HopfBundle,
     """The induced bundle lifts the trace: coherence, traced-monad property,
     and the direct module statement (traces of module morphisms between
     module tensors are module morphisms)."""
-    from .eilenberg_moore import (algebra_tensor, check_trace_coherence,
-                                  check_traced_monad, free_algebra,
-                                  is_algebra_morphism,
-                                  sample_algebra_morphisms)
+    from .eilenberg_moore import (algebra_morphism_sides, algebra_tensor,
+                                  check_trace_coherence, check_traced_monad,
+                                  free_algebra, sample_algebra_morphisms)
 
     model = bundle.model
     coh = check_trace_coherence(bundle, budget)
@@ -230,13 +226,14 @@ def verify_representable_coherence(bundle: HopfBundle,
         tgt = algebra_tensor(bundle, mB, mX)
         for f in sample_algebra_morphisms(bundle, rng, src, tgt):
             cases += 1
-            if not is_algebra_morphism(bundle, src, tgt, f):
+            lhs, rhs = algebra_morphism_sides(bundle, src, tgt, f)
+            if not model.mor_eq(lhs, rhs):
                 failures.append(Failure("module_morphism_premise",
-                                        {"A": A, "B": B, "X": X}, f, f))
+                                        {"A": A, "B": B, "X": X, "f": f},
+                                        lhs, rhs))
                 continue
             tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)
-            lhs = model.compose(tr, mA.action)
-            rhs = model.compose(mB.action, bundle.on_mor(tr))
+            lhs, rhs = algebra_morphism_sides(bundle, mA, mB, tr)
             if not model.mor_eq(lhs, rhs):
                 failures.append(Failure("module_trace_morphism",
                                         {"A": A, "B": B, "X": X, "f": f},
@@ -453,8 +450,10 @@ def rep_from_action(model, group_size, algebra) -> list:
     return mats
 
 
-def group_hopf_bundle(model, table: GroupTable, name=None) -> HopfBundle:
-    """Induced Hopf bundle with representation generators attached."""
+def group_hopf_bundle(model, table: GroupTable,
+                      name=None) -> tuple[HopfMonoidData, HopfBundle]:
+    """The group algebra's Hopf-monoid data and its induced Hopf bundle,
+    with representation generators attached."""
     from .eilenberg_moore import validate_algebra
     from .model_linear import dense_mul
 
@@ -492,6 +491,6 @@ def group_hopf_bundle(model, table: GroupTable, name=None) -> HopfBundle:
         avg = [[scale * v for v in row] for row in total]
         return model.morphism(src.carrier, tgt.carrier, avg)
 
-    return induced_hopf_monad(
+    return d, induced_hopf_monad(
         model, d, name=name or f"group_algebra[{n}]",
         algebra_source=algebra_source, algmor_sampler=algmor_sampler)

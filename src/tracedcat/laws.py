@@ -13,9 +13,10 @@ law) or *exhaustive* (every object tuple within ``budget.max_object_size``,
 times every morphism tuple of its hom-sets).  ``symmetry_natural`` is marked
 sampled-only, so exhaustive monoidal runs still sample it.
 
-An exhaustive run claims no more than it evaluated.  A law whose objects or
-hom-sets cannot be enumerated is sampled instead; an object tuple with a
-hom-set that ``enumerate_hom`` declines is skipped and counted in
+Objects always enumerate, so only hom-sets limit an exhaustive run, and it
+claims no more than it evaluated.  A law on a model whose hom-sets do not
+enumerate is sampled instead; an object tuple with a hom-set that
+``enumerate_hom`` declines is skipped and counted in
 ``findings["skipped_object_tuples"]``.  Either way the verdict is
 ``inconclusive`` unless a failure is found.
 """
@@ -81,15 +82,8 @@ def _rng(budget: CaseBudget, tag: str, i: int) -> random.Random:
     return random.Random(f"{tag}:{budget.seed}:{i}")
 
 
-def _sampled_objects(model: Model, budget: CaseBudget):
-    rng = _rng(budget, "objpool", 0)
-    return [model.sample_object(rng, budget.max_object_size)
-            for _ in range(max(8, budget.max_object_size * 4))]
-
-
 def _objects(model: Model, budget: CaseBudget):
-    objs = model.enumerate_objects(budget.max_object_size)
-    return objs if objs is not None else _sampled_objects(model, budget)
+    return model.enumerate_objects(budget.max_object_size)
 
 
 def _size_sorted_objects(model: Model, budget: CaseBudget) -> list:
@@ -132,15 +126,12 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     ``inconclusive``.
     """
     if objs is None:
-        objs = model.enumerate_objects(budget.max_object_size)
-        pool = objs if objs is not None else _sampled_objects(model, budget)
-    else:
-        pool = objs
-    homs_ok = exhaustive and objs is not None and _homs_enumerable(model)
+        objs = _objects(model, budget)
+    homs_ok = exhaustive and _homs_enumerable(model)
     failures, cases, skipped, covered = [], 0, 0, True
     for spec in specs:
         wanted = exhaustive and spec.exhaustive
-        if wanted and (homs_ok or (objs is not None and spec.homs is None)):
+        if wanted and (homs_ok or spec.homs is None):
             for objects in itertools.product(objs, repeat=spec.arity):
                 homs = (list(itertools.starmap(model.enumerate_hom,
                                                spec.homs(*objects)))
@@ -155,10 +146,10 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                         failures.append(Failure(spec.name, inputs, lhs, rhs))
             continue
         if wanted:
-            covered = False  # objects or hom-sets do not enumerate
+            covered = False  # hom-sets do not enumerate
         for i in range(budget.cases):
             rng = _rng(budget, spec.name, i)
-            objects = [rng.choice(pool) for _ in range(spec.arity)]
+            objects = [rng.choice(objs) for _ in range(spec.arity)]
             try:
                 morphisms = ([model.sample_hom(rng, dom, cod)
                               for dom, cod in spec.homs(*objects)]
@@ -181,8 +172,6 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
 def check_monoidal_laws(model: Model, budget: CaseBudget,
                         exhaustive=False) -> CheckReport:
     """Pentagon, triangle, symmetry involution, hexagon, bifunctoriality."""
-    if not model.symmetric:
-        raise CapabilityError("check_monoidal_laws needs a symmetric model")
     i = model.identity
 
     def pentagon(A, B, C, D):

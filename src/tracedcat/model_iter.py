@@ -40,7 +40,6 @@ def label_set(*labels) -> FinLabelSet:
 
 class PfnModel(Model):
     name = "pfn"
-    symmetric = True
     traced = True
     cocartesian = True
     hom_cap = 300_000
@@ -134,9 +133,6 @@ class PfnModel(Model):
     # enumeration / sampling: canonical label sets are 0..k-1
     def enumerate_objects(self, max_size):
         return [FinLabelSet(tuple(range(k))) for k in range(max_size + 1)]
-
-    def sample_object(self, rng, max_size):
-        return FinLabelSet(tuple(range(rng.randint(0, max_size))))
 
     def enumerate_hom(self, A, B):
         self.check_obj(A)

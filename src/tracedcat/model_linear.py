@@ -158,7 +158,6 @@ def commutation_smat(a, b) -> SparseMat:
 
 class MatModel(Model):
     name = "mat"
-    symmetric = True
     traced = True
     compact = True
 
@@ -262,9 +261,6 @@ class MatModel(Model):
     # enumeration / sampling
     def enumerate_objects(self, max_size):
         return list(range(0, max_size + 1))
-
-    def sample_object(self, rng, max_size):
-        return rng.randint(0, max_size)
 
     def enumerate_hom(self, A, B):
         return None  # hom-sets are infinite

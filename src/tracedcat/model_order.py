@@ -194,7 +194,6 @@ class IntPosetModel(Model):
     """Integers ordered by <=; tensor is addition, duals are negation."""
 
     name = "int_poset"
-    symmetric = True
     traced = True
     compact = True
 
@@ -246,9 +245,6 @@ class IntPosetModel(Model):
 
     def enumerate_objects(self, max_size):
         return list(range(-max_size, max_size + 1))
-
-    def sample_object(self, rng, max_size):
-        return rng.randint(-max_size, max_size)
 
     def enumerate_hom(self, A, B):
         return [self.arrow(A, B)] if A <= B else []
@@ -320,7 +316,6 @@ def _cached_poset_proj(name, A, B, which):
 class _PosetModel(Model):
     """Shared machinery for the finite-poset cartesian models."""
 
-    symmetric = True
     traced = True
     cartesian = True
     has_conway = True
@@ -458,24 +453,13 @@ class _PosetModel(Model):
                 if le in seen:
                     continue
                 seen.add(le)
-                P = FinPoset(tuple(range(n)), le)
-                if self._admissible(P):
-                    out.append(P)
+                out.append(FinPoset(tuple(range(n)), le))
         return out
 
     def _required_pairs(self, n):
+        """Order pairs every enumerated poset on 0..n-1 contains; they give
+        it the bottom (and top) that ``check_obj`` demands."""
         raise NotImplementedError
-
-    def _admissible(self, P):
-        try:
-            self._check_flags(P)
-            return True
-        except ModelMismatchError:
-            return False
-
-    def sample_object(self, rng, max_size):
-        objs = self.enumerate_objects(max_size)
-        return objs[rng.randrange(len(objs))]
 
     def enumerate_hom(self, A, B):
         self.check_obj(A)
@@ -587,7 +571,6 @@ class PairModel(Model):
     factor traces differ.
     """
 
-    symmetric = True
     traced = True
 
     def __init__(self, first: Model, second: Model):
@@ -652,13 +635,7 @@ class PairModel(Model):
     def enumerate_objects(self, max_size):
         lefts = self.first.enumerate_objects(max_size)
         rights = self.second.enumerate_objects(max_size)
-        if lefts is None or rights is None:
-            return None
         return [PairOb(l, r) for l, r in itertools.product(lefts, rights)]
-
-    def sample_object(self, rng, max_size):
-        return PairOb(self.first.sample_object(rng, max_size),
-                      self.second.sample_object(rng, max_size))
 
     def enumerate_hom(self, A, B):
         return None

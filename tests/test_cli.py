@@ -202,6 +202,13 @@ def test_load_group(tmp_path):
     with pytest.raises(UsageError, match="dup.group:2: second 'elements:'"):
         load_group(str(dup))
 
+    # a product of labels missing from 'elements:' is an error too
+    extra = tmp_path / "extra.group"
+    extra.write_text(path.read_text() + "mul: q q q\n")
+    with pytest.raises(UsageError, match="extra.group:6: 'q' is not in the "
+                                         "'elements:' line"):
+        load_group(str(extra))
+
 
 def test_group_algebra_scenario_accepts_file(tmp_path):
     path = tmp_path / "c2.group"

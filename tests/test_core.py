@@ -1,5 +1,6 @@
 import pytest
 
+from tracedcat.cli import _LAW_MODELS
 from tracedcat.core import BoundaryError, ModelMismatchError
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import sierpinski
@@ -76,3 +77,27 @@ def test_fincppo_trace_of_diagonal_is_bottom(fincppo):
     f = fincppo.table(dom, cod, (0, 3))  # (*, x) |-> (x, x)
     tr = fincppo.trace(sig, point, sig, f)
     assert tr.payload == (0,)  # lands on bottom
+
+
+# the operations a model must define when it sets each capability flag
+_CAPABILITY_OPS = {
+    "traced": ("_trace",),
+    "compact": ("dual_obj", "cup", "cap"),
+    "cartesian": ("proj0", "proj1", "pair", "terminal_map"),
+    "has_conway": ("fix",),
+    "cocartesian": ("inj0", "inj1", "copair", "initial_map"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_MODELS))
+def test_model_contract(name):
+    model = _LAW_MODELS[name]()
+    objs = model.enumerate_objects(4)
+    assert objs
+    for A in objs:
+        model.check_obj(A)
+    for flag, ops in _CAPABILITY_OPS.items():
+        if getattr(model, flag):
+            missing = [op for op in ops
+                       if not callable(getattr(model, op, None))]
+            assert not missing, f"{name} sets {flag} but lacks {missing}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tracedcat import eilenberg_moore
@@ -149,6 +151,18 @@ def test_noncocommutative_comultiplication_breaks_symmetry(mat):
 def test_representable_coherence_for_groups(qc2, qs3):
     assert verify_representable_coherence(qc2, BUDGET).passed
     assert verify_representable_coherence(qs3, BUDGET).passed
+
+
+def test_module_premise_witness_replays(mat, qc2):
+    # a sampler that skips the averaging draws maps that are not module maps
+    raw = dataclasses.replace(
+        qc2, algmor_sampler=lambda rng, src, tgt:
+            mat.sample_hom(rng, src.carrier, tgt.carrier))
+    report = verify_representable_coherence(raw, BUDGET)
+    premise = [fl for fl in report.failures
+               if fl.law == "module_morphism_premise"]
+    assert premise
+    assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in premise)
 
 
 def test_representable_coherence_passes_traced_skips_through(capped_pfn,

@@ -150,6 +150,8 @@ def test_broken_inverse_fails_hopf_suite(mat, qc2):
     broken = dataclasses.replace(qc2, hl_inv=bad)
     report = check_hopf(broken, SMALL)
     assert report.verdict == "fail"
+    # every witness replays: its two sides differ
+    assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in report.failures)
 
 
 def test_trace_meta_needs_traced_model(pfn):
