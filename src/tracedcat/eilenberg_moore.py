@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import CapabilityError, Morphism
-from .laws import (CaseBudget, CheckReport, Failure, LawSpec, _finish,
+from .laws import (CaseBudget, CheckReport, LawSpec, Recorder,
                    _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
 from .monads import HopfBundle, MonadBundle, fusion_left
 
@@ -106,17 +106,21 @@ def algebra_tensor(b, left: TAlgebra, right: TAlgebra) -> TAlgebra:
 
 
 def enumerate_algebras(monad: MonadBundle, A) -> list:
-    """Every algebra structure on carrier A (complete on enumerable models)."""
+    """Every algebra structure on carrier A.
+
+    Enumerated from ``Hom(T(A), A)`` where that hom-set enumerates; the
+    bundle's ``algebra_source`` is consulted only where it is declined.
+    """
     model = monad.model
-    if monad.algebra_source is not None:
-        return [alg for alg in monad.algebra_source(A) if alg.carrier == A]
     homs = model.enumerate_hom(monad.on_obj(A), A)
-    if homs is None:
+    if homs is not None:
+        return [TAlgebra(A, a) for a in homs
+                if is_algebra(monad, TAlgebra(A, a))]
+    if monad.algebra_source is None:
         raise CapabilityError(
             f"model {model.name!r} has no hom enumerator and bundle "
             f"{monad.name!r} registered no algebra generator")
-    return [TAlgebra(A, a) for a in homs
-            if is_algebra(monad, TAlgebra(A, a))]
+    return [alg for alg in monad.algebra_source(A) if alg.carrier == A]
 
 
 def algebra_pool(monad: MonadBundle, budget: CaseBudget) -> list:
@@ -158,21 +162,15 @@ def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra,
 # ------------------------------------------------------- traced-monad checker
 
 
-def _conclusion_failure(b, law, algs, algB, f, g):
-    """The failure of ``g : A -> B`` to be an algebra morphism, or None.
-
-    ``algs`` are the algebras the case ranges over, ``(X, A)`` or
-    ``(X, A, B)``; they and ``f`` make up the witness.
-    """
-    lhs, rhs = algebra_morphism_sides(b, algs[1], algB, g)
-    if b.model.mor_eq(lhs, rhs):
-        return None
+def _witness(algs, f):
+    """The inputs of a lifting case: the algebras ``(X, A)`` or
+    ``(X, A, B)`` it ranges over and the premise morphism ``f``."""
     inputs = {}
     for name, alg in zip("XAB", algs):
         inputs[name] = alg.carrier
         inputs[name.lower()] = alg.action
     inputs["f"] = f
-    return Failure(law, inputs, lhs, rhs)
+    return inputs
 
 
 def _check_lifting(b, budget: CaseBudget, suite, law, arity,
@@ -182,13 +180,13 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
     For every size-ordered tuple ``(X, A, ...)`` of ``arity`` algebras,
     ``lift(X, A, ...)`` gives ``(B, tgt, op)``: every algebra morphism
     ``f : A (x) X -> tgt`` is sent to ``op(f) : A -> B``, which must be an
-    algebra morphism again.  The conclusion only sees ``op(f)``, so each
-    distinct image is decided once, and the run stops at the first failure,
-    which the size order makes minimal.  A tuple whose hom-set cannot be
-    enumerated is skipped and counted, and makes the verdict
-    ``inconclusive`` unless a failure is found.
+    algebra morphism again.  Each ``f`` is one case, but the conclusion only
+    sees ``op(f)``, so each distinct image is decided once, and the run
+    stops at the first failure, which the size order makes minimal.  A
+    tuple whose hom-set cannot be enumerated is skipped and counted, and
+    makes the verdict ``inconclusive`` unless a failure is found.
     """
-    failures, cases, skipped = [], 0, 0
+    rec, skipped = Recorder(b.model), 0
     pool = algebra_pool(b, budget)
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
@@ -200,36 +198,35 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
             continue
         decided = set()
         for f in fs:
-            cases += 1
+            rec.cases += 1
             g = op(f)
             if g.payload in decided:
                 continue
-            bad = _conclusion_failure(b, law, algs, algB, f, g)
-            if bad:
-                failures.append(bad)
+            if not rec.check(law, functools.partial(_witness, algs, f),
+                             *algebra_morphism_sides(b, algA, algB, g),
+                             count=False):
                 break
             decided.add(g.payload)
-        if failures:
+        if rec.failures:
             break
     findings = ({"quantification": "exhaustive_with_skips",
                  "skipped_object_tuples": skipped} if skipped
                 else {"quantification": "exhaustive"})
-    return _finish(suite, b.model.name, cases, failures,
-                   exhaustive_ok=not skipped, findings=findings)
+    return rec.finish(suite, exhaustive_ok=not skipped, findings=findings)
 
 
 def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
     """Traces of algebra morphisms must be algebra morphisms again.
 
     Exhaustive over algebra triples and algebra morphisms when the model
-    enumerates hom-sets; otherwise sampled and refutation-sound only.
+    enumerates hom-sets; otherwise sampled over the bundle's registered
+    algebras and refutation-sound only.
     """
     model = b.model
     if not model.traced:
         raise CapabilityError("check_traced_monad needs a traced model")
     suite = f"traced_monad[{b.name}]"
-    if (_homs_enumerable(model)
-            and (b.algebra_source is None or b.algebra_source_complete)):
+    if _homs_enumerable(model):
 
         def lift(algX, algA, algB):
             return (algB, algebra_tensor(b, algB, algX),
@@ -239,11 +236,7 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         return _check_lifting(b, budget, suite,
                               "traced_monad_conclusion", 3, lift)
 
-    if b.algebra_source is None:
-        raise CapabilityError(
-            f"bundle {b.name!r} needs a registered algebra generator on "
-            f"model {model.name!r}")
-    failures, cases = [], 0
+    rec = Recorder(model)
     pool = algebra_pool(b, budget)
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
@@ -252,21 +245,20 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         src = algebra_tensor(b, algA, algX)
         tgt = algebra_tensor(b, algB, algX)
         for f in sample_algebra_morphisms(b, rng, src, tgt, k=1):
-            cases += 1
             trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-            bad = _conclusion_failure(b, "traced_monad_conclusion",
-                                      algs, algB, f, trf)
-            if bad:
-                failures.append(bad)
-    return _finish(suite, model.name, cases, failures,
-                   findings={"quantification": "sampled_refutation_only"})
+            rec.check("traced_monad_conclusion",
+                      functools.partial(_witness, algs, f),
+                      *algebra_morphism_sides(b, algA, algB, trf))
+    return rec.finish(suite,
+                      findings={"quantification": "sampled_refutation_only"})
 
 
 # ----------------------------------------------------------- trace coherence
 
 
 def coherence_sides(hopf: HopfBundle, A, B, X, f):
-    """Inputs and both sides of the coherence equation.
+    """The coherence equation as a one-element ``(law, inputs, lhs, rhs)``
+    list.
 
     Here f : A (x) T(X) -> B (x) T(X).
     """
@@ -276,7 +268,7 @@ def coherence_sides(hopf: HopfBundle, A, B, X, f):
     conj = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f),
                      fusion_left(hopf, B, X))
     rhs = model.trace(TX, hopf.on_obj(A), hopf.on_obj(B), conj)
-    return {"A": A, "B": B, "X": X, "f": f}, lhs, rhs
+    return [("trace_coherence", {"A": A, "B": B, "X": X, "f": f}, lhs, rhs)]
 
 
 def check_trace_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
@@ -334,36 +326,35 @@ def crosscheck_main_theorem(hopf: HopfBundle,
     traced_side = traced.verdict if gate.passed else "fail"
     coherent_side = coherent.verdict if gate.passed else "fail"
     agree = _agree(traced_side, coherent_side)
-    failures = []
+    rec = Recorder(model,
+                   gate.cases_run + traced.cases_run + coherent.cases_run)
     if agree is False:
-        failures.append(Failure(
-            "main_theorem_crosscheck_disagreement",
-            {"traced_side": traced_side, "coherent_side": coherent_side,
-             "traced_failures": traced.failures[:1],
-             "coherence_failures": coherent.failures[:1]},
-            model.identity(model.unit_obj()), model.identity(model.unit_obj())))
-    cases = gate.cases_run + traced.cases_run + coherent.cases_run
-    return _finish(f"mainthm_crosscheck[{hopf.name}]", model.name, cases,
-                   failures, exhaustive_ok=agree is not None,
-                   findings={"hopf_gate": gate.verdict,
-                             "traced_monad": traced.verdict,
-                             "trace_coherence": coherent.verdict,
-                             "traced_side": traced_side,
-                             "coherent_side": coherent_side,
-                             "agree": agree})
+        rec.fail("main_theorem_crosscheck_disagreement",
+                 {"traced_side": traced_side, "coherent_side": coherent_side,
+                  "traced_failures": traced.failures[:1],
+                  "coherence_failures": coherent.failures[:1]})
+    return rec.finish(f"mainthm_crosscheck[{hopf.name}]",
+                      exhaustive_ok=agree is not None,
+                      findings={"hopf_gate": gate.verdict,
+                                "traced_monad": traced.verdict,
+                                "trace_coherence": coherent.verdict,
+                                "traced_side": traced_side,
+                                "coherent_side": coherent_side,
+                                "agree": agree})
 
 
 # ------------------------------------------------- fixed-point reformulation
 
 
 def fix_coherence_sides(hopf: HopfBundle, A, X, f):
-    """Inputs and both sides of the fixed-point form, f : A x T(X) -> T(X)."""
+    """The fixed-point form as a one-element ``(law, inputs, lhs, rhs)``
+    list; here f : A x T(X) -> T(X)."""
     model = hopf.model
     TX = hopf.on_obj(X)
     lhs = model.compose(hopf.mu(X), hopf.on_mor(model.fix(TX, A, f)))
     inner = model.seq(hopf.hl_inv(A, X), hopf.on_mor(f), hopf.mu(X))
     rhs = model.fix(TX, hopf.on_obj(A), inner)
-    return {"A": A, "X": X, "f": f}, lhs, rhs
+    return [("fix_coherence", {"A": A, "X": X, "f": f}, lhs, rhs)]
 
 
 def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
@@ -388,16 +379,15 @@ def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
                         _size_sorted_objects(model, budget))
     other = check_trace_coherence(hopf, budget)
     matches = _agree(report.verdict, other.verdict)
-    report.findings["matches_trace_coherence"] = matches
+    rec = Recorder(model, report.cases_run, report.failures)
     if matches is False:
-        report.failures.append(Failure(
-            "fix_vs_trace_coherence_disagreement",
-            {"fix": report.verdict, "trace": other.verdict},
-            model.identity(model.unit_obj()), model.identity(model.unit_obj())))
-        report.verdict = "fail"
-    elif matches is None and report.verdict == "pass":
-        report.verdict = "inconclusive"  # the trace form skipped hom-sets
-    return report
+        rec.fail("fix_vs_trace_coherence_disagreement",
+                 {"fix": report.verdict, "trace": other.verdict})
+    # a pass is inconclusive when the trace form skipped hom-sets
+    return rec.finish(report.suite,
+                      exhaustive_ok=report.passed and matches is not None,
+                      findings=dict(report.findings,
+                                    matches_trace_coherence=matches))
 
 
 def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
@@ -432,24 +422,21 @@ def cocartesian_corollary_check(bundle, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("cocartesian_corollary_check needs a "
                               "cocartesian model")
     findings = {}
-    failures = []
-    cases = 0
+    rec = Recorder(model)
     bi = check_bimonad_laws(bundle, budget)
-    cases += bi.cases_run
+    rec.cases += bi.cases_run
     findings["bimonad_laws"] = bi.verdict
     idem = idempotence_suite(bundle, budget)
-    cases += idem.cases_run
+    rec.cases += idem.cases_run
     findings["idempotent"] = idem.findings.get("idempotent")
-    hopf_verdict = None
     coherent = None
     if isinstance(bundle, HopfBundle):
         hv = check_hopf(bundle, budget)
-        cases += hv.cases_run
-        hopf_verdict = hv.verdict
+        rec.cases += hv.cases_run
         co = check_trace_coherence(bundle, budget)
-        cases += co.cases_run
+        rec.cases += co.cases_run
         coherent = co.verdict
-        findings["hopf_laws"] = hopf_verdict
+        findings["hopf_laws"] = hv.verdict
         findings["trace_coherence"] = coherent
         applicable = bi.passed and hv.passed
         findings["corollary_applicable"] = applicable
@@ -458,17 +445,14 @@ def cocartesian_corollary_check(bundle, budget: CaseBudget) -> CheckReport:
                            "pass" if findings["idempotent"] else "fail")
             findings["corollary_agrees"] = agree
             if agree is False:
-                failures.append(Failure(
-                    "cocartesian_corollary",
-                    {"coherent": coherent, "idempotent": findings["idempotent"]},
-                    model.identity(model.unit_obj()),
-                    model.identity(model.unit_obj())))
+                rec.fail("cocartesian_corollary",
+                         {"coherent": coherent,
+                          "idempotent": findings["idempotent"]})
     else:
         findings["corollary_applicable"] = False
-    return _finish(f"cocartesian_corollary[{bundle.name}]",
-                   model.name, cases, failures,
-                   exhaustive_ok=coherent != "inconclusive",
-                   findings=findings)
+    return rec.finish(f"cocartesian_corollary[{bundle.name}]",
+                      exhaustive_ok=coherent != "inconclusive",
+                      findings=findings)
 
 
 # ------------------------------------------------------------- free algebras

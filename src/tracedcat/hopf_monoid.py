@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CapabilityError, Model, Morphism, UsageError
-from .laws import (CaseBudget, CheckReport, Failure, _finish, _rng,
+from .laws import (CaseBudget, CheckReport, Recorder, _rng,
                    _size_sorted_objects)
 from .monads import BimonadBundle, HopfBundle, MonadBundle, fusion_left
 
@@ -46,14 +46,10 @@ def validate_hopf_monoid(model: Model, d: HopfMonoidData) -> CheckReport:
     H = d.carrier
     I = model.unit_obj()
     i = model.identity
-    failures = []
-    cases = 0
+    rec = Recorder(model)
 
     def law(name, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure(name, {}, lhs, rhs))
+        rec.check(name, {}, lhs, rhs)
 
     law("monoid_assoc",
         model.compose(d.mult, model.tensor(d.mult, i(H))),
@@ -95,7 +91,7 @@ def validate_hopf_monoid(model: Model, d: HopfMonoidData) -> CheckReport:
         model.seq(d.comult, model.tensor(i(H), d.antipode), d.mult),
         convolution_unit)
 
-    return _finish("hopf_monoid_laws", model.name, cases, failures)
+    return rec.finish("hopf_monoid_laws")
 
 
 def antipode_search(model: Model, carrier, mult, unit, comult, counit) -> list:
@@ -213,8 +209,8 @@ def verify_representable_coherence(bundle: HopfBundle,
     model = bundle.model
     coh = check_trace_coherence(bundle, budget)
     traced = check_traced_monad(bundle, budget)
-    failures = list(coh.failures) + list(traced.failures)
-    cases = coh.cases_run + traced.cases_run
+    rec = Recorder(model, coh.cases_run + traced.cases_run,
+                   coh.failures + traced.failures)
 
     # direct module-trace spot check; modules are algebras of H (x) -
     objs = _size_sorted_objects(model, budget)
@@ -225,23 +221,19 @@ def verify_representable_coherence(bundle: HopfBundle,
         src = algebra_tensor(bundle, mA, mX)
         tgt = algebra_tensor(bundle, mB, mX)
         for f in sample_algebra_morphisms(bundle, rng, src, tgt):
-            cases += 1
-            lhs, rhs = algebra_morphism_sides(bundle, src, tgt, f)
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure("module_morphism_premise",
-                                        {"A": A, "B": B, "X": X, "f": f},
-                                        lhs, rhs))
+            # one case: the premise, then the conclusion it licenses
+            inputs = {"A": A, "B": B, "X": X, "f": f}
+            if not rec.check("module_morphism_premise", inputs,
+                             *algebra_morphism_sides(bundle, src, tgt, f)):
                 continue
             tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)
-            lhs, rhs = algebra_morphism_sides(bundle, mA, mB, tr)
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure("module_trace_morphism",
-                                        {"A": A, "B": B, "X": X, "f": f},
-                                        lhs, rhs))
+            rec.check("module_trace_morphism", inputs,
+                      *algebra_morphism_sides(bundle, mA, mB, tr),
+                      count=False)
     findings = {"trace_coherence": coh.verdict, "traced_monad": traced.verdict}
-    return _finish("representable_coherence", model.name, cases, failures,
-                   exhaustive_ok="inconclusive" not in findings.values(),
-                   findings=findings)
+    return rec.finish("representable_coherence",
+                      exhaustive_ok="inconclusive" not in findings.values(),
+                      findings=findings)
 
 
 # ---------------------------------------------------------- group algebras

@@ -2,16 +2,25 @@
 
 Each suite is generic over any :class:`~tracedcat.core.Model` and produces a
 witness-carrying :class:`CheckReport`.  Runs are deterministic: the same
-(model, budget) pair always yields the same report, and every reported
-failure replays to ``lhs != rhs`` under ``mor_eq``.
+(model, budget) pair always yields the same report.
 
-Every law quantified over objects and hom-sets is one :class:`LawSpec` in a
-suite's table: its name, how many objects it takes, the ``(dom, cod)`` of
-each hom-set it quantifies over, and the evaluator of its two sides.  One
-driver runs every table either *sampled* (``budget.cases`` seeded draws per
-law) or *exhaustive* (every object tuple within ``budget.max_object_size``,
-times every morphism tuple of its hom-sets).  ``symmetry_natural`` is marked
-sampled-only, so exhaustive monoidal runs still sample it.
+Every checker counts and records through one :class:`Recorder`, which
+compares two sides with ``mor_eq`` and keeps a :class:`Failure` when they
+differ, so every reported failure replays to ``lhs != rhs``.  The only
+failures without sides (``None``) are the disagreements of two verdicts or
+determinations: ``main_theorem_crosscheck_disagreement``,
+``fix_vs_trace_coherence_disagreement``, ``cocartesian_corollary`` and
+``hopf_idempotence_criterion``.
+
+Every law quantified over objects and hom-sets is part of a
+:class:`LawSpec` in a suite's table: its name, how many objects it takes,
+the ``(dom, cod)`` of each hom-set it quantifies over, and the evaluator
+that returns the equations of one instantiation.  One driver runs every
+table either *sampled* (``budget.cases`` seeded draws per spec) or
+*exhaustive* (every object tuple within ``budget.max_object_size``, times
+every morphism tuple of its hom-sets).  The snake, round-trip, monad and
+Hopf suites are tables too.  ``symmetry_natural`` is marked sampled-only,
+so exhaustive monoidal runs still sample it.
 
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
@@ -47,10 +56,11 @@ class CaseBudget:
 
 @dataclass(frozen=True)
 class Failure:
+    """An equation that did not hold: its law, instantiation and sides."""
     law: str
     inputs: dict
-    lhs: Morphism
-    rhs: Morphism
+    lhs: Optional[Morphism]
+    rhs: Optional[Morphism]
 
 
 @dataclass
@@ -67,15 +77,40 @@ class CheckReport:
         return self.verdict == "pass"
 
 
-def _finish(suite, model_name, cases, failures, exhaustive_ok=True, findings=None):
-    if failures:
-        verdict = "fail"
-    elif exhaustive_ok:
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
-    return CheckReport(suite, model_name, cases, verdict, failures,
-                       findings or {})
+@dataclass
+class Recorder:
+    """The cases and failures of one suite run on ``model``.
+
+    Every checker counts its cases and keeps its failures here; a count
+    that is not one case per equation is added to ``cases`` directly.
+    """
+    model: Model
+    cases: int = 0
+    failures: list = field(default_factory=list)
+
+    def check(self, law, inputs, lhs, rhs, count=True) -> bool:
+        """Compare two sides, keeping a failure when they differ.
+
+        Counts one case unless ``count`` is false (a second equation of a
+        case already counted).  ``inputs`` may be a function that builds
+        the instantiation; it is called only on failure.
+        """
+        if count:
+            self.cases += 1
+        if self.model.mor_eq(lhs, rhs):
+            return True
+        self.fail(law, inputs() if callable(inputs) else inputs, lhs, rhs)
+        return False
+
+    def fail(self, law, inputs, lhs=None, rhs=None):
+        """Keep a failure decided elsewhere; no case is counted."""
+        self.failures.append(Failure(law, inputs, lhs, rhs))
+
+    def finish(self, suite, exhaustive_ok=True, findings=None) -> CheckReport:
+        verdict = ("fail" if self.failures else
+                   "pass" if exhaustive_ok else "inconclusive")
+        return CheckReport(suite, self.model.name, self.cases, verdict,
+                           self.failures, findings or {})
 
 
 def _rng(budget: CaseBudget, tag: str, i: int) -> random.Random:
@@ -101,12 +136,14 @@ def _homs_enumerable(model):
 
 @dataclass(frozen=True)
 class LawSpec:
-    """One law quantified over ``arity`` objects and the hom-sets they bound.
+    """Laws quantified over ``arity`` objects and the hom-sets they bound.
 
     ``homs(*objects)`` gives the ``(dom, cod)`` of each quantified hom-set in
-    draw order (``None``: the law quantifies over objects alone), and
-    ``sides(*objects, *morphisms)`` returns ``(inputs, lhs, rhs)``.  A spec
-    with ``exhaustive=False`` is sampled even in exhaustive runs.
+    draw order (``None``: the laws quantify over objects alone), and
+    ``sides(*objects, *morphisms)`` returns the equations of that
+    instantiation as a list of ``(law, inputs, lhs, rhs)``; laws that share
+    a draw or costly intermediates are one spec.  A spec with
+    ``exhaustive=False`` is sampled even in exhaustive runs.
     """
     name: str
     arity: int
@@ -120,15 +157,15 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     """Check every spec over ``objs`` (default: the budget's object pool).
 
     A sampled case draws its objects, then one morphism per hom-set; the
-    draws are seeded by the law name and case index.  An exhaustive spec
-    takes the product over objects, then over hom-sets.  An exhaustive run
-    that has to sample a spec, or skips an object tuple, is at best
-    ``inconclusive``.
+    draws are seeded by the spec name and case index.  An exhaustive spec
+    takes the product over objects, then over hom-sets.  Each equation is
+    one case.  An exhaustive run that has to sample a spec, or skips an
+    object tuple, is at best ``inconclusive``.
     """
     if objs is None:
         objs = _objects(model, budget)
     homs_ok = exhaustive and _homs_enumerable(model)
-    failures, cases, skipped, covered = [], 0, 0, True
+    rec, skipped, covered = Recorder(model), 0, True
     for spec in specs:
         wanted = exhaustive and spec.exhaustive
         if wanted and (homs_ok or spec.homs is None):
@@ -140,10 +177,8 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                     skipped += 1  # hom-set beyond the enumeration cap
                     continue
                 for morphisms in itertools.product(*homs):
-                    inputs, lhs, rhs = spec.sides(*objects, *morphisms)
-                    cases += 1
-                    if not model.mor_eq(lhs, rhs):
-                        failures.append(Failure(spec.name, inputs, lhs, rhs))
+                    for equation in spec.sides(*objects, *morphisms):
+                        rec.check(*equation)
             continue
         if wanted:
             covered = False  # hom-sets do not enumerate
@@ -154,16 +189,14 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                 morphisms = ([model.sample_hom(rng, dom, cod)
                               for dom, cod in spec.homs(*objects)]
                              if spec.homs else [])
-                inputs, lhs, rhs = spec.sides(*objects, *morphisms)
+                equations = spec.sides(*objects, *morphisms)
             except EmptyHomError:
                 continue  # subsingleton models: the drawn hom-set was empty
-            cases += 1
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure(spec.name, inputs, lhs, rhs))
-    return _finish(suite, model.name, cases, failures,
-                   exhaustive_ok=covered and not skipped,
-                   findings={"skipped_object_tuples": skipped} if skipped
-                   else None)
+            for equation in equations:
+                rec.check(*equation)
+    return rec.finish(suite, exhaustive_ok=covered and not skipped,
+                      findings={"skipped_object_tuples": skipped} if skipped
+                      else None)
 
 
 # ------------------------------------------------------------ monoidal suite
@@ -180,19 +213,19 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
         rhs = model.seq(model.tensor(i(A), model.assoc(B, C, D)),
                         model.assoc(A, model.tensor_obj(B, C), D),
                         model.tensor(model.assoc(A, B, C), i(D)))
-        return {"objects": (A, B, C, D)}, lhs, rhs
+        return [("pentagon", {"objects": (A, B, C, D)}, lhs, rhs)]
 
     def triangle(A, B):
         I = model.unit_obj()
         lhs = model.compose(model.tensor(model.runit(A), i(B)),
                             model.assoc(A, I, B))
         rhs = model.tensor(i(A), model.lunit(B))
-        return {"objects": (A, B)}, lhs, rhs
+        return [("triangle", {"objects": (A, B)}, lhs, rhs)]
 
     def sym_invol(A, B):
         lhs = model.compose(model.sym(B, A), model.sym(A, B))
         rhs = i(model.tensor_obj(A, B))
-        return {"objects": (A, B)}, lhs, rhs
+        return [("symmetry_involution", {"objects": (A, B)}, lhs, rhs)]
 
     def hexagon(A, B, C):
         lhs = model.seq(model.tensor(model.sym(A, B), i(C)),
@@ -201,7 +234,7 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
         rhs = model.seq(model.assoc_inv(A, B, C),
                         model.sym(A, model.tensor_obj(B, C)),
                         model.assoc_inv(B, C, A))
-        return {"objects": (A, B, C)}, lhs, rhs
+        return [("hexagon", {"objects": (A, B, C)}, lhs, rhs)]
 
     def structural_inverses(A, B, C):
         checks = [
@@ -215,22 +248,24 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
         good = all(model.mor_eq(c, i(c.dom)) for c in checks)
         witness = i(A) if good else next(
             c for c in checks if not model.mor_eq(c, i(c.dom)))
-        return {"objects": (A, B, C)}, witness, i(witness.dom)
+        return [("structural_inverses",
+                 {"objects": (A, B, C)}, witness, i(witness.dom))]
 
     def bifunctorial(A, B, C, Ap, Bp, Cp, h, f, k, g):
         lhs = model.compose(model.tensor(f, g), model.tensor(h, k))
         rhs = model.tensor(model.compose(f, h), model.compose(g, k))
-        return {"f": f, "g": g, "h": h, "k": k}, lhs, rhs
+        return [("tensor_bifunctorial",
+                 {"f": f, "g": g, "h": h, "k": k}, lhs, rhs)]
 
     def sym_natural(A, B, C, D, f, g):
         lhs = model.compose(model.sym(B, D), model.tensor(f, g))
         rhs = model.compose(model.tensor(g, f), model.sym(A, C))
-        return {"f": f, "g": g}, lhs, rhs
+        return [("symmetry_natural", {"f": f, "g": g}, lhs, rhs)]
 
     def tensor_id(A, B):
         lhs = model.tensor(i(A), i(B))
         rhs = i(model.tensor_obj(A, B))
-        return {"objects": (A, B)}, lhs, rhs
+        return [("tensor_identity", {"objects": (A, B)}, lhs, rhs)]
 
     specs = (
         LawSpec("pentagon", 4, pentagon),
@@ -268,18 +303,21 @@ def check_trace_axioms(model: Model, budget: CaseBudget,
     def tightening_left(A, Ap, B, X, f, g):
         lhs = model.trace(X, Ap, B, model.compose(f, model.tensor(g, i(X))))
         rhs = model.compose(model.trace(X, A, B, f), g)
-        return {"A": A, "A'": Ap, "B": B, "X": X, "f": f, "g": g}, lhs, rhs
+        return [("tightening_left",
+                 {"A": A, "A'": Ap, "B": B, "X": X, "f": f, "g": g}, lhs, rhs)]
 
     def tightening_right(A, B, Bp, X, f, h):
         lhs = model.trace(X, A, Bp, model.compose(model.tensor(h, i(X)), f))
         rhs = model.compose(h, model.trace(X, A, B, f))
-        return {"A": A, "B": B, "B'": Bp, "X": X, "f": f, "h": h}, lhs, rhs
+        return [("tightening_right",
+                 {"A": A, "B": B, "B'": Bp, "X": X, "f": f, "h": h}, lhs, rhs)]
 
     def sliding(A, B, X, Xp, f, k):
         # f : A (x) X -> B (x) X', k : X' -> X; sliding k around the loop
         lhs = model.trace(Xp, A, B, model.compose(f, model.tensor(i(A), k)))
         rhs = model.trace(X, A, B, model.compose(model.tensor(i(B), k), f))
-        return {"A": A, "B": B, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs
+        return [("sliding",
+                 {"A": A, "B": B, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs)]
 
     def vanishing(A, B, X, Y, f):
         XY = T(X, Y)
@@ -287,7 +325,8 @@ def check_trace_axioms(model: Model, budget: CaseBudget,
         inner = model.seq(model.assoc_inv(A, X, Y), f, model.assoc(B, X, Y))
         stage = model.trace(Y, T(A, X), T(B, X), inner)
         rhs = model.trace(X, A, B, stage)
-        return {"A": A, "B": B, "X": X, "Y": Y, "f": f}, lhs, rhs
+        return [("vanishing_tensor",
+                 {"A": A, "B": B, "X": X, "Y": Y, "f": f}, lhs, rhs)]
 
     def vanishing_homs(A, B, X, Y):
         XY = T(X, Y)
@@ -299,17 +338,18 @@ def check_trace_axioms(model: Model, budget: CaseBudget,
                          model.assoc(C, B, X))
         lhs = model.trace(X, T(C, A), T(C, B), conj)
         rhs = model.tensor(i(C), model.trace(X, A, B, f))
-        return {"A": A, "B": B, "C": C, "X": X, "f": f}, lhs, rhs
+        return [("superposing",
+                 {"A": A, "B": B, "C": C, "X": X, "f": f}, lhs, rhs)]
 
     def yanking(X):
         lhs = model.trace(X, X, X, model.sym(X, X))
         rhs = i(X)
-        return {"X": X}, lhs, rhs
+        return [("yanking", {"X": X}, lhs, rhs)]
 
     def vanishing_unit(A, B, f):
         lhs = model.trace(I, A, B, f)
         rhs = model.seq(model.runit_inv(A), f, model.runit(B))
-        return {"A": A, "B": B, "f": f}, lhs, rhs
+        return [("vanishing_unit_derived", {"A": A, "B": B, "f": f}, lhs, rhs)]
 
     specs = (
         LawSpec("tightening_left", 4, tightening_left,
@@ -335,30 +375,27 @@ def check_snake(model: Model, budget: CaseBudget) -> CheckReport:
     """Both triangle ("snake") composites collapse to identities."""
     if not model.compact:
         raise CapabilityError("check_snake needs a compact closed model")
-    failures, counter = [], [0]
-    objs = _objects(model, budget)
     i = model.identity
-    for X in objs:
+
+    def snakes(X):
         xd = model.dual_obj(X)
-        counter[0] += 1
-        lhs = model.seq(
+        right = model.seq(
             model.lunit_inv(X),
             model.tensor(model.cap(X), i(X)),
             model.assoc_inv(X, xd, X),
             model.tensor(i(X), model.cup(X)),
             model.runit(X))
-        if not model.mor_eq(lhs, i(X)):
-            failures.append(Failure("snake_right", {"X": X}, lhs, i(X)))
-        counter[0] += 1
-        rhs = model.seq(
+        left = model.seq(
             model.runit_inv(xd),
             model.tensor(i(xd), model.cap(X)),
             model.assoc(xd, X, xd),
             model.tensor(model.cup(X), i(xd)),
             model.lunit(xd))
-        if not model.mor_eq(rhs, i(xd)):
-            failures.append(Failure("snake_left", {"X": X}, rhs, i(xd)))
-    return _finish("snake_equations", model.name, counter[0], failures)
+        return [("snake_right", {"X": X}, right, i(X)),
+                ("snake_left", {"X": X}, left, i(xd))]
+
+    return _run_specs(model, budget, "snake_equations",
+                      (LawSpec("snake", 1, snakes),), exhaustive=True)
 
 
 # --------------------------------------------------------------- conway suite
@@ -376,18 +413,20 @@ def check_conway_axioms(model: Model, budget: CaseBudget) -> CheckReport:
         fx = model.fix(X, A, f)
         lhs = fx
         rhs = model.compose(f, model.pair(i(A), fx))
-        return {"A": A, "X": X, "f": f}, lhs, rhs
+        return [("conway_fixed_point", {"A": A, "X": X, "f": f}, lhs, rhs)]
 
     def naturality(A, Ap, X, f, g):
         lhs = model.fix(X, Ap, model.compose(f, model.tensor(g, i(X))))
         rhs = model.compose(model.fix(X, A, f), g)
-        return {"A": A, "A'": Ap, "X": X, "f": f, "g": g}, lhs, rhs
+        return [("conway_naturality",
+                 {"A": A, "A'": Ap, "X": X, "f": f, "g": g}, lhs, rhs)]
 
     def dinaturality(A, X, Xp, f, k):
         lhs = model.fix(X, A, model.compose(k, f))
         rhs = model.compose(
             k, model.fix(Xp, A, model.compose(f, model.tensor(i(A), k))))
-        return {"A": A, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs
+        return [("conway_dinaturality",
+                 {"A": A, "X": X, "X'": Xp, "f": f, "k": k}, lhs, rhs)]
 
     def bekic(A, X, Y, f, g):
         # the associator bookkeeping written out
@@ -401,7 +440,8 @@ def check_conway_axioms(model: Model, budget: CaseBudget) -> CheckReport:
         fixf = model.fix(X, A, inner)
         rhs = model.compose(model.pair(model.proj1(A, X), fixg),
                             model.pair(i(A), fixf))
-        return {"A": A, "X": X, "Y": Y, "f": f, "g": g}, lhs, rhs
+        return [("conway_bekic",
+                 {"A": A, "X": X, "Y": Y, "f": f, "g": g}, lhs, rhs)]
 
     def bekic_homs(A, X, Y):
         AXY = T(A, T(X, Y))
@@ -424,28 +464,21 @@ def check_conway_trace_roundtrip(model: Model, budget: CaseBudget) -> CheckRepor
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("round-trip needs a traced cartesian model "
                               "with a fixed-point operator")
-    failures, counter = [], [0]
-    objs = _objects(model, budget)
     i = model.identity
-    for case in range(budget.cases):
-        rng = _rng(budget, "conway_roundtrip", case)
-        A, B, X = rng.choice(objs), rng.choice(objs), rng.choice(objs)
+    T = model.tensor_obj
+
+    def roundtrip(A, B, X, f, h):
         # trace -> fix: the fixed point derived from the trace is fix itself
-        f = model.sample_hom(rng, model.tensor_obj(A, X), X)
         derived_fix = model.trace(X, A, X, model.pair(f, f))
-        counter[0] += 1
-        if not model.mor_eq(derived_fix, model.fix(X, A, f)):
-            failures.append(Failure("fix_from_trace", {"A": A, "X": X, "f": f},
-                                    derived_fix, model.fix(X, A, f)))
         # fix -> trace: the trace derived from the fixed point is trace itself
-        h = model.sample_hom(rng, model.tensor_obj(A, X),
-                             model.tensor_obj(B, X))
         p1h = model.compose(model.proj1(B, X), h)
         derived_tr = model.seq(
             model.pair(i(A), model.fix(X, A, p1h)), h, model.proj0(B, X))
-        counter[0] += 1
-        if not model.mor_eq(derived_tr, model.trace(X, A, B, h)):
-            failures.append(Failure("trace_from_fix",
-                                    {"A": A, "B": B, "X": X, "f": h},
-                                    derived_tr, model.trace(X, A, B, h)))
-    return _finish("conway_trace_roundtrip", model.name, counter[0], failures)
+        return [("fix_from_trace", {"A": A, "X": X, "f": f},
+                 derived_fix, model.fix(X, A, f)),
+                ("trace_from_fix", {"A": A, "B": B, "X": X, "f": h},
+                 derived_tr, model.trace(X, A, B, h))]
+
+    spec = LawSpec("conway_roundtrip", 3, roundtrip,
+                   lambda A, B, X: ((T(A, X), X), (T(A, X), T(B, X))))
+    return _run_specs(model, budget, "conway_trace_roundtrip", (spec,))

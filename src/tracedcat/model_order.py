@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, Model,
                    ModelMismatchError, Morphism, UsageError)
-from .laws import CaseBudget, CheckReport, Failure, _finish, _rng
+from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
 
 # ------------------------------------------------------------------ posets
@@ -681,19 +681,14 @@ def diagonal_preservation_check(budget: CaseBudget) -> CheckReport:
     """
     bundle = bounded_poset_two_traces()
     prod, lfp = bundle.product, bundle.lfp
-    failures = []
-    cases = 0
+    rec = Recorder(prod)
 
     def check_one(A, B, X, f):
-        nonlocal cases
-        cases += 1
         lhs = prod.trace(PairOb(X, X), PairOb(A, A), PairOb(B, B),
                          prod.diagonal(f))
         rhs = prod.diagonal(lfp.trace(X, A, B, f))
-        if not prod.mor_eq(lhs, rhs):
-            failures.append(Failure("diagonal_preserves_trace",
-                                    {"A": A, "B": B, "X": X, "f": f},
-                                    lhs, rhs))
+        rec.check("diagonal_preserves_trace",
+                  {"A": A, "B": B, "X": X, "f": f}, lhs, rhs)
 
     wit = two_trace_distinctness_witness(bundle)
     f = wit["f"]
@@ -706,9 +701,10 @@ def diagonal_preservation_check(budget: CaseBudget) -> CheckReport:
         g = lfp.sample_hom(rng, poset_product(A, X), poset_product(B, X))
         check_one(A, B, X, g)
 
-    return _finish("diagonal_nonpreservation", prod.name, cases, failures,
-                   findings={"witness_found": bool(failures),
-                             "canonical_witness_separates": wit["distinct"]})
+    return rec.finish("diagonal_nonpreservation",
+                      findings={"witness_found": bool(rec.failures),
+                                "canonical_witness_separates":
+                                    wit["distinct"]})
 
 
 # ------------------------------------------------- monoid bundles on posets
@@ -856,8 +852,8 @@ def _strictness_property(model: FinCppoModel, budget: CaseBudget) -> CheckReport
     triples checked, skipped for a declined hom-set, and in total.  A skipped
     triple leaves a run without failures inconclusive.
     """
-    failures = []
-    cases = checked = skipped = 0
+    rec = Recorder(model)
+    checked = skipped = 0
     objs = [P for P in model.enumerate_objects(min(3, budget.max_object_size))]
     for A, X, Y in itertools.product(objs, repeat=3):
         hs = model.enumerate_hom(X, Y)
@@ -878,18 +874,15 @@ def _strictness_property(model: FinCppoModel, budget: CaseBudget) -> CheckReport
             for f in fs:
                 hf = model.compose(h, f)
                 for g in by_pre.get(hf.payload, ()):
-                    cases += 1
-                    lhs = model.fix(Y, A, g)
-                    rhs = model.compose(h, model.fix(X, A, f))
-                    if not model.mor_eq(lhs, rhs):
-                        failures.append(Failure(
-                            "strict_fixed_point_transfer",
-                            {"A": A, "X": X, "Y": Y, "h": h, "f": f, "g": g},
-                            lhs, rhs))
-        if cases > 4000:
+                    rec.check("strict_fixed_point_transfer",
+                              {"A": A, "X": X, "Y": Y, "h": h, "f": f,
+                               "g": g},
+                              model.fix(Y, A, g),
+                              model.compose(h, model.fix(X, A, f)))
+        if rec.cases > 4000:
             break
-    return _finish("strict_fixed_point_transfer", model.name, cases, failures,
-                   exhaustive_ok=not skipped,
-                   findings={"checked_object_tuples": checked,
-                             "skipped_object_tuples": skipped,
-                             "total_object_tuples": len(objs) ** 3})
+    return rec.finish("strict_fixed_point_transfer",
+                      exhaustive_ok=not skipped,
+                      findings={"checked_object_tuples": checked,
+                                "skipped_object_tuples": skipped,
+                                "total_object_tuples": len(objs) ** 3})

@@ -13,6 +13,13 @@ A richer bundle is built from a poorer one as
 ``BimonadBundle(**vars(monad), m=..., m_unit=...)`` and one field is changed
 with :func:`dataclasses.replace`.
 
+The monad and Hopf suites are :class:`~tracedcat.laws.LawSpec` tables run by
+the law driver: their object laws on every object, the fusion laws on every
+object pair, and naturality on sampled composable pairs.  The other
+checkers here count and record through :class:`~tracedcat.laws.Recorder`.
+``check_bimonad_laws`` checks the first ``max(cases, 64)`` object triples and
+pairs, and its findings say how many of how many when that prefix cuts.
+
 A Hopf bundle must be handed its fusion inverse explicitly -- invertibility
 is the mathematical content under test, so the library never synthesises it
 silently.  The right fusion operator and its inverse are always derived from
@@ -26,9 +33,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import CapabilityError, EmptyHomError, Model, Morphism, UsageError
-from .laws import (CaseBudget, CheckReport, Failure, _finish, _objects, _rng,
-                   _size_sorted_objects)
+from .core import CapabilityError, Model, Morphism, UsageError
+from .laws import (CaseBudget, CheckReport, LawSpec, Recorder, _objects,
+                   _run_specs, _size_sorted_objects)
 
 
 @dataclass(frozen=True)
@@ -39,11 +46,9 @@ class MonadBundle:
     on_mor: Callable
     mu: Callable    # A -> Morphism TT(A) -> T(A)
     eta: Callable   # A -> Morphism A -> T(A)
-    # optional hooks used by the Eilenberg-Moore machinery on models whose
-    # hom-sets cannot be enumerated (algebra pools, equivariant samplers);
-    # a source marked complete lists every algebra on a carrier
+    # optional hooks used by the Eilenberg-Moore machinery where hom-sets
+    # cannot be enumerated (algebra pools, equivariant samplers)
     algebra_source: Any = None
-    algebra_source_complete: bool = False
     algmor_sampler: Any = None
     algmor_enumerator: Any = None
 
@@ -74,7 +79,6 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
         mu=model.identity,
         eta=model.identity,
         algebra_source=algebra_source,
-        algebra_source_complete=True,
         algmor_sampler=lambda rng, src, tgt:
             model.sample_hom(rng, src.carrier, tgt.carrier),
         m=lambda A, B: model.identity(model.tensor_obj(A, B)),
@@ -157,72 +161,73 @@ def hopf_from_bimonad(b: BimonadBundle, budget: CaseBudget):
 
 
 def check_monad_laws(monad: MonadBundle, budget: CaseBudget) -> CheckReport:
-    """Unit laws, associativity, functoriality, naturality of mu and eta."""
+    """Unit laws, associativity, functoriality, naturality of mu and eta.
+
+    The object laws are checked on every object of the pool, the laws over
+    a composable pair ``f : A -> B``, ``g : B -> C`` on sampled pairs.
+    """
     model = monad.model
-    failures, cases = [], 0
-    objs = _objects(model, budget)
     T, mu, eta = monad.on_obj, monad.mu, monad.eta
 
-    for A in objs:
+    def object_laws(A):
         TA = T(A)
         one = model.identity(TA)
-        checks = [
-            ("monad_unit_left", model.compose(mu(A), monad.on_mor(eta(A))), one),
-            ("monad_unit_right", model.compose(mu(A), eta(TA)), one),
-            ("monad_assoc",
+        inputs = {"A": A}
+        return [
+            ("monad_unit_left", inputs,
+             model.compose(mu(A), monad.on_mor(eta(A))), one),
+            ("monad_unit_right", inputs, model.compose(mu(A), eta(TA)), one),
+            ("monad_assoc", inputs,
              model.compose(mu(A), monad.on_mor(mu(A))),
              model.compose(mu(A), mu(TA))),
-            ("functor_identity", monad.on_mor(model.identity(A)), one),
+            ("functor_identity", inputs, monad.on_mor(model.identity(A)), one),
         ]
-        for law, lhs, rhs in checks:
-            cases += 1
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure(law, {"A": A}, lhs, rhs))
 
-    for i in range(budget.cases):
-        rng = _rng(budget, "monad_nat", i)
-        A, B, C = rng.choice(objs), rng.choice(objs), rng.choice(objs)
-        try:
-            f = model.sample_hom(rng, A, B)
-            g = model.sample_hom(rng, B, C)
-        except EmptyHomError:
-            continue
-        checks = [
-            ("functor_compose",
+    def natural_laws(A, B, C, f, g):
+        inputs = {"f": f, "g": g}
+        return [
+            ("functor_compose", inputs,
              monad.on_mor(model.compose(g, f)),
              model.compose(monad.on_mor(g), monad.on_mor(f))),
-            ("mu_natural",
+            ("mu_natural", inputs,
              model.compose(mu(B), monad.on_mor(monad.on_mor(f))),
              model.compose(monad.on_mor(f), mu(A))),
-            ("eta_natural",
+            ("eta_natural", inputs,
              model.compose(eta(B), f),
              model.compose(monad.on_mor(f), eta(A))),
         ]
-        for law, lhs, rhs in checks:
-            cases += 1
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure(law, {"f": f, "g": g}, lhs, rhs))
 
-    return _finish(f"monad_laws[{monad.name}]", model.name, cases, failures)
+    specs = (LawSpec("monad_objects", 1, object_laws),
+             LawSpec("monad_nat", 3, natural_laws,
+                     lambda A, B, C: ((A, B), (B, C)), exhaustive=False))
+    return _run_specs(model, budget, f"monad_laws[{monad.name}]", specs,
+                      exhaustive=True)
 
 
 def check_bimonad_laws(b, budget: CaseBudget) -> CheckReport:
-    """Comonoidal endofunctor laws, compatibility of mu/eta, symmetry law."""
+    """Comonoidal endofunctor laws, compatibility of mu/eta, symmetry law.
+
+    The laws over object triples and over object pairs are checked on the
+    first ``max(budget.cases, 64)`` tuples of each; when that prefix cuts,
+    the findings count the tuples checked and in total.
+    """
     model = b.model
-    failures, cases = [], 0
+    rec = Recorder(model)
+    findings = {}
     objs = _objects(model, budget)
     T, mu, eta, m, mI = b.on_obj, b.mu, b.eta, b.m, b.m_unit
     I = model.unit_obj()
     ident = model.identity
 
-    def add(law, inputs, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure(law, inputs, lhs, rhs))
+    def prefix(arity, kind):
+        total, checked = len(objs) ** arity, max(budget.cases, 64)
+        if checked < total:
+            findings[f"checked_object_{kind}"] = checked
+            findings[f"total_object_{kind}"] = total
+        return itertools.islice(itertools.product(objs, repeat=arity),
+                                checked)
 
-    for A, B, C in itertools.islice(
-            itertools.product(objs, repeat=3), 0, max(budget.cases, 64)):
+    for A, B, C in prefix(3, "triples"):
         TA, TB, TC = T(A), T(B), T(C)
         lhs = model.seq(b.m(A, model.tensor_obj(B, C)),
                         model.tensor(ident(TA), m(B, C)),
@@ -230,7 +235,7 @@ def check_bimonad_laws(b, budget: CaseBudget) -> CheckReport:
         rhs = model.seq(b.on_mor(model.assoc(A, B, C)),
                         m(model.tensor_obj(A, B), C),
                         model.tensor(m(A, B), ident(TC)))
-        add("comonoidal_coassoc", {"A": A, "B": B, "C": C}, lhs, rhs)
+        rec.check("comonoidal_coassoc", {"A": A, "B": B, "C": C}, lhs, rhs)
 
     for A in objs:
         TA = T(A)
@@ -238,120 +243,113 @@ def check_bimonad_laws(b, budget: CaseBudget) -> CheckReport:
                         m(I, A),
                         model.tensor(mI, ident(TA)),
                         model.lunit(TA))
-        add("comonoidal_counit_left", {"A": A}, lhs, ident(TA))
+        rec.check("comonoidal_counit_left", {"A": A}, lhs, ident(TA))
         rhs = model.seq(b.on_mor(model.runit_inv(A)),
                         m(A, I),
                         model.tensor(ident(TA), mI),
                         model.runit(TA))
-        add("comonoidal_counit_right", {"A": A}, rhs, ident(TA))
+        rec.check("comonoidal_counit_right", {"A": A}, rhs, ident(TA))
 
-    for A, B in itertools.islice(
-            itertools.product(objs, repeat=2), 0, max(budget.cases, 64)):
+    for A, B in prefix(2, "pairs"):
         AB = model.tensor_obj(A, B)
         lhs = model.compose(m(A, B), mu(AB))
         rhs = model.seq(b.on_mor(m(A, B)), m(T(A), T(B)),
                         model.tensor(mu(A), mu(B)))
-        add("mu_comonoidal", {"A": A, "B": B}, lhs, rhs)
+        rec.check("mu_comonoidal", {"A": A, "B": B}, lhs, rhs)
         lhs = model.compose(m(A, B), eta(AB))
         rhs = model.tensor(eta(A), eta(B))
-        add("eta_comonoidal", {"A": A, "B": B}, lhs, rhs)
+        rec.check("eta_comonoidal", {"A": A, "B": B}, lhs, rhs)
         lhs = model.compose(model.sym(T(A), T(B)), m(A, B))
         rhs = model.compose(m(B, A), b.on_mor(model.sym(A, B)))
-        add("bimonad_symmetry", {"A": A, "B": B}, lhs, rhs)
+        rec.check("bimonad_symmetry", {"A": A, "B": B}, lhs, rhs)
 
-    add("mu_unit_comonoidal", {},
-        model.compose(mI, mu(I)), model.compose(mI, b.on_mor(mI)))
-    add("eta_unit_comonoidal", {},
-        model.compose(mI, eta(I)), ident(I))
+    rec.check("mu_unit_comonoidal", {},
+              model.compose(mI, mu(I)), model.compose(mI, b.on_mor(mI)))
+    rec.check("eta_unit_comonoidal", {},
+              model.compose(mI, eta(I)), ident(I))
 
-    return _finish(f"bimonad_laws[{b.name}]", model.name, cases, failures)
+    return rec.finish(f"bimonad_laws[{b.name}]", findings=findings)
 
 
 def check_hopf(h: HopfBundle, budget: CaseBudget) -> CheckReport:
     """Invertibility of both fusion operators plus their standard identities.
 
-    Also checks that the fusion operators and their inverses are algebra
-    morphisms between the corresponding free algebras.
+    Checked on every object pair of the pool.  Also checks that the fusion
+    operators and their inverses are algebra morphisms between the
+    corresponding free algebras.
     """
     from .eilenberg_moore import (AlgebraLawError, algebra_morphism_sides,
                                   algebra_tensor, free_algebra)
 
     model = h.model
-    failures, cases = [], 0
-    objs = _objects(model, budget)
     T, mu, eta, m = h.on_obj, h.mu, h.eta, h.m
     I = model.unit_obj()
     ident = model.identity
 
-    def add(law, inputs, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not model.mor_eq(lhs, rhs):
-            failures.append(Failure(law, inputs, lhs, rhs))
-
-    pair_budget = max(16, budget.cases // 4)
-    pairs = list(itertools.islice(itertools.product(objs, repeat=2),
-                                  0, pair_budget))
-    for A, B in pairs:
+    def pair_laws(A, B):
         TA, TB = T(A), T(B)
         hl = fusion_left(h, A, B)
         hli = h.hl_inv(A, B)
-        add("fusion_left_invertible_right",
-            {"A": A, "B": B}, model.compose(hl, hli),
-            ident(model.tensor_obj(TA, TB)))
-        add("fusion_left_invertible_left",
-            {"A": A, "B": B}, model.compose(hli, hl), ident(hl.dom))
         hr, hri = fusion_right_from_left(h, B, A)
-        add("fusion_right_invertible_right",
-            {"A": A, "B": B}, model.compose(hr, hri), ident(hr.cod))
-        add("fusion_right_invertible_left",
-            {"A": A, "B": B}, model.compose(hri, hr), ident(hr.dom))
-        # derived right fusion agrees with its own defining composite
-        add("fusion_symmetry_relation", {"A": A, "B": B},
-            hr, fusion_right(h, B, A))
-        # h1: restricting the fused T(B) leg to eta recovers m
-        add("fusion_h1", {"A": A, "B": B},
-            model.compose(hl, h.on_mor(model.tensor(ident(A), eta(B)))),
-            m(A, B))
-        # h2: fusion after eta is eta tensor identity
-        add("fusion_h2", {"A": A, "B": B},
-            model.compose(hl, eta(model.tensor_obj(A, TB))),
-            model.tensor(eta(A), ident(TB)))
-        # h3: the inverse slides mu through the functor
-        add("fusion_h3", {"A": A, "B": B},
-            model.compose(h.on_mor(model.tensor(ident(A), mu(B))),
-                          h.hl_inv(A, TB)),
-            model.compose(hli, model.tensor(ident(TA), mu(B))))
-        # h4: the inverse turns eta tensor identity into eta
-        add("fusion_h4", {"A": A, "B": B},
-            eta(model.tensor_obj(A, TB)),
-            model.compose(hli, model.tensor(eta(A), ident(TB))))
+        inputs = {"A": A, "B": B}
+        out = [
+            ("fusion_left_invertible_right", inputs,
+             model.compose(hl, hli), ident(model.tensor_obj(TA, TB))),
+            ("fusion_left_invertible_left", inputs,
+             model.compose(hli, hl), ident(hl.dom)),
+            ("fusion_right_invertible_right", inputs,
+             model.compose(hr, hri), ident(hr.cod)),
+            ("fusion_right_invertible_left", inputs,
+             model.compose(hri, hr), ident(hr.dom)),
+            # derived right fusion agrees with its own defining composite
+            ("fusion_symmetry_relation", inputs, hr, fusion_right(h, B, A)),
+            # h1: restricting the fused T(B) leg to eta recovers m
+            ("fusion_h1", inputs,
+             model.compose(hl, h.on_mor(model.tensor(ident(A), eta(B)))),
+             m(A, B)),
+            # h2: fusion after eta is eta tensor identity
+            ("fusion_h2", inputs,
+             model.compose(hl, eta(model.tensor_obj(A, TB))),
+             model.tensor(eta(A), ident(TB))),
+            # h3: the inverse slides mu through the functor
+            ("fusion_h3", inputs,
+             model.compose(h.on_mor(model.tensor(ident(A), mu(B))),
+                           h.hl_inv(A, TB)),
+             model.compose(hli, model.tensor(ident(TA), mu(B)))),
+            # h4: the inverse turns eta tensor identity into eta
+            ("fusion_h4", inputs,
+             eta(model.tensor_obj(A, TB)),
+             model.compose(hli, model.tensor(eta(A), ident(TB)))),
+        ]
         # algebra-morphism facts for fusion and its inverse; the tensor of
         # free algebras only exists when the comonoidal laws actually hold
         try:
             free_pair = algebra_tensor(h, free_algebra(h, A),
                                        free_algebra(h, B))
         except AlgebraLawError as err:
-            cases += 1
-            failures.append(Failure("fusion_free_algebra_tensor_invalid",
-                                    {"A": A, "B": B}, err.lhs, err.rhs))
+            out.append(("fusion_free_algebra_tensor_invalid", inputs,
+                        err.lhs, err.rhs))
         else:
             free_src = free_algebra(h, model.tensor_obj(A, TB))
-            add("fusion_left_algebra_morphism", {"A": A, "B": B},
-                *algebra_morphism_sides(h, free_src, free_pair, hl))
-            add("fusion_left_inverse_algebra_morphism", {"A": A, "B": B},
-                *algebra_morphism_sides(h, free_pair, free_src, hli))
+            out += [("fusion_left_algebra_morphism", inputs,
+                     *algebra_morphism_sides(h, free_src, free_pair, hl)),
+                    ("fusion_left_inverse_algebra_morphism", inputs,
+                     *algebra_morphism_sides(h, free_pair, free_src, hli))]
+        return out
 
-    # mu is recovered from fusion at the unit
-    for A in objs:
+    def unit_law(A):
+        # mu is recovered from fusion at the unit
         TA = T(A)
         lhs = model.seq(h.on_mor(model.lunit_inv(TA)),
                         fusion_left(h, I, A),
                         model.tensor(h.m_unit, ident(TA)),
                         model.lunit(TA))
-        add("fusion_mu_identity", {"A": A}, lhs, mu(A))
+        return [("fusion_mu_identity", {"A": A}, lhs, mu(A))]
 
-    return _finish(f"hopf_laws[{h.name}]", model.name, cases, failures)
+    specs = (LawSpec("fusion_pairs", 2, pair_laws),
+             LawSpec("fusion_unit", 1, unit_law))
+    return _run_specs(model, budget, f"hopf_laws[{h.name}]", specs,
+                      exhaustive=True)
 
 
 # --------------------------------------------------------------- idempotence
@@ -369,27 +367,28 @@ def idempotence_suite(bundle, budget: CaseBudget) -> CheckReport:
     from .eilenberg_moore import check_traced_monad
 
     model = bundle.model
-    failures, cases = [], 0
+    rec = Recorder(model)
     findings = {}
     objs = _objects(model, budget)
     T, mu, eta = bundle.on_obj, bundle.mu, bundle.eta
     I = model.unit_obj()
 
-    mu_invertible = True
     mu_witness = None
     inv_is_eta = True
     for A in objs:
-        cases += 1
         inv = model.invert(mu(A))
         if inv is None:
-            mu_invertible = False
+            rec.cases += 1  # the invertibility probe that failed
             mu_witness = A
             break
-        TA = T(A)
-        if not (model.mor_eq(inv, eta(TA))
-                and model.mor_eq(inv, bundle.on_mor(eta(A)))):
+        # the inverse is eta at T(A) and T of eta at A; the witness is the
+        # first of the two that differs from it
+        rhs = eta(T(A))
+        if model.mor_eq(inv, rhs):
+            rhs = bundle.on_mor(eta(A))
+        if not rec.check("mu_inverse_is_eta", {"A": A}, inv, rhs):
             inv_is_eta = False
-            failures.append(Failure("mu_inverse_is_eta", {"A": A}, inv, eta(TA)))
+    mu_invertible = mu_witness is None
     findings["mu_invertible"] = mu_invertible
     if mu_witness is not None:
         findings["mu_witness"] = repr(mu_witness)
@@ -397,36 +396,32 @@ def idempotence_suite(bundle, budget: CaseBudget) -> CheckReport:
 
     unit_iso = model.mor_eq(model.compose(eta(I), bundle.m_unit),
                             model.identity(T(I)))
-    cases += 1
+    rec.cases += 1  # a probe: a unit that is no iso is not a failure
     findings["unit_iso"] = unit_iso
     findings["idempotent"] = mu_invertible and inv_is_eta
 
     if isinstance(bundle, HopfBundle):
         agree = (mu_invertible == unit_iso)
         findings["hopf_idempotence_criterion_agrees"] = agree
-        if not agree:
-            failures.append(Failure(
-                "hopf_idempotence_criterion",
-                {"mu_invertible": mu_invertible, "unit_iso": unit_iso},
-                model.compose(eta(I), bundle.m_unit), model.identity(T(I))))
+        if not agree:  # two determinations disagree: no sides
+            rec.fail("hopf_idempotence_criterion",
+                     {"mu_invertible": mu_invertible, "unit_iso": unit_iso})
 
     exhaustive_ok = True
     if findings["idempotent"]:
         # eta at T(A) equals T of eta at A
         for A in objs:
-            cases += 1
-            lhs, rhs = eta(T(A)), bundle.on_mor(eta(A))
-            if not model.mor_eq(lhs, rhs):
-                failures.append(Failure("idempotent_eta_shift", {"A": A}, lhs, rhs))
+            rec.check("idempotent_eta_shift", {"A": A},
+                      eta(T(A)), bundle.on_mor(eta(A)))
         if model.traced:
             sub = check_traced_monad(bundle, budget)
             findings["traced_monad_verdict"] = sub.verdict
-            cases += sub.cases_run
-            failures.extend(sub.failures)
+            rec.cases += sub.cases_run
+            rec.failures += sub.failures
             exhaustive_ok = sub.verdict != "inconclusive"
 
-    return _finish(f"idempotence[{bundle.name}]", model.name, cases, failures,
-                   exhaustive_ok=exhaustive_ok, findings=findings)
+    return rec.finish(f"idempotence[{bundle.name}]",
+                      exhaustive_ok=exhaustive_ok, findings=findings)
 
 
 def trace_meta_check(bundle) -> CheckReport:
@@ -443,9 +438,7 @@ def trace_meta_check(bundle) -> CheckReport:
     loop = model.seq(model.lunit(TI),
                      bundle.on_mor(model.lunit_inv(I)),
                      bundle.m(I, I))
-    lhs = model.trace(TI, I, TI, loop)
-    rhs = bundle.eta(I)
-    holds = model.mor_eq(lhs, rhs)
-    failures = [] if holds else [Failure("trace_meta", {}, lhs, rhs)]
-    return _finish(f"trace_meta[{bundle.name}]", model.name, 1, failures,
-                   findings={"holds": holds})
+    rec = Recorder(model)
+    holds = rec.check("trace_meta", {}, model.trace(TI, I, TI, loop),
+                      bundle.eta(I))
+    return rec.finish(f"trace_meta[{bundle.name}]", findings={"holds": holds})

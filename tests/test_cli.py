@@ -69,7 +69,7 @@ PINNED_REPORTS = {
     "trace-meta:qc2": "6466c1fd14a8ecf3cc0ccfc0e124e30c12a6493b2f7650309f4c36ba25196969",
     "trace-meta:qs3": "8ad0cf30b247007a98fa40ad3d2210108d1a57cf373b7471bc6c29030cfc17a1",
     "two-traces": "f047f11373b7f1558ea7cdf91e44e72f0fb94f64f385fa5e0b46802d613695ad",
-    "z-not-hopf": "08c1b5513a5afeb3128cdb02cd6fdeadb24313f457c0813cb711987717726dc2",
+    "z-not-hopf": "e6e750f3e53ec57a9acc828330975a7b7f4691cddbc02dc229dac31df423668e",
 }
 
 

@@ -6,9 +6,10 @@ from tracedcat.core import CapabilityError
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
-from tracedcat.model_iter import PfnModel
+from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import FinCppoModel
+from tracedcat import eilenberg_moore
 from tracedcat.monads import identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
                                        algebra_tensor, check_fix_coherence,
@@ -235,3 +236,19 @@ def test_fix_lifting_skips_declined_hom_sets():
 def test_fix_coherence_capability(mat):
     with pytest.raises(CapabilityError):
         check_fix_coherence(identity_hopf_bundle(mat), SMALL)
+
+
+def test_disagreement_failures_have_no_sides(monkeypatch):
+    # a coherence checker that fails every bundle makes the two sides of
+    # the cross-check disagree: a verdict-level failure with no morphisms
+    real = eilenberg_moore.check_trace_coherence
+    monkeypatch.setattr(
+        eilenberg_moore, "check_trace_coherence",
+        lambda hopf, budget: dataclasses.replace(real(hopf, budget),
+                                                 verdict="fail"))
+    cross = crosscheck_main_theorem(identity_hopf_bundle(pfn_model()), SMALL)
+    assert cross.verdict == "fail"
+    (failure,) = cross.failures
+    assert failure.law == "main_theorem_crosscheck_disagreement"
+    assert (failure.lhs, failure.rhs) == (None, None)
+    assert failure.inputs["coherent_side"] == "fail"

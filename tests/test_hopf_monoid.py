@@ -69,7 +69,6 @@ def test_trivial_hopf_monoid_on_unit(mat, fincppo):
             # every map is equivariant for it
             hooks = {"algebra_source":
                          lambda A: [TAlgebra(A, mat.lunit(A))],
-                     "algebra_source_complete": True,
                      "algmor_sampler":
                          lambda rng, src, tgt:
                              mat.sample_hom(rng, src.carrier, tgt.carrier)}

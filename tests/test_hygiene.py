@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used.
+"""Source hygiene: every name a module imports is used, and failures are
+built in one place.
 
 No linter ships with the project, so this scans each ``tracedcat`` module
 with :mod:`ast`.  A name counts as used when the module loads it anywhere,
@@ -47,3 +48,22 @@ def test_unused_import_scan():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def failure_calls(source):
+    """The lines of ``source`` that call ``Failure`` directly."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "Failure" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)))
+
+
+def test_failure_call_scan():
+    assert failure_calls("Failure(1)\nx.Failure(2)\nFailure\n") == [1, 2]
+
+
+def test_failures_built_only_by_the_recorder():
+    # every module but laws.py counts and records through laws.Recorder
+    calls = {path.name: failure_calls(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py") if path.name != "laws.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}

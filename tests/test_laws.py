@@ -1,9 +1,10 @@
 import pytest
 
 from tracedcat.core import CapabilityError, Morphism
-from tracedcat.laws import (CaseBudget, check_conway_axioms,
-                            check_conway_trace_roundtrip, check_monoidal_laws,
-                            check_snake, check_trace_axioms)
+from tracedcat.laws import (CaseBudget, LawSpec, _run_specs,
+                            check_conway_axioms, check_conway_trace_roundtrip,
+                            check_monoidal_laws, check_snake,
+                            check_trace_axioms)
 from tracedcat.eilenberg_moore import check_trace_coherence
 from tracedcat.model_linear import MatModel
 from tracedcat.model_order import bounded_poset_two_traces, sierpinski
@@ -118,3 +119,33 @@ def test_budget_validation():
         CaseBudget(seed=0, cases=0)
     with pytest.raises(ValueError):
         CaseBudget(seed=0, max_object_size=0)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_spec_with_several_equations(pfn, exhaustive):
+    # each endomap f gives two equations, f = id and f o f = f; every
+    # equation is a case, and failures keep instantiation order, then the
+    # order of the equations within it
+    seen = []
+
+    def sides(A, f):
+        seen.append((A, f))
+        inputs = {"A": A, "f": f}
+        return [("is_identity", inputs, f, pfn.identity(A)),
+                ("idempotent", inputs, pfn.compose(f, f), f)]
+
+    spec = LawSpec("endomaps", 1, sides, lambda A: ((A, A),))
+    budget = CaseBudget(seed=2, cases=30, max_object_size=2)
+    report = _run_specs(pfn, budget, "endomaps", (spec,), exhaustive)
+    drawn = list(seen)
+    assert len(drawn) == (30 if not exhaustive else
+                          sum(len(pfn.enumerate_hom(A, A))
+                              for A in pfn.enumerate_objects(2)))
+    assert report.cases_run == 2 * len(drawn)
+    expected = [(law, inputs) for A, f in drawn
+                for law, inputs, lhs, rhs in sides(A, f)
+                if not pfn.mor_eq(lhs, rhs)]
+    assert [(fl.law, fl.inputs) for fl in report.failures] == expected
+    assert {fl.law for fl in report.failures} == {"is_identity",
+                                                  "idempotent"}
+    assert report.verdict == "fail"

@@ -3,6 +3,7 @@ import dataclasses
 from tracedcat.eilenberg_moore import free_algebra
 from tracedcat.laws import CaseBudget
 from tracedcat.model_linear import dense_rows
+from tracedcat.model_order import fincppo_model, int_poset_model
 from tracedcat.monads import (BimonadBundle, HopfBundle, MonadBundle,
                               check_bimonad_laws, check_hopf,
                               check_monad_laws, fusion_left, fusion_right,
@@ -157,3 +158,59 @@ def test_broken_inverse_fails_hopf_suite(mat, qc2):
 def test_trace_meta_needs_traced_model(pfn):
     bundle = identity_hopf_bundle(pfn)
     assert trace_meta_check(bundle).findings["holds"]
+
+
+def test_hopf_checks_every_object_pair():
+    # 7 objects at size 3: 49 pairs of 11 equations plus 7 unit laws
+    report = check_hopf(identity_hopf_bundle(int_poset_model()),
+                        CaseBudget(seed=9, cases=30, max_object_size=3))
+    assert (report.verdict, report.cases_run) == ("pass", 546)
+
+
+def test_bimonad_prefix_is_reported(nbundle):
+    # 13 objects at size 6: 64 of 2197 triples and of 169 pairs
+    report = check_bimonad_laws(nbundle, CaseBudget(seed=0, cases=20,
+                                                    max_object_size=6))
+    assert report.passed
+    assert report.findings == {"checked_object_triples": 64,
+                               "total_object_triples": 2197,
+                               "checked_object_pairs": 64,
+                               "total_object_pairs": 169}
+    # 7 objects at size 3: the 49 pairs are all checked
+    report = check_bimonad_laws(nbundle, BUDGET)
+    assert report.findings == {"checked_object_triples": 64,
+                               "total_object_triples": 343}
+
+
+def test_idempotence_witness_replays():
+    # T sends every map to the constant-bottom map: mu = id inverts, its
+    # inverse is eta at T(A) but not T of eta at A
+    model = fincppo_model()
+
+    def bottom(f):
+        return model.table(f.dom, f.cod, (f.cod.bottom(),) * f.dom.size)
+
+    bundle = dataclasses.replace(identity_hopf_bundle(model), on_mor=bottom)
+    report = idempotence_suite(bundle, CaseBudget(seed=0, cases=20,
+                                                  max_object_size=2))
+    assert (report.verdict, report.cases_run) == ("fail", 3)
+    assert [fl.law for fl in report.failures] == ["mu_inverse_is_eta"]
+    assert all(not model.mor_eq(fl.lhs, fl.rhs) for fl in report.failures)
+
+
+def test_idempotence_criterion_disagreement_has_no_sides():
+    # mu = constant bottom does not invert, while eta_I o m_I = id still
+    # holds: the two determinations of idempotence disagree
+    model = fincppo_model()
+
+    def mu(A):
+        return model.table(A, A, (A.bottom(),) * A.size)
+
+    bundle = dataclasses.replace(identity_hopf_bundle(model), mu=mu)
+    report = idempotence_suite(bundle, CaseBudget(seed=0, cases=20,
+                                                  max_object_size=2))
+    assert report.verdict == "fail"
+    assert not report.findings["hopf_idempotence_criterion_agrees"]
+    (failure,) = report.failures
+    assert failure.law == "hopf_idempotence_criterion"
+    assert (failure.lhs, failure.rhs) == (None, None)
