@@ -22,6 +22,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 
@@ -76,7 +77,9 @@ class Model:
     ``_compose``, ``_tensor`` and ``_sym``, and ``enumerate_hom`` (which may
     decline a hom-set) and ``sample_hom``.  The six associators and unitors
     are derived here through ``_strict``.  The public wrappers do the
-    boundary/ownership checking once, in one place.
+    boundary/ownership checking once, in one place.  ``trace`` validates
+    each boundary triple ``(X, A, B)`` on its first call only and keeps the
+    two products in a per-model memo keyed by the objects and their types.
 
     Optional structure is declared by a flag; a model that sets it defines
     the operations, and checkers test the flag before calling them:
@@ -205,15 +208,35 @@ class Model:
     # ------------------------------------------------------------------ trace
 
     def trace(self, X, A, B, f: Morphism) -> Morphism:
-        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit."""
+        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit.
+
+        The first call for a triple ``(X, A, B)`` validates all three
+        objects through ``tensor_obj`` and memoises ``(A (x) X, B (x) X)``;
+        every call still checks that ``f`` belongs to the model and has
+        exactly those boundaries.  The memo key carries the objects' types
+        too: ``True == 1`` and both hash alike, but only ``1`` is an
+        ``int_poset`` object.
+        """
         if not self.traced:
             raise CapabilityError(f"model {self.name!r} has no trace operator")
         self.check_mor(f)
-        if f.dom != self.tensor_obj(A, X) or f.cod != self.tensor_obj(B, X):
+        key = (X, A, B, type(X), type(A), type(B))
+        try:
+            shape = self._trace_shapes.get(key)
+        except TypeError:  # unhashable: check_obj names the bad object
+            shape = None
+        if shape is None:
+            shape = self._trace_shapes[key] = (self.tensor_obj(A, X),
+                                               self.tensor_obj(B, X))
+        if f.dom != shape[0] or f.cod != shape[1]:
             raise BoundaryError(
                 f"trace shape mismatch: f is {f.dom!r}->{f.cod!r}, "
                 f"expected {A!r}(x){X!r} -> {B!r}(x){X!r}")
         return self._trace(X, A, B, f)
+
+    @cached_property
+    def _trace_shapes(self) -> dict:
+        return {}
 
     # -------------------------------------------------- enumeration, sampling
 

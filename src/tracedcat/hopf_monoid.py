@@ -302,6 +302,12 @@ def group_algebra(model, table: GroupTable) -> HopfMonoidData:
     is grouplike (g |-> g (x) g), the counit sends each g to 1, and the
     antipode permutes each basis vector to its group inverse.
     """
+    return _validated_group_algebra(model, table)[0]
+
+
+def _validated_group_algebra(model, table: GroupTable):
+    """``group_algebra``'s data with the passing report of its validation;
+    raises UsageError if the data fails a Hopf-monoid law."""
     els = table.elements
     n = len(els)
     idx = {g: k for k, g in enumerate(els)}
@@ -330,7 +336,7 @@ def group_algebra(model, table: GroupTable) -> HopfMonoidData:
     if not report.passed:
         raise UsageError("group algebra failed Hopf-monoid validation: "
                          + ", ".join(f.law for f in report.failures))
-    return d
+    return d, report
 
 
 # named groups -------------------------------------------------------------
@@ -442,14 +448,15 @@ def rep_from_action(model, group_size, algebra) -> list:
     return mats
 
 
-def group_hopf_bundle(model, table: GroupTable,
-                      name=None) -> tuple[HopfMonoidData, HopfBundle]:
-    """The group algebra's Hopf-monoid data and its induced Hopf bundle,
-    with representation generators attached."""
+def group_hopf_bundle(model, table: GroupTable, name=None
+                      ) -> tuple[HopfMonoidData, CheckReport, HopfBundle]:
+    """The group algebra's Hopf-monoid data, the passing report of its
+    validation, and its induced Hopf bundle, with representation generators
+    attached."""
     from .eilenberg_moore import validate_algebra
     from .model_linear import dense_mul
 
-    d = group_algebra(model, table)
+    d, report = _validated_group_algebra(model, table)
     reps = group_representations(model, table)
     els = table.elements
     n = len(els)
@@ -483,6 +490,6 @@ def group_hopf_bundle(model, table: GroupTable,
         avg = [[scale * v for v in row] for row in total]
         return model.morphism(src.carrier, tgt.carrier, avg)
 
-    return d, induced_hopf_monad(
+    return d, report, induced_hopf_monad(
         model, d, name=name or f"group_algebra[{n}]",
         algebra_source=algebra_source, algmor_sampler=algmor_sampler)

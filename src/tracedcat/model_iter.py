@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (BoundaryError, Model, ModelMismatchError, Morphism,
                    UsageError)
@@ -38,6 +39,14 @@ def label_set(*labels) -> FinLabelSet:
     return FinLabelSet(tuple(labels))
 
 
+@lru_cache(maxsize=None)
+def _tagged_union(A: FinLabelSet, B: FinLabelSet) -> FinLabelSet:
+    # memoised: the exhaustive law drivers ask for the same few unions
+    # millions of times
+    return FinLabelSet(tuple((0, x) for x in A.labels)
+                       + tuple((1, y) for y in B.labels))
+
+
 class PfnModel(Model):
     name = "pfn"
     traced = True
@@ -55,8 +64,7 @@ class PfnModel(Model):
         return FinLabelSet(())
 
     def _tensor_obj(self, A, B):
-        return FinLabelSet(tuple((0, x) for x in A.labels)
-                           + tuple((1, y) for y in B.labels))
+        return _tagged_union(A, B)
 
     # morphisms
     def table(self, dom, cod, images) -> Morphism:

@@ -41,6 +41,7 @@ class FinPoset:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.elements, self.le)))
+        object.__setattr__(self, "size", len(self.elements))
 
     def __eq__(self, other):
         if self is other:
@@ -52,10 +53,6 @@ class FinPoset:
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def size(self):
-        return len(self.elements)
 
     def leq(self, i, j) -> bool:
         return (i, j) in self.le
@@ -141,20 +138,25 @@ def _topo_order(P: FinPoset):
     return sorted(range(P.size), key=lambda i: (below[i], i))
 
 
-def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, constraint=None):
-    """Backtracking enumeration of monotone maps P -> Q as index tables.
+def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, allowed=None):
+    """Odometer enumeration of monotone maps P -> Q as index tables.
 
-    Candidate images are intersected as bitmasks of up-sets, so the
-    monotonicity filter costs one AND per predecessor.  An optional
-    ``constraint(assignment, i, v)`` hook may veto the partial choice
-    f(i) = v; tables come out in a deterministic order.
+    Positions follow ``_topo_order(P)``, so every predecessor of a position
+    is placed before it.  Candidate images are bitmasks over Q: the up-sets
+    of the predecessors' images are intersected when a position is reached,
+    and ``masks[pos]`` keeps the candidates it has still to try.  An
+    optional ``allowed(vals, i)`` hook narrows the candidates of index i
+    further: it returns the bitmask of images f(i) may take, where ``vals``
+    holds the images of the indices placed before i and None for the
+    others.  Tables come out in lexicographic order along ``_topo_order(P)``.
     """
-    if P.size == 0:
+    n = P.size
+    if n == 0:
         yield ()
         return
     order = _topo_order(P)
     preds = [[j for j in order[:pos] if P.leq(j, order[pos])]
-             for pos in range(P.size)]
+             for pos in range(n)]
     nq = Q.size
     upmask = [0] * nq
     for u in range(nq):
@@ -162,29 +164,37 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, constraint=None):
             if Q.leq(u, v):
                 upmask[u] |= 1 << v
     full = (1 << nq) - 1
-    assignment = {}
-
-    def rec(pos):
-        if pos == P.size:
-            yield tuple(assignment[i] for i in range(P.size))
-            return
+    vals = [None] * n
+    masks = [0] * n
+    last = n - 1
+    pos = -1
+    while True:
+        # step forward: collect the candidates of the next position
+        pos += 1
         i = order[pos]
-        mask = full
+        mask = full if allowed is None else allowed(vals, i)
         for j in preds[pos]:
-            mask &= upmask[assignment[j]]
-            if not mask:
-                return
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            if constraint is not None and not constraint(assignment, i, v):
-                continue
-            assignment[i] = v
-            yield from rec(pos + 1)
-            del assignment[i]
-
-    yield from rec(0)
+            mask &= upmask[vals[j]]
+        if pos == last:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                vals[i] = low.bit_length() - 1
+                yield tuple(vals)
+            vals[i] = None
+            pos -= 1
+        else:
+            masks[pos] = mask
+        # step back to the latest position with a candidate left, and take it
+        while pos >= 0 and not masks[pos]:
+            vals[order[pos]] = None
+            pos -= 1
+        if pos < 0:
+            return
+        mask = masks[pos]
+        low = mask & -mask
+        masks[pos] = mask ^ low
+        vals[order[pos]] = low.bit_length() - 1
 
 
 # --------------------------------------------------------- the integer poset
@@ -729,8 +739,9 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
     """Equivariant monotone tables src.carrier -> tgt.carrier.
 
     Equivariance against the algebra actions is propagated inside the
-    monotone backtracking: the constraint f(h.u) = h.f(u) is checked as
-    soon as both endpoints are assigned, which prunes hard.
+    monotone enumeration: each equation f(h.u) = h.f(u) narrows the
+    candidates of its later endpoint once the earlier one has its image,
+    which prunes hard.
     """
     P, Q = src.carrier, tgt.carrier
     act_s = src.action.payload   # table over h * |P| + u
@@ -741,26 +752,32 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
     order = _topo_order(P)
     for pos, i in enumerate(order):
         pos_of[i] = pos
-    # constraints (h, u, w = h.u) indexed by the later endpoint
-    by_latest = [[] for _ in range(np_)]
+    # bitmask tables: image_bit[h][t] is {h.t}, preimage[h][t] is {v : h.v = t}
+    image_bit = [[1 << act_t[h * nq + t] for t in range(nq)]
+                 for h in range(h_size)]
+    preimage = [[sum(1 << v for v in range(nq) if act_t[h * nq + v] == t)
+                 for t in range(nq)] for h in range(h_size)]
+    fixed = [(1 << nq) - 1] * np_   # where h.u = u, f(u) is fixed by h
+    narrow = [[] for _ in range(np_)]   # (bit table, earlier endpoint)
     for h in range(h_size):
         for u in range(np_):
             w = act_s[h * np_ + u]
-            latest = u if pos_of[u] >= pos_of[w] else w
-            by_latest[latest].append((h, u, w))
+            if u == w:
+                fixed[u] &= sum(1 << v for v in range(nq)
+                                if act_t[h * nq + v] == v)
+            elif pos_of[u] > pos_of[w]:
+                narrow[u].append((preimage[h], w))    # h.f(u) = f(w)
+            else:
+                narrow[w].append((image_bit[h], u))   # f(w) = h.f(u)
 
-    def constraint(assignment, i, v):
-        for (h, u, w) in by_latest[i]:
-            fu = v if u == i else assignment.get(u)
-            fw = v if w == i else assignment.get(w)
-            if fu is None or fw is None:
-                continue
-            if fw != act_t[h * nq + fu]:
-                return False
-        return True
+    def allowed(vals, i):
+        mask = fixed[i]
+        for bits, j in narrow[i]:
+            mask &= bits[vals[j]]
+        return mask
 
     return [Morphism(model.name, P, Q, t)
-            for t in enumerate_monotone_tables(P, Q, constraint=constraint)]
+            for t in enumerate_monotone_tables(P, Q, allowed=allowed)]
 
 
 def monoid_bimonad(model: _PosetModel, H: FinPoset, mult_table, unit_index,

@@ -47,12 +47,12 @@ def two_traces():
 
 @pytest.fixture(scope="session")
 def qc2(mat):
-    return group_hopf_bundle(mat, group_table_c2(), name="qc2")[1]
+    return group_hopf_bundle(mat, group_table_c2(), name="qc2")[-1]
 
 
 @pytest.fixture(scope="session")
 def qs3(mat):
-    return group_hopf_bundle(mat, group_table_s3(), name="qs3")[1]
+    return group_hopf_bundle(mat, group_table_s3(), name="qs3")[-1]
 
 
 @pytest.fixture(scope="session")

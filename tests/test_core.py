@@ -3,7 +3,7 @@ import pytest
 from tracedcat.cli import _LAW_MODELS
 from tracedcat.core import BoundaryError, ModelMismatchError
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import sierpinski
+from tracedcat.model_order import int_poset_model, sierpinski
 from tracedcat.model_iter import label_set
 
 
@@ -77,6 +77,26 @@ def test_fincppo_trace_of_diagonal_is_bottom(fincppo):
     f = fincppo.table(dom, cod, (0, 3))  # (*, x) |-> (x, x)
     tr = fincppo.trace(sig, point, sig, f)
     assert tr.payload == (0,)  # lands on bottom
+
+
+def test_trace_memo_keeps_every_check(pfn, monkeypatch):
+    zle = int_poset_model()
+    f = zle.arrow(1, 1)
+    assert zle.trace(1, 0, 0, f) == zle.arrow(0, 0)
+    # the boundary triple (1, 0, 0) is memoised: no further tensor_obj call
+    monkeypatch.setattr(zle, "tensor_obj", None)
+    assert zle.trace(1, 0, 0, f) == zle.arrow(0, 0)
+    monkeypatch.undo()
+    # True == 1 and hashes alike, but it is no int_poset object
+    with pytest.raises(ModelMismatchError):
+        zle.trace(True, 0, 0, f)
+    with pytest.raises(ModelMismatchError):  # unhashable, so never memoised
+        zle.trace([1], 0, 0, f)
+    for wrong in (zle.arrow(0, 1), zle.arrow(1, 2)):
+        with pytest.raises(BoundaryError):
+            zle.trace(1, 0, 0, wrong)
+    with pytest.raises(ModelMismatchError):
+        zle.trace(1, 0, 0, pfn.identity(label_set("x")))
 
 
 # the operations a model must define when it sets each capability flag

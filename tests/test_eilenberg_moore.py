@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
-from tracedcat.core import CapabilityError
+from tracedcat.core import CapabilityError, Model
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import FinCppoModel
+from tracedcat.model_order import FinCppoModel, sigma_meet_bimonad
 from tracedcat import eilenberg_moore
 from tracedcat.monads import identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
@@ -132,6 +132,24 @@ def test_traced_monad_checks(nbundle, qc2):
     window = CaseBudget(seed=1, cases=20, max_object_size=6)
     assert check_traced_monad(nbundle, window).passed
     assert check_traced_monad(qc2, BUDGET).passed
+
+
+def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
+                                                         monkeypatch):
+    # one public Model.trace call per case: the span perfbench's traced run
+    # requires on the exhaustive workload
+    calls = []
+    trace = Model.trace
+
+    def counted(self, X, A, B, f):
+        calls.append(f)
+        return trace(self, X, A, B, f)
+
+    monkeypatch.setattr(Model, "trace", counted)
+    rep = check_traced_monad(sigma_meet_bimonad(fincppo),
+                             CaseBudget(seed=0, cases=20, max_object_size=2))
+    assert rep.verdict == "pass" and rep.cases_run > 0
+    assert len(calls) == rep.cases_run
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):

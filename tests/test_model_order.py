@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from tracedcat.core import (BoundaryError, EmptyHomError, ModelMismatchError,
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
 from tracedcat.model_order import (FinCppoModel, PairOb,
-                                   _strictness_property,
+                                   _module_morphism_enumerator,
+                                   _strictness_property, _topo_order,
                                    diagonal_preservation_check,
                                    enumerate_monotone_tables,
                                    poset_from_pairs, poset_product,
@@ -15,7 +17,7 @@ from tracedcat.model_order import (FinCppoModel, PairOb,
                                    sigma_meet_bimonad,
                                    two_trace_distinctness_witness)
 from tracedcat.monads import fusion_left
-from tracedcat.eilenberg_moore import (algebra_tensor,
+from tracedcat.eilenberg_moore import (algebra_pool, algebra_tensor,
                                        enumerate_algebra_morphisms,
                                        enumerate_algebras,
                                        is_algebra_morphism)
@@ -65,6 +67,21 @@ def test_monotone_enumeration_counts():
     assert sorted(maps) == [(0, 0), (0, 1), (1, 1)]
 
 
+def test_monotone_tables_match_brute_force(fincppo):
+    # every table of range(|Q|)^|P| that is monotone, in lexicographic order
+    # along the topological order the odometer walks
+    objs = fincppo.enumerate_objects(3)
+    domains = objs + [poset_product(A, B) for A in objs for B in objs]
+    for P in domains:
+        order = _topo_order(P)
+        for Q in objs:
+            brute = sorted(
+                (t for t in itertools.product(range(Q.size), repeat=P.size)
+                 if all(Q.leq(t[i], t[j]) for (i, j) in P.le)),
+                key=lambda t: [t[i] for i in order])
+            assert list(enumerate_monotone_tables(P, Q)) == brute
+
+
 def test_sample_hom_is_monotone(fincppo):
     rng = random.Random(2)
     objs = fincppo.enumerate_objects(4)
@@ -99,15 +116,15 @@ def test_equivariant_enumerator_agrees_with_filtering(fincppo):
     algs = enumerate_algebras(meet, sig)
     assert len(algs) >= 2  # the meet action and the constant action
     assert any(a.action.payload == (0, 0, 0, 1) for a in algs)  # meet itself
-    src = algebra_tensor(meet, algs[0], algs[1])
-    tgt = algebra_tensor(meet, algs[1], algs[1])
-    fast = {f.payload for f in meet.algmor_enumerator(src, tgt)}
-    slow = {f.payload
-            for f in (fincppo.enumerate_hom(src.carrier, tgt.carrier) or [])
-            if is_algebra_morphism(meet, src, tgt, f)}
-    assert fast == slow
-    for f in enumerate_algebra_morphisms(meet, src, tgt):
-        assert is_algebra_morphism(meet, src, tgt, f)
+    for b in (meet, sigma_join_bimonad(fincppo)):
+        pool = algebra_pool(b, CaseBudget(seed=0, cases=20, max_object_size=2))
+        tensors = [algebra_tensor(b, L, R) for L in pool for R in pool]
+        for src, tgt in itertools.product(tensors, repeat=2):
+            fast = _module_morphism_enumerator(fincppo, sig.size, src, tgt)
+            slow = [f for f in fincppo.enumerate_hom(src.carrier, tgt.carrier)
+                    if is_algebra_morphism(b, src, tgt, f)]
+            assert fast == slow
+            assert enumerate_algebra_morphisms(b, src, tgt) == fast
 
 
 def test_two_trace_witness(two_traces):
