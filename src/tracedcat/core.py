@@ -22,7 +22,7 @@ Conventions used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Any, Optional
 
 
@@ -50,6 +50,17 @@ class EmptyHomError(ModelError):
     """A sampler was asked for a morphism out of an empty hom-set."""
 
 
+def check_labels(labels: tuple) -> None:
+    """The labels of an interned object must be hashable and distinct."""
+    for label in labels:
+        try:
+            hash(label)
+        except TypeError:
+            raise UsageError(f"label {label!r} is not hashable") from None
+    if len(set(labels)) != len(labels):
+        raise UsageError(f"labels must be distinct: {labels!r}")
+
+
 @dataclass(frozen=True)
 class Morphism:
     """A morphism of a concrete model.
@@ -68,6 +79,23 @@ class Morphism:
         return f"Mor[{self.model}]({self.dom!r} -> {self.cod!r}; {self.payload!r})"
 
 
+def _structural(build):
+    """Keep a morphism fixed by its objects alone in ``Model._memo``."""
+
+    @wraps(build)
+    def memoised(self, *objs):
+        key = (build, *objs, *map(type, objs))
+        try:
+            return self._memo[key]
+        except (KeyError, TypeError):  # a miss, or an unhashable object
+            pass
+        for ob in objs:
+            self.check_obj(ob)
+        return self._memo.setdefault(key, build(self, *objs))
+
+    return memoised
+
+
 class Model:
     """Operation table of one executable symmetric monoidal category.
 
@@ -77,9 +105,15 @@ class Model:
     ``_compose``, ``_tensor`` and ``_sym``, and ``enumerate_hom`` (which may
     decline a hom-set) and ``sample_hom``.  The six associators and unitors
     are derived here through ``_strict``.  The public wrappers do the
-    boundary/ownership checking once, in one place.  ``trace`` validates
-    each boundary triple ``(X, A, B)`` on its first call only and keeps the
-    two products in a per-model memo keyed by the objects and their types.
+    boundary/ownership checking once, in one place.
+
+    One memo per model instance, ``_memo``, holds what depends on objects
+    alone: ``identity``, ``sym``, the associators and unitors (and what else
+    a model marks ``_structural``), and the boundary products of each
+    ``trace`` triple ``(X, A, B)``, which ``trace`` compares ``f`` with on
+    every call.  An entry is filled on the first call, once ``check_obj``
+    has passed its objects; an unhashable one fails there.  Keys hold the
+    types too: ``True == 1``, but it is no ``int_poset`` object.
 
     Optional structure is declared by a flag; a model that sets it defines
     the operations, and checkers test the flag before calling them:
@@ -123,8 +157,8 @@ class Model:
             raise ModelMismatchError(
                 f"morphism {f!r} does not belong to model {self.name!r}")
 
+    @_structural
     def identity(self, A) -> Morphism:
-        self.check_obj(A)
         return self._identity(A)
 
     def _identity(self, A) -> Morphism:
@@ -160,43 +194,40 @@ class Model:
 
     # ------------------------------------------------------------- structure
 
+    @_structural
     def sym(self, A, B) -> Morphism:
-        self.check_obj(A)
-        self.check_obj(B)
         return self._sym(A, B)
 
     def _sym(self, A, B):
         raise NotImplementedError
 
+    @_structural
     def assoc(self, A, B, C) -> Morphism:
         """A (x) (B (x) C) -> (A (x) B) (x) C."""
-        for ob in (A, B, C):
-            self.check_obj(ob)
         return self._strict(self._tensor_obj(A, self._tensor_obj(B, C)),
                             self._tensor_obj(self._tensor_obj(A, B), C))
 
+    @_structural
     def assoc_inv(self, A, B, C) -> Morphism:
-        for ob in (A, B, C):
-            self.check_obj(ob)
         return self._strict(self._tensor_obj(self._tensor_obj(A, B), C),
                             self._tensor_obj(A, self._tensor_obj(B, C)))
 
+    @_structural
     def lunit(self, A) -> Morphism:
         """I (x) A -> A."""
-        self.check_obj(A)
         return self._strict(self._tensor_obj(self.unit_obj(), A), A)
 
+    @_structural
     def lunit_inv(self, A) -> Morphism:
-        self.check_obj(A)
         return self._strict(A, self._tensor_obj(self.unit_obj(), A))
 
+    @_structural
     def runit(self, A) -> Morphism:
         """A (x) I -> A."""
-        self.check_obj(A)
         return self._strict(self._tensor_obj(A, self.unit_obj()), A)
 
+    @_structural
     def runit_inv(self, A) -> Morphism:
-        self.check_obj(A)
         return self._strict(A, self._tensor_obj(A, self.unit_obj()))
 
     def _strict(self, dom, cod) -> Morphism:
@@ -208,26 +239,19 @@ class Model:
     # ------------------------------------------------------------------ trace
 
     def trace(self, X, A, B, f: Morphism) -> Morphism:
-        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit.
-
-        The first call for a triple ``(X, A, B)`` validates all three
-        objects through ``tensor_obj`` and memoises ``(A (x) X, B (x) X)``;
-        every call still checks that ``f`` belongs to the model and has
-        exactly those boundaries.  The memo key carries the objects' types
-        too: ``True == 1`` and both hash alike, but only ``1`` is an
-        ``int_poset`` object.
-        """
+        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit."""
         if not self.traced:
             raise CapabilityError(f"model {self.name!r} has no trace operator")
         self.check_mor(f)
-        key = (X, A, B, type(X), type(A), type(B))
+        # inline, not _structural: its *args key costs more than a trace
+        key = ("trace", X, A, B, type(X), type(A), type(B))
         try:
-            shape = self._trace_shapes.get(key)
+            shape = self._memo.get(key)
         except TypeError:  # unhashable: check_obj names the bad object
             shape = None
         if shape is None:
-            shape = self._trace_shapes[key] = (self.tensor_obj(A, X),
-                                               self.tensor_obj(B, X))
+            shape = self._memo[key] = (self.tensor_obj(A, X),
+                                       self.tensor_obj(B, X))
         if f.dom != shape[0] or f.cod != shape[1]:
             raise BoundaryError(
                 f"trace shape mismatch: f is {f.dom!r}->{f.cod!r}, "
@@ -235,7 +259,7 @@ class Model:
         return self._trace(X, A, B, f)
 
     @cached_property
-    def _trace_shapes(self) -> dict:
+    def _memo(self) -> dict:
         return {}
 
     # -------------------------------------------------- enumeration, sampling

@@ -13,30 +13,44 @@ Morphism tables are index-based: entry i is the codomain index or None.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (BoundaryError, Model, ModelMismatchError, Morphism,
-                   UsageError)
+                   _structural, check_labels)
 from .monads import BimonadBundle
 
+_LABEL_SETS = {}
 
-@dataclass(frozen=True)
+
 class FinLabelSet:
-    labels: tuple
+    """A finite set of distinct, hashable labels.  Interned: building one
+    equal to an earlier one returns that instance, so equality is identity.
+    """
 
-    @property
-    def size(self):
-        return len(self.labels)
+    __slots__ = ("labels", "size")
+
+    def __new__(cls, labels):
+        labels = tuple(labels)
+        check_labels(labels)
+        self = _LABEL_SETS.get(labels)
+        if self is None:
+            self = _LABEL_SETS[labels] = object.__new__(cls)
+            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "size", len(labels))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a FinLabelSet is immutable")
+
+    def __reduce__(self):  # copies and unpickled sets are re-interned
+        return FinLabelSet, (self.labels,)
 
     def __repr__(self):
         return f"Labels{list(self.labels)!r}"
 
 
 def label_set(*labels) -> FinLabelSet:
-    if len(set(labels)) != len(labels):
-        raise UsageError("labels must be distinct")
-    return FinLabelSet(tuple(labels))
+    return FinLabelSet(labels)
 
 
 @lru_cache(maxsize=None)
@@ -96,15 +110,13 @@ class PfnModel(Model):
                         self._tensor_obj(B, A), images)
 
     # coproduct structure
+    @_structural
     def inj0(self, A, B):
-        self.check_obj(A)
-        self.check_obj(B)
         return Morphism(self.name, A, self._tensor_obj(A, B),
                         tuple(range(A.size)))
 
+    @_structural
     def inj1(self, A, B):
-        self.check_obj(A)
-        self.check_obj(B)
         return Morphism(self.name, B, self._tensor_obj(A, B),
                         tuple(A.size + j for j in range(B.size)))
 
@@ -116,8 +128,8 @@ class PfnModel(Model):
         dom = self._tensor_obj(f.dom, g.dom)
         return Morphism(self.name, dom, f.cod, tuple(f.payload) + tuple(g.payload))
 
+    @_structural
     def initial_map(self, A):
-        self.check_obj(A)
         return Morphism(self.name, self.unit_obj(), A, ())
 
     # iteration trace

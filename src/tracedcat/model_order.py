@@ -21,67 +21,53 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, Model,
-                   ModelMismatchError, Morphism, UsageError)
+                   ModelMismatchError, Morphism, UsageError, _structural,
+                   check_labels)
 from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
 
 # ------------------------------------------------------------------ posets
 
+_POSETS = {}
 
-@dataclass(frozen=True, eq=False)
+
 class FinPoset:
-    """Finite poset: element labels plus the full order relation on indices.
-
-    Equality is structural but takes the identity fast path first: the
-    exhaustive checkers compare boundaries millions of times and products
-    are memoised, so most comparisons see the same object twice.
+    """Finite poset: distinct element labels, ``le`` the index pairs (i, j)
+    with elements[i] <= elements[j], ``bottom`` and ``top`` the indices of
+    the least and greatest element or None.  Interned, as ``FinLabelSet``.
     """
-    elements: tuple
-    le: frozenset  # index pairs (i, j) with elements[i] <= elements[j]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.elements, self.le)))
-        object.__setattr__(self, "size", len(self.elements))
+    __slots__ = ("elements", "le", "size", "bottom", "top")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FinPoset)
-                and self._hash == other._hash
-                and self.elements == other.elements
-                and self.le == other.le)
+    def __new__(cls, elements, le):
+        elements, le = tuple(elements), frozenset(le)
+        check_labels(elements)
+        key = (elements, le)
+        self = _POSETS.get(key)
+        if self is None:
+            self = _POSETS[key] = object.__new__(cls)
+            n, fill = len(elements), object.__setattr__
+            fill(self, "elements", elements)
+            fill(self, "le", le)
+            fill(self, "size", n)
+            fill(self, "bottom", next((i for i in range(n) if all(
+                (i, j) in le for j in range(n))), None))
+            fill(self, "top", next((i for i in range(n) if all(
+                (j, i) in le for j in range(n))), None))
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("a FinPoset is immutable")
+
+    def __reduce__(self):  # copies and unpickled posets are re-interned
+        return FinPoset, (self.elements, self.le)
 
     def leq(self, i, j) -> bool:
         return (i, j) in self.le
 
-    def bottom(self):
-        return _poset_bottom(self)
-
-    def top(self):
-        return _poset_top(self)
-
     def __repr__(self):
         covers = sorted((i, j) for (i, j) in self.le if i != j)
         return f"FinPoset({self.elements!r}, le={covers})"
-
-
-@lru_cache(maxsize=None)
-def _poset_bottom(P):
-    for i in range(P.size):
-        if all((i, j) in P.le for j in range(P.size)):
-            return i
-    return None
-
-
-@lru_cache(maxsize=None)
-def _poset_top(P):
-    for i in range(P.size):
-        if all((j, i) in P.le for j in range(P.size)):
-            return i
-    return None
 
 
 def _transitive_closure(pairs) -> frozenset:
@@ -99,8 +85,7 @@ def _transitive_closure(pairs) -> frozenset:
 def poset_from_pairs(elements, pairs) -> FinPoset:
     """Reflexive-transitive closure of label pairs; antisymmetry validated."""
     elements = tuple(elements)
-    if len(set(elements)) != len(elements):
-        raise UsageError("poset elements must be distinct")
+    check_labels(elements)
     index = {x: i for i, x in enumerate(elements)}
     n = len(elements)
     rel = {(i, i) for i in range(n)}
@@ -294,33 +279,7 @@ def n_monad(model: IntPosetModel = None) -> BimonadBundle:
 
 
 # --------------------------------------------------------------- poset models
-# structural morphisms are requested millions of times by the exhaustive
-# checkers, so the common ones are memoised per (model name, objects)
-
-
-@lru_cache(maxsize=None)
-def _cached_poset_identity(name, A):
-    return Morphism(name, A, A, tuple(range(A.size)))
-
-
-@lru_cache(maxsize=None)
-def _cached_poset_sym(name, A, B):
-    na, nb = A.size, B.size
-    images = [0] * (na * nb)
-    for i in range(na):
-        for j in range(nb):
-            images[i * nb + j] = j * na + i
-    return Morphism(name, poset_product(A, B), poset_product(B, A),
-                    tuple(images))
-
-
-@lru_cache(maxsize=None)
-def _cached_poset_proj(name, A, B, which):
-    if which == 0:
-        images = [i for i in range(A.size) for _ in range(B.size)]
-        return Morphism(name, poset_product(A, B), A, tuple(images))
-    images = [j for _ in range(A.size) for j in range(B.size)]
-    return Morphism(name, poset_product(A, B), B, tuple(images))
+# structural morphisms are memoised per model instance, in core.Model._memo
 
 
 class _PosetModel(Model):
@@ -361,7 +320,7 @@ class _PosetModel(Model):
         return Morphism(self.name, dom, cod, images)
 
     def _identity(self, A):
-        return _cached_poset_identity(self.name, A)
+        return Morphism(self.name, A, A, tuple(range(A.size)))
 
     def _compose(self, g, f):
         gt, ft = g.payload, f.payload
@@ -379,14 +338,20 @@ class _PosetModel(Model):
                         poset_product(f.cod, g.cod), tuple(images))
 
     def _sym(self, A, B):
-        return _cached_poset_sym(self.name, A, B)
+        na, nb = A.size, B.size
+        return Morphism(self.name, poset_product(A, B), poset_product(B, A),
+                        tuple(j * na + i for i in range(na) for j in range(nb)))
 
     # cartesian structure
+    @_structural
     def proj0(self, A, B):
-        return _cached_poset_proj(self.name, A, B, 0)
+        return Morphism(self.name, poset_product(A, B), A,
+                        tuple(i for i in range(A.size) for _ in range(B.size)))
 
+    @_structural
     def proj1(self, A, B):
-        return _cached_poset_proj(self.name, A, B, 1)
+        return Morphism(self.name, poset_product(A, B), B,
+                        tuple(j for _ in range(A.size) for j in range(B.size)))
 
     def pair(self, f, g):
         self.check_mor(f)
@@ -398,8 +363,8 @@ class _PosetModel(Model):
                        for i in range(f.dom.size))
         return Morphism(self.name, f.dom, poset_product(f.cod, g.cod), images)
 
+    @_structural
     def terminal_map(self, A):
-        self.check_obj(A)
         return Morphism(self.name, A, self.unit_obj(), (0,) * A.size)
 
     # fixed points and the trace derived from them
@@ -450,21 +415,16 @@ class _PosetModel(Model):
 
     # enumeration and sampling
     def enumerate_objects(self, max_size):
-        out = []
+        out = {}  # interned, so the keys drop repeated closures in order
         for n in range(1, max_size + 1):
-            seen = set()
             middle = list(itertools.combinations(range(n), 2))
             required = self._required_pairs(n)
             diagonal = {(i, i) for i in range(n)}
             for subset in itertools.product((False, True), repeat=len(middle)):
                 pairs = diagonal | required
                 pairs.update(p for p, keep in zip(middle, subset) if keep)
-                le = _transitive_closure(pairs)
-                if le in seen:
-                    continue
-                seen.add(le)
-                out.append(FinPoset(tuple(range(n)), le))
-        return out
+                out[FinPoset(range(n), _transitive_closure(pairs))] = None
+        return list(out)
 
     def _required_pairs(self, n):
         """Order pairs every enumerated poset on 0..n-1 contains; they give
@@ -521,14 +481,14 @@ class FinCppoModel(_PosetModel):
     name = "fin_cppo"
 
     def _check_flags(self, A):
-        if A.bottom() is None:
+        if A.bottom is None:
             raise ModelMismatchError(f"poset has no bottom element: {A!r}")
 
     def _required_pairs(self, n):
         return {(0, k) for k in range(1, n)}
 
     def _start_index(self, X):
-        return X.bottom()
+        return X.bottom
 
 
 class BoundedPosetModel(_PosetModel):
@@ -548,7 +508,7 @@ class BoundedPosetModel(_PosetModel):
         self.flavor = flavor
 
     def _check_flags(self, A):
-        if A.bottom() is None or A.top() is None:
+        if A.bottom is None or A.top is None:
             raise ModelMismatchError(f"poset is not bounded: {A!r}")
 
     def _required_pairs(self, n):
@@ -557,7 +517,7 @@ class BoundedPosetModel(_PosetModel):
         return req
 
     def _start_index(self, X):
-        return X.bottom() if self.flavor == "lfp" else X.top()
+        return X.bottom if self.flavor == "lfp" else X.top
 
 
 def fincppo_model() -> FinCppoModel:
@@ -880,7 +840,7 @@ def _strictness_property(model: FinCppoModel, budget: CaseBudget) -> CheckReport
             skipped += 1
             continue
         checked += 1
-        strict = [h for h in hs if h.payload[X.bottom()] == Y.bottom()]
+        strict = [h for h in hs if h.payload[X.bottom] == Y.bottom]
         for h in strict:
             # index the g's by their composite with 1 x h, then pair with
             # every f whose image under h matches

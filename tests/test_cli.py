@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from tracedcat.cli import (RunConfig, format_report, load_group, load_poset,
-                           main, run_scenario)
+                           main, run_scenario, serialize_report)
 from tracedcat.core import UsageError
+from tracedcat.laws import CaseBudget, check_trace_axioms
+from tracedcat.model_iter import pfn_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +41,22 @@ def test_reports_byte_identical(tmp_path):
     one = format_report(run_scenario("two-traces", cfg), "json")
     two = format_report(run_scenario("two-traces", cfg), "json")
     assert one == two
+
+
+def test_repeated_passes_are_byte_identical():
+    # finite objects are interned process-wide and shared by every model
+    # instance, so a second pass with fresh models must see the same bytes
+    def law_pass():
+        report = check_trace_axioms(pfn_model(), CaseBudget(0, 60, 2),
+                                    exhaustive=True)
+        return json.dumps(serialize_report(report))
+
+    def scenario_pass():
+        return format_report(run_scenario("sierpinski-join",
+                                          RunConfig(0, 60, 3)), "json")
+
+    for one_pass in (law_pass, scenario_pass):
+        assert one_pass() == one_pass()
 
 
 # sha256 of each JSON report at RunConfig(seed=0, cases=20, max_size=2);
@@ -150,7 +168,7 @@ def test_load_poset(tmp_path):
                     "le: bot top\n")
     poset = load_poset(str(path))
     assert poset.elements == ("bot", "top")
-    assert poset.bottom() == 0 and poset.top() == 1
+    assert poset.bottom == 0 and poset.top == 1
 
     bad = tmp_path / "bad.poset"
     bad.write_text("elements: a b\nle: a b\nle: b a\n")
@@ -223,7 +241,7 @@ def test_shipped_sample_inputs_and_scripts(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     diamond = load_poset("scripts/sample_inputs/diamond.poset")
     assert diamond.elements == ("bot", "left", "right", "top")
-    assert diamond.bottom() == 0 and diamond.top() == 3
+    assert diamond.bottom == 0 and diamond.top == 3
     assert not diamond.leq(1, 2) and not diamond.leq(2, 1)
 
     cfg = RunConfig(seed=0, cases=20, max_size=2)

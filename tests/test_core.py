@@ -3,7 +3,8 @@ import pytest
 from tracedcat.cli import _LAW_MODELS
 from tracedcat.core import BoundaryError, ModelMismatchError
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import int_poset_model, sierpinski
+from tracedcat.model_order import (bounded_poset_two_traces, int_poset_model,
+                                   sierpinski)
 from tracedcat.model_iter import label_set
 
 
@@ -97,6 +98,28 @@ def test_trace_memo_keeps_every_check(pfn, monkeypatch):
             zle.trace(1, 0, 0, wrong)
     with pytest.raises(ModelMismatchError):
         zle.trace(1, 0, 0, pfn.identity(label_set("x")))
+
+
+def test_structure_memo_keeps_every_check(pfn):
+    zle = int_poset_model()
+    assert zle.identity(1) is zle.identity(1)
+    with pytest.raises(ModelMismatchError):  # True == 1, but no object
+        zle.identity(True)
+    with pytest.raises(ModelMismatchError):
+        zle.sym(1, True)
+    for op, args in (("identity", ([1],)), ("sym", ([1], 0)),
+                     ("assoc", ([1], 0, 0))):
+        with pytest.raises(ModelMismatchError):  # unhashable, never memoised
+            getattr(zle, op)(*args)
+    sig = sierpinski()
+    for _ in range(2):
+        with pytest.raises(ModelMismatchError):
+            pfn.identity(sig)
+    two = bounded_poset_two_traces()
+    lfp, gfp = two.lfp, two.gfp
+    assert lfp.trace(sig, sig, sig, lfp.sym(sig, sig)) == lfp.identity(sig)
+    assert lfp._memo and not gfp._memo
+    assert gfp.identity(sig) is not lfp.identity(sig)
 
 
 # the operations a model must define when it sets each capability flag

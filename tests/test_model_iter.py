@@ -1,10 +1,15 @@
+import copy
 import itertools
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget, check_trace_axioms
-from tracedcat.model_iter import exception_bimonad, label_set
+from tracedcat.model_iter import (FinLabelSet, _tagged_union, exception_bimonad,
+                                  label_set)
 from tracedcat.monads import (check_bimonad_laws, check_monad_laws,
                               hopf_from_bimonad, idempotence_suite,
                               try_invert_fusion)
@@ -106,8 +111,32 @@ def test_corollary_gate_excludes_pseudo_bundle(pfn):
     assert report.findings["trace_coherence"] == "pass"
 
 
+def test_label_sets_are_interned(pfn):
+    two = label_set(0, 1)
+    assert two is FinLabelSet([0, 1])
+    assert pfn.enumerate_objects(2)[2] is two
+    assert pfn.unit_obj() is label_set() is pfn.enumerate_objects(0)[0]
+    one = label_set(0)
+    union = _tagged_union(one, one)
+    assert union is label_set((0, 0), (1, 0)) is pfn.tensor_obj(one, one)
+    for same in (copy.copy(two), copy.deepcopy(two),
+                 pickle.loads(pickle.dumps(two))):
+        assert same is two
+    with pytest.raises(AttributeError):
+        two.labels = (5, 6)
+    assert two.labels == (0, 1) and two.size == 2
+
+
+def test_unhashable_or_repeated_label_is_a_usage_error():
+    with pytest.raises(UsageError, match=r"label \[1\] is not hashable"):
+        label_set([1])
+    with pytest.raises(UsageError, match=r"label \(0, \[1\]\) is not hashable"):
+        FinLabelSet([(0, [1])])
+    with pytest.raises(UsageError, match="distinct"):
+        label_set("a", "a")
+
+
 def _sets(draw, lo, hi):
-    from tracedcat.model_iter import FinLabelSet
     return FinLabelSet(tuple(range(draw(st.integers(lo, hi)))))
 
 

@@ -1,13 +1,17 @@
+import copy
 import itertools
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+from tracedcat.cli import load_poset
 from tracedcat.core import (BoundaryError, EmptyHomError, ModelMismatchError,
                             UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
-from tracedcat.model_order import (FinCppoModel, PairOb,
+from tracedcat.model_order import (FinCppoModel, FinPoset, PairOb,
                                    _module_morphism_enumerator,
                                    _strictness_property, _topo_order,
                                    diagonal_preservation_check,
@@ -50,7 +54,37 @@ def test_poset_validation():
         poset_from_pairs(("a", "a"), [])
     chain = poset_from_pairs(("x", "y", "z"), [("x", "y"), ("y", "z")])
     assert chain.leq(0, 2)  # transitive closure applied
-    assert chain.bottom() == 0 and chain.top() == 2
+    assert chain.bottom == 0 and chain.top == 2
+
+
+def test_posets_are_interned(fincppo, two_traces):
+    diamond = load_poset(Path(__file__).resolve().parent.parent / "scripts"
+                         / "sample_inputs" / "diamond.poset")
+    pairs = [("bot", "left"), ("bot", "right"), ("left", "top"),
+             ("right", "top")]
+    assert diamond is poset_from_pairs(("bot", "left", "right", "top"), pairs)
+    assert diamond is FinPoset(diamond.elements, set(diamond.le))
+    sig = sierpinski()
+    assert sig is poset_from_pairs(["bot", "top"], [("bot", "top")])
+    square = poset_product(sig, sig)
+    assert square is FinPoset(square.elements, square.le)
+    chain = FinPoset((0, 1), {(0, 0), (0, 1), (1, 1)})
+    assert chain is fincppo.enumerate_objects(2)[1]
+    assert chain is two_traces.gfp.enumerate_objects(2)[1]
+    assert fincppo.tensor_obj(chain, chain) is poset_product(chain, chain)
+    for same in (copy.copy(diamond), copy.deepcopy(diamond),
+                 pickle.loads(pickle.dumps(diamond))):
+        assert same is diamond
+    with pytest.raises(AttributeError):
+        diamond.bottom = 3
+    assert (diamond.bottom, diamond.top, diamond.size) == (0, 3, 4)
+
+
+def test_unhashable_element_is_a_usage_error():
+    with pytest.raises(UsageError, match=r"label \[1\] is not hashable"):
+        poset_from_pairs([[1]], [])
+    with pytest.raises(UsageError, match=r"label \[1\] is not hashable"):
+        FinPoset(([1],), frozenset())
 
 
 def test_poset_product_row_major():
@@ -58,7 +92,7 @@ def test_poset_product_row_major():
     prod = poset_product(sig, sig)
     assert prod.elements == (("bot", "bot"), ("bot", "top"),
                              ("top", "bot"), ("top", "top"))
-    assert prod.bottom() == 0 and prod.top() == 3
+    assert prod.bottom == 0 and prod.top == 3
 
 
 def test_monotone_enumeration_counts():

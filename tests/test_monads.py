@@ -188,7 +188,7 @@ def test_idempotence_witness_replays():
     model = fincppo_model()
 
     def bottom(f):
-        return model.table(f.dom, f.cod, (f.cod.bottom(),) * f.dom.size)
+        return model.table(f.dom, f.cod, (f.cod.bottom,) * f.dom.size)
 
     bundle = dataclasses.replace(identity_hopf_bundle(model), on_mor=bottom)
     report = idempotence_suite(bundle, CaseBudget(seed=0, cases=20,
@@ -204,7 +204,7 @@ def test_idempotence_criterion_disagreement_has_no_sides():
     model = fincppo_model()
 
     def mu(A):
-        return model.table(A, A, (A.bottom(),) * A.size)
+        return model.table(A, A, (A.bottom,) * A.size)
 
     bundle = dataclasses.replace(identity_hopf_bundle(model), mu=mu)
     report = idempotence_suite(bundle, CaseBudget(seed=0, cases=20,
