@@ -21,9 +21,9 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, wraps
-from typing import Any, Optional
+from typing import Optional
 
 
 class ModelError(Exception):
@@ -61,39 +61,94 @@ def check_labels(labels: tuple) -> None:
         raise UsageError(f"labels must be distinct: {labels!r}")
 
 
-@dataclass(frozen=True)
 class Morphism:
     """A morphism of a concrete model.
 
     ``payload`` is model-specific (matrix, monotone table, partial-function
     table, order witness) and immutable; two parallel morphisms are equal
-    iff their payloads are equal.
+    iff their payloads are equal.  Never equal to a tuple of its fields.
     """
 
-    model: str
-    dom: Any
-    cod: Any
-    payload: Any
+    __slots__ = ("model", "dom", "cod", "payload")
+
+    def __init__(self, model: str, dom, cod, payload):
+        _set_model(self, model)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_payload(self, payload)
+
+    def __setattr__(self, name, value):  # __init__ uses the slot setters
+        raise AttributeError("a Morphism is immutable")
+
+    def __reduce__(self):  # copy and pickle would restore through setattr
+        return Morphism, (self.model, self.dom, self.cod, self.payload)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.model, self.dom, self.cod, self.payload)
+                == (other.model, other.dom, other.cod, other.payload))
+
+    def __hash__(self):
+        return hash((self.model, self.dom, self.cod, self.payload))
 
     def __repr__(self):  # short, for failure witnesses
         return f"Mor[{self.model}]({self.dom!r} -> {self.cod!r}; {self.payload!r})"
 
 
+_set_model, _set_dom, _set_cod, _set_payload = (
+    vars(Morphism)[name].__set__ for name in Morphism.__slots__)
+
+
+class HomSet(Sequence):
+    """Parallel morphisms ``dom -> cod`` of the model named ``model``: an
+    immutable sequence of payloads, each read as a :class:`Morphism`."""
+
+    __slots__ = ("model", "dom", "cod", "payloads")
+
+    def __init__(self, model: str, dom, cod, payloads):
+        for name, value in zip(self.__slots__,
+                               (model, dom, cod, tuple(payloads))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a HomSet is immutable")
+
+    def __reduce__(self):
+        return HomSet, (self.model, self.dom, self.cod, self.payloads)
+
+    def __len__(self):
+        return len(self.payloads)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return HomSet(self.model, self.dom, self.cod, self.payloads[k])
+        return Morphism(self.model, self.dom, self.cod, self.payloads[k])
+
+
 def _structural(build):
     """Keep a morphism fixed by its objects alone in ``Model._memo``."""
 
-    @wraps(build)
-    def memoised(self, *objs):
-        key = (build, *objs, *map(type, objs))
+    def lookup(self, key):
         try:
             return self._memo[key]
         except (KeyError, TypeError):  # a miss, or an unhashable object
             pass
-        for ob in objs:
+        for ob in key[1:arity + 1]:
             self.check_obj(ob)
-        return self._memo.setdefault(key, build(self, *objs))
+        return self._memo.setdefault(key, build(self, *key[1:arity + 1]))
 
-    return memoised
+    arity = build.__code__.co_argcount - 1  # a *objs key costs more than a hit
+    if arity == 1:
+        def memoised(self, A):
+            return lookup(self, (build, A, type(A)))
+    elif arity == 2:
+        def memoised(self, A, B):
+            return lookup(self, (build, A, B, type(A), type(B)))
+    else:
+        def memoised(self, A, B, C):
+            return lookup(self, (build, A, B, C, type(A), type(B), type(C)))
+    return wraps(build)(memoised)
 
 
 class Model:
@@ -117,9 +172,10 @@ class Model:
 
     Optional structure is declared by a flag; a model that sets it defines
     the operations, and checkers test the flag before calling them:
-    ``traced``: ``_trace(X, A, B, f)``; ``compact``: ``dual_obj``,
-    ``cup(A) : A* (x) A -> I``, ``cap(A) : I -> A (x) A*``; ``cartesian``:
-    ``proj0``, ``proj1``, ``pair``, ``terminal_map``; ``has_conway``:
+    ``traced``: ``_trace(X, A, B, f)``, ``_trace_hom`` for a HomSet;
+    ``compact``: ``dual_obj``, ``cup(A) : A* (x) A -> I``,
+    ``cap(A) : I -> A (x) A*``; ``cartesian``: ``proj0``, ``proj1``,
+    ``pair``, ``terminal_map``; ``has_conway``:
     ``fix(X, A, f)``, the parametrized fixed point of ``f : A x X -> X``;
     ``cocartesian``: ``inj0``, ``inj1``, ``copair``, ``initial_map``.
     """
@@ -238,12 +294,15 @@ class Model:
 
     # ------------------------------------------------------------------ trace
 
-    def trace(self, X, A, B, f: Morphism) -> Morphism:
-        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit."""
+    def trace(self, X, A, B, f):
+        """Trace out X from ``f : A (x) X -> B (x) X``; factors explicit.
+        A :class:`HomSet` ``f`` is checked once and traced to a HomSet A -> B."""
         if not self.traced:
             raise CapabilityError(f"model {self.name!r} has no trace operator")
-        self.check_mor(f)
-        # inline, not _structural: its *args key costs more than a trace
+        hom = isinstance(f, HomSet)
+        if not (hom and f.model == self.name):  # rejects a foreign HomSet too
+            self.check_mor(f)
+        # inline, not _structural: the memo keeps the boundary, not f's trace
         key = ("trace", X, A, B, type(X), type(A), type(B))
         try:
             shape = self._memo.get(key)
@@ -256,7 +315,11 @@ class Model:
             raise BoundaryError(
                 f"trace shape mismatch: f is {f.dom!r}->{f.cod!r}, "
                 f"expected {A!r}(x){X!r} -> {B!r}(x){X!r}")
-        return self._trace(X, A, B, f)
+        return (self._trace_hom if hom else self._trace)(X, A, B, f)
+
+    def _trace_hom(self, X, A, B, hom: HomSet) -> HomSet:
+        return HomSet(self.name, A, B,
+                      [self._trace(X, A, B, f).payload for f in hom])
 
     @cached_property
     def _memo(self) -> dict:

@@ -21,7 +21,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import CapabilityError, Morphism
+from .core import (BoundaryError, CapabilityError, HomSet, ModelMismatchError,
+                   Morphism)
 from .laws import (CaseBudget, CheckReport, LawSpec, Recorder,
                    _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
 from .monads import HopfBundle, MonadBundle, fusion_left
@@ -133,15 +134,24 @@ def algebra_pool(monad: MonadBundle, budget: CaseBudget) -> list:
 
 def enumerate_algebra_morphisms(monad: MonadBundle, src: TAlgebra,
                                 tgt: TAlgebra):
-    """All algebra morphisms src -> tgt, or None when not enumerable."""
+    """All algebra morphisms src -> tgt as one HomSet ``src.carrier ->
+    tgt.carrier``, or None; an ``algmor_enumerator`` hook returns the same."""
     if monad.algmor_enumerator is not None:
         out = monad.algmor_enumerator(src, tgt)
         if out is not None:
+            if not isinstance(out, HomSet) or out.model != monad.model.name:
+                raise ModelMismatchError(f"algmor_enumerator of {monad.name!r}"
+                                         f" gave no {monad.model.name!r} HomSet")
+            if out.dom != src.carrier or out.cod != tgt.carrier:
+                raise BoundaryError(f"algmor_enumerator of {monad.name!r} gave"
+                                    f" a HomSet {out.dom!r} -> {out.cod!r}")
             return out
     homs = monad.model.enumerate_hom(src.carrier, tgt.carrier)
     if homs is None:
         return None
-    return [f for f in homs if is_algebra_morphism(monad, src, tgt, f)]
+    return HomSet(monad.model.name, src.carrier, tgt.carrier,
+                  [f.payload for f in homs
+                   if is_algebra_morphism(monad, src, tgt, f)])
 
 
 def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra,
@@ -178,11 +188,12 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
     """Exhaustive lifting loop of the traced and fixed-point checkers.
 
     For every size-ordered tuple ``(X, A, ...)`` of ``arity`` algebras,
-    ``lift(X, A, ...)`` gives ``(B, tgt, op)``: every algebra morphism
-    ``f : A (x) X -> tgt`` is sent to ``op(f) : A -> B``, which must be an
-    algebra morphism again.  Each ``f`` is one case, but the conclusion only
-    sees ``op(f)``, so each distinct image is decided once, and the run
-    stops at the first failure, which the size order makes minimal.  A
+    ``lift(X, A, ...)`` gives ``(B, tgt, op)``: the HomSet ``fs`` of every
+    algebra morphism ``f : A (x) X -> tgt`` is sent at once to the HomSet
+    ``op(fs)`` of the images ``A -> B``, in order, and each must be an
+    algebra morphism again.  Each ``f`` is one case, but the conclusion
+    only sees its image, so each distinct image is decided once, and the
+    run stops at the first failure, which the size order makes minimal.  A
     tuple whose hom-set cannot be enumerated is skipped and counted, and
     makes the verdict ``inconclusive`` unless a failure is found.
     """
@@ -196,17 +207,17 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
         if fs is None:
             skipped += 1  # hom-set beyond the enumeration cap
             continue
+        images = op(fs)
         decided = set()
-        for f in fs:
+        for k, g in enumerate(images.payloads):
             rec.cases += 1
-            g = op(f)
-            if g.payload in decided:
+            if g in decided:
                 continue
-            if not rec.check(law, functools.partial(_witness, algs, f),
-                             *algebra_morphism_sides(b, algA, algB, g),
+            if not rec.check(law, functools.partial(_witness, algs, fs[k]),
+                             *algebra_morphism_sides(b, algA, algB, images[k]),
                              count=False):
                 break
-            decided.add(g.payload)
+            decided.add(g)
         if rec.failures:
             break
     findings = ({"quantification": "exhaustive_with_skips",
@@ -398,8 +409,9 @@ def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
                               "model with a fixed-point operator")
 
     def lift(algX, algA):
-        return algX, algX, functools.partial(model.fix, algX.carrier,
-                                             algA.carrier)
+        X, A = algX.carrier, algA.carrier
+        return algX, algX, lambda fs: HomSet(
+            model.name, A, X, [model.fix(X, A, f).payload for f in fs])
 
     return _check_lifting(b, budget, f"traced_via_fix[{b.name}]",
                           "fix_monad_conclusion", 2, lift)

@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (BoundaryError, CapabilityError, EmptyHomError, Model,
-                   ModelMismatchError, Morphism, UsageError, _structural,
-                   check_labels)
+from .core import (BoundaryError, CapabilityError, EmptyHomError, HomSet,
+                   Model, ModelMismatchError, Morphism, UsageError,
+                   _structural, check_labels)
 from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
 
@@ -123,32 +123,30 @@ def _topo_order(P: FinPoset):
     return sorted(range(P.size), key=lambda i: (below[i], i))
 
 
-def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, allowed=None):
+def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
+                              narrow=None):
     """Odometer enumeration of monotone maps P -> Q as index tables.
 
     Positions follow ``_topo_order(P)``, so every predecessor of a position
-    is placed before it.  Candidate images are bitmasks over Q: the up-sets
-    of the predecessors' images are intersected when a position is reached,
-    and ``masks[pos]`` keeps the candidates it has still to try.  An
-    optional ``allowed(vals, i)`` hook narrows the candidates of index i
-    further: it returns the bitmask of images f(i) may take, where ``vals``
-    holds the images of the indices placed before i and None for the
-    others.  Tables come out in lexicographic order along ``_topo_order(P)``.
+    is placed before it.  Candidate images are bitmasks over Q: index i
+    starts from ``fixed[i]`` (or all of Q), and each constraint ``(bits, j)``
+    of i keeps ``bits[f(j)]`` of them; one per predecessor j, with the
+    up-sets of Q as bits, makes f monotone, and ``narrow[i]`` adds more.
+    ``masks[pos]`` keeps the candidates a position has still to try.
+    Tables come out in lexicographic order along ``_topo_order(P)``.
     """
     n = P.size
     if n == 0:
         yield ()
         return
     order = _topo_order(P)
-    preds = [[j for j in order[:pos] if P.leq(j, order[pos])]
-             for pos in range(n)]
     nq = Q.size
-    upmask = [0] * nq
-    for u in range(nq):
-        for v in range(nq):
-            if Q.leq(u, v):
-                upmask[u] |= 1 << v
-    full = (1 << nq) - 1
+    upmask = [sum(1 << v for v in range(nq) if Q.leq(u, v))
+              for u in range(nq)]
+    start = [(1 << nq) - 1 if fixed is None else fixed[i] for i in order]
+    constraints = [[(upmask, j) for j in order[:pos] if P.leq(j, i)]
+                   + (narrow[i] if narrow else [])
+                   for pos, i in enumerate(order)]
     vals = [None] * n
     masks = [0] * n
     last = n - 1
@@ -157,9 +155,9 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, allowed=None):
         # step forward: collect the candidates of the next position
         pos += 1
         i = order[pos]
-        mask = full if allowed is None else allowed(vals, i)
-        for j in preds[pos]:
-            mask &= upmask[vals[j]]
+        mask = start[pos]
+        for bits, j in constraints[pos]:
+            mask &= bits[vals[j]]
         if pos == last:
             while mask:
                 low = mask & -mask
@@ -392,26 +390,32 @@ class _PosetModel(Model):
         return Morphism(self.name, A, X, tuple(images))
 
     def _trace(self, X, A, B, f):
+        return self._trace_hom(X, A, B, HomSet(self.name, f.dom, f.cod,
+                                               (f.payload,)))[0]
+
+    def _trace_hom(self, X, A, B, hom):
         # the fixed point of the feedback coordinate, fed back in, projected
         # out: the pairing/fixed-point/projection formula that
         # check_conway_trace_roundtrip's trace_from_fix law checks, computed
-        # on raw tables (the checkers call this millions of times)
+        # on raw tables (the exhaustive checkers trace millions of them)
         nx = X.size
-        table = f.payload
         start = self._start_index(X)
-        images = []
-        for i in range(A.size):
-            base = i * nx
-            x = start
-            for _ in range(nx + 1):
-                nxt = table[base + x] % nx
-                if nxt == x:
-                    break
-                x = nxt
-            else:
-                raise AssertionError("feedback iteration failed to settle")
-            images.append(table[base + x] // nx)
-        return Morphism(self.name, A, B, tuple(images))
+        bases = range(0, A.size * nx, nx)
+        out = []
+        for table in hom.payloads:
+            images = []
+            for base in bases:
+                x = start
+                for _ in range(nx + 1):
+                    nxt = table[base + x] % nx
+                    if nxt == x:
+                        break
+                    x = nxt
+                else:
+                    raise AssertionError("feedback iteration failed to settle")
+                images.append(table[base + x] // nx)
+            out.append(tuple(images))
+        return HomSet(self.name, A, B, out)
 
     # enumeration and sampling
     def enumerate_objects(self, max_size):
@@ -696,7 +700,7 @@ def canonical_cartesian_bimonad(monad: MonadBundle) -> BimonadBundle:
 
 
 def _module_morphism_enumerator(model, h_size, src, tgt):
-    """Equivariant monotone tables src.carrier -> tgt.carrier.
+    """Equivariant monotone tables src.carrier -> tgt.carrier, as a HomSet.
 
     Equivariance against the algebra actions is propagated inside the
     monotone enumeration: each equation f(h.u) = h.f(u) narrows the
@@ -708,10 +712,7 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
     act_t = tgt.action.payload
     np_, nq = P.size, Q.size
 
-    pos_of = {}
-    order = _topo_order(P)
-    for pos, i in enumerate(order):
-        pos_of[i] = pos
+    pos_of = {i: pos for pos, i in enumerate(_topo_order(P))}
     # bitmask tables: image_bit[h][t] is {h.t}, preimage[h][t] is {v : h.v = t}
     image_bit = [[1 << act_t[h * nq + t] for t in range(nq)]
                  for h in range(h_size)]
@@ -730,14 +731,8 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
             else:
                 narrow[w].append((image_bit[h], u))   # f(w) = h.f(u)
 
-    def allowed(vals, i):
-        mask = fixed[i]
-        for bits, j in narrow[i]:
-            mask &= bits[vals[j]]
-        return mask
-
-    return [Morphism(model.name, P, Q, t)
-            for t in enumerate_monotone_tables(P, Q, allowed=allowed)]
+    return HomSet(model.name, P, Q,
+                  enumerate_monotone_tables(P, Q, fixed, narrow))
 
 
 def monoid_bimonad(model: _PosetModel, H: FinPoset, mult_table, unit_index,

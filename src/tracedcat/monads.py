@@ -46,8 +46,8 @@ class MonadBundle:
     on_mor: Callable
     mu: Callable    # A -> Morphism TT(A) -> T(A)
     eta: Callable   # A -> Morphism A -> T(A)
-    # optional hooks used by the Eilenberg-Moore machinery where hom-sets
-    # cannot be enumerated (algebra pools, equivariant samplers)
+    # optional hooks of the Eilenberg-Moore machinery: algebra pools, and
+    # algebra-morphism samplers and enumerators (the latter return a HomSet)
     algebra_source: Any = None
     algmor_sampler: Any = None
     algmor_enumerator: Any = None

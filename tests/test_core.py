@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 
 from tracedcat.cli import _LAW_MODELS
-from tracedcat.core import BoundaryError, ModelMismatchError
+from tracedcat.core import (BoundaryError, CapabilityError, HomSet,
+                            ModelMismatchError, Morphism)
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import (bounded_poset_two_traces, int_poset_model,
                                    sierpinski)
@@ -120,6 +124,71 @@ def test_structure_memo_keeps_every_check(pfn):
     assert lfp.trace(sig, sig, sig, lfp.sym(sig, sig)) == lfp.identity(sig)
     assert lfp._memo and not gfp._memo
     assert gfp.identity(sig) is not lfp.identity(sig)
+
+
+def test_morphism_is_an_immutable_value(fincppo):
+    sig = sierpinski()
+    f = fincppo.table(sig, sig, (0, 1))
+    fields = ("fin_cppo", sig, sig, (0, 1))
+    assert f == Morphism(*fields) and hash(f) == hash(Morphism(*fields))
+    assert f != fields and fields != f
+    assert f != fincppo.table(sig, sig, (0, 0))
+    assert repr(f) == ("Mor[fin_cppo](FinPoset(('bot', 'top'), le=[(0, 1)])"
+                       " -> FinPoset(('bot', 'top'), le=[(0, 1)]); (0, 1))")
+    with pytest.raises(AttributeError):
+        f.payload = (1, 1)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    for same in (copy.copy(f), copy.deepcopy(f),
+                 pickle.loads(pickle.dumps(f))):
+        assert same == f and same.dom is sig
+
+
+def test_hom_set_is_a_read_only_sequence(fincppo):
+    sig = sierpinski()
+    tables = ((0, 0), (0, 1), (1, 1))
+    hom = HomSet("fin_cppo", sig, sig, iter(tables))
+    assert hom.payloads == tables and len(hom) == 3
+    elements = [fincppo.table(sig, sig, t) for t in tables]
+    assert list(hom) == elements
+    assert [hom[k] for k in range(3)] == elements and hom[-1] == elements[2]
+    assert list(hom[1:]) == elements[1:] and isinstance(hom[1:], HomSet)
+    with pytest.raises(IndexError):
+        hom[3]
+    with pytest.raises(AttributeError):
+        hom.payloads = ()
+    with pytest.raises(TypeError):
+        hom[0] = elements[0]
+    for same in (copy.copy(hom), copy.deepcopy(hom),
+                 pickle.loads(pickle.dumps(hom))):
+        assert (same.model, same.dom, same.cod) == ("fin_cppo", sig, sig)
+        assert list(same) == elements
+
+
+def test_trace_of_a_hom_set_checks_its_boundary_once(pfn, fincppo,
+                                                    monkeypatch):
+    x, ab = label_set("x"), label_set("a", "b")
+    dom, cod = pfn.tensor_obj(ab, x), pfn.tensor_obj(x, x)
+    homs = pfn.enumerate_hom(dom, cod)
+    hom = HomSet("pfn", dom, cod, [f.payload for f in homs])
+    with monkeypatch.context() as patch:  # no element is checked on its own
+        patch.setattr(pfn, "check_mor", None)
+        traced = pfn.trace(x, ab, x, hom)
+    assert isinstance(traced, HomSet) and (traced.dom, traced.cod) == (ab, x)
+    assert list(traced) == [pfn.trace(x, ab, x, f) for f in homs]
+    empty = pfn.trace(x, ab, x, HomSet("pfn", dom, cod, ()))
+    assert (len(empty), empty.dom, empty.cod) == (0, ab, x)
+    with pytest.raises(ModelMismatchError):
+        fincppo.trace(x, ab, x, hom)
+    for wrong in (HomSet("pfn", cod, cod, ()), HomSet("pfn", dom, dom, ())):
+        with pytest.raises(BoundaryError):
+            pfn.trace(x, ab, x, wrong)
+
+    class Untraced(type(pfn)):
+        traced = False
+
+    with pytest.raises(CapabilityError):
+        Untraced().trace(x, ab, x, hom)
 
 
 # the operations a model must define when it sets each capability flag

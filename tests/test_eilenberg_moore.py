@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from tracedcat.core import CapabilityError, Model
+from tracedcat.core import CapabilityError, HomSet, Model
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
@@ -136,8 +136,9 @@ def test_traced_monad_checks(nbundle, qc2):
 
 def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
                                                          monkeypatch):
-    # one public Model.trace call per case: the span perfbench's traced run
-    # requires on the exhaustive workload
+    # one public Model.trace call per algebra triple, on the whole HomSet
+    # of its algebra morphisms: the span perfbench's traced run requires on
+    # the exhaustive workload, and one case per morphism
     calls = []
     trace = Model.trace
 
@@ -146,10 +147,13 @@ def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
         return trace(self, X, A, B, f)
 
     monkeypatch.setattr(Model, "trace", counted)
-    rep = check_traced_monad(sigma_meet_bimonad(fincppo),
-                             CaseBudget(seed=0, cases=20, max_object_size=2))
+    bundle = sigma_meet_bimonad(fincppo)
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+    rep = check_traced_monad(bundle, budget)
     assert rep.verdict == "pass" and rep.cases_run > 0
-    assert len(calls) == rep.cases_run
+    assert len(calls) == len(eilenberg_moore.algebra_pool(bundle, budget)) ** 3
+    assert all(isinstance(f, HomSet) for f in calls)
+    assert sum(len(f) for f in calls) == rep.cases_run
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):
@@ -201,8 +205,10 @@ def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
     hopf = identity_hopf_bundle(capped_pfn)
     uncapped = PfnModel()
     hopf = dataclasses.replace(
-        hopf, algmor_enumerator=lambda src, tgt: uncapped.enumerate_hom(
-            src.carrier, tgt.carrier))
+        hopf, algmor_enumerator=lambda src, tgt: HomSet(
+            uncapped.name, src.carrier, tgt.carrier,
+            [f.payload for f in uncapped.enumerate_hom(src.carrier,
+                                                       tgt.carrier)]))
     budget = CaseBudget(seed=0, cases=20, max_object_size=2)
 
     cross = crosscheck_main_theorem(hopf, budget)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from tracedcat.cli import load_poset
-from tracedcat.core import (BoundaryError, EmptyHomError, ModelMismatchError,
-                            UsageError)
+from tracedcat.core import (BoundaryError, EmptyHomError, HomSet,
+                            ModelMismatchError, UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
 from tracedcat.model_order import (FinCppoModel, FinPoset, PairOb,
@@ -157,8 +158,46 @@ def test_equivariant_enumerator_agrees_with_filtering(fincppo):
             fast = _module_morphism_enumerator(fincppo, sig.size, src, tgt)
             slow = [f for f in fincppo.enumerate_hom(src.carrier, tgt.carrier)
                     if is_algebra_morphism(b, src, tgt, f)]
-            assert fast == slow
-            assert enumerate_algebra_morphisms(b, src, tgt) == fast
+            assert list(fast) == slow
+            assert list(enumerate_algebra_morphisms(b, src, tgt)) == slow
+
+
+def test_hom_set_traces_equal_element_traces(fincppo, two_traces):
+    # every A, B, X of size <= 2 whose Hom(A x X, B x X) enumerates; each
+    # trace is also the fixed-point formula the Conway round trip checks
+    for model in (fincppo, two_traces.lfp, two_traces.gfp):
+        objs = model.enumerate_objects(2)
+        for A, B, X in itertools.product(objs, repeat=3):
+            dom, cod = model.tensor_obj(A, X), model.tensor_obj(B, X)
+            homs = model.enumerate_hom(dom, cod)
+            if homs is None:
+                continue
+            hom = HomSet(model.name, dom, cod, [f.payload for f in homs])
+            traced = model.trace(X, A, B, hom)
+            assert (traced.dom, traced.cod) == (A, B)
+            assert list(traced) == [model.trace(X, A, B, f) for f in homs]
+            for f, tr in zip(homs, traced):
+                feedback = model.compose(model.proj1(B, X), f)
+                assert tr == model.seq(
+                    model.pair(model.identity(A), model.fix(X, A, feedback)),
+                    f, model.proj0(B, X))
+
+
+def test_algebra_morphism_hook_must_fit_its_boundary(fincppo):
+    meet = sigma_meet_bimonad(fincppo)
+    sig = sierpinski()
+    alg = enumerate_algebras(meet, sig)[0]
+    good = enumerate_algebra_morphisms(meet, alg, alg)
+    assert isinstance(good, HomSet) and (good.dom, good.cod) == (sig, sig)
+    point = fincppo.unit_obj()
+    for wrong, error in ((HomSet(fincppo.name, point, sig, ()), BoundaryError),
+                         (HomSet(fincppo.name, sig, point, ()), BoundaryError),
+                         (HomSet("pfn", sig, sig, ()), ModelMismatchError),
+                         (list(good), ModelMismatchError)):
+        hooked = dataclasses.replace(
+            meet, algmor_enumerator=lambda src, tgt, out=wrong: out)
+        with pytest.raises(error):
+            enumerate_algebra_morphisms(hooked, alg, alg)
 
 
 def test_two_trace_witness(two_traces):
