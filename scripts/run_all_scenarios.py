@@ -24,16 +24,16 @@ def main():
     config = RunConfig(seed=args.seed, cases=args.cases,
                        max_size=args.max_size)
     mismatches = 0
-    started = time.time()
+    started = time.perf_counter()
     for name in sorted(SCENARIOS):
-        t0 = time.time()
+        t0 = time.perf_counter()
         payload = run_scenario(name, config)
         verdicts = ",".join(s["verdict"][0] for s in payload["suites"])
         status = "ok" if payload["expected_match"] else "MISMATCH"
         mismatches += 0 if payload["expected_match"] else 1
-        print(f"{name:38s} {status:9s} [{verdicts}] {time.time() - t0:6.1f}s")
+        print(f"{name:38s} {status:9s} [{verdicts}] {time.perf_counter() - t0:6.1f}s")
     print(f"\n{len(SCENARIOS)} scenarios, {mismatches} mismatches, "
-          f"{time.time() - started:.1f}s total")
+          f"{time.perf_counter() - started:.1f}s total")
     return mismatches
 
 

@@ -21,8 +21,9 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Optional
 
 
@@ -107,9 +108,10 @@ class HomSet(Sequence):
     __slots__ = ("model", "dom", "cod", "payloads")
 
     def __init__(self, model: str, dom, cod, payloads):
-        for name, value in zip(self.__slots__,
-                               (model, dom, cod, tuple(payloads))):
-            object.__setattr__(self, name, value)
+        _set_hom_model(self, model)
+        _set_hom_dom(self, dom)
+        _set_hom_cod(self, cod)
+        _set_hom_payloads(self, tuple(payloads))
 
     def __setattr__(self, name, value):
         raise AttributeError("a HomSet is immutable")
@@ -125,9 +127,41 @@ class HomSet(Sequence):
             return HomSet(self.model, self.dom, self.cod, self.payloads[k])
         return Morphism(self.model, self.dom, self.cod, self.payloads[k])
 
+    def __iter__(self):  # Sequence.__iter__ indexes until IndexError
+        return map(partial(Morphism, self.model, self.dom, self.cod),
+                   self.payloads)
+
+
+_set_hom_model, _set_hom_dom, _set_hom_cod, _set_hom_payloads = (
+    vars(HomSet)[name].__set__ for name in HomSet.__slots__)
+
+
+def _zip_hom(*args):
+    """The elements of the HomSet arguments, zipped; a Morphism repeats."""
+    return zip(*(x if x.__class__ is HomSet else itertools.repeat(x)
+                 for x in args))
+
+
+def _payloads(x, prepare=None):
+    """The payloads of a HomSet, or a Morphism's payload repeated, each
+    passed through ``prepare`` (once for a Morphism)."""
+    if x.__class__ is HomSet:
+        return x.payloads if prepare is None else map(prepare, x.payloads)
+    return itertools.repeat(x.payload if prepare is None
+                            else prepare(x.payload))
+
+
+def _check_parallel(f, g) -> None:
+    """Two sides of an equation must share their domain and codomain."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise BoundaryError(
+            f"an equation needs parallel sides, got {f.dom!r}->{f.cod!r} "
+            f"vs {g.dom!r}->{g.cod!r}")
+
 
 def _structural(build):
-    """Keep a morphism fixed by its objects alone in ``Model._memo``."""
+    """Keep what is fixed by its objects alone in ``Model._memo``: a
+    structural morphism, or a thin model's hom-set."""
 
     def lookup(self, key):
         try:
@@ -162,6 +196,18 @@ class Model:
     are derived here through ``_strict``.  The public wrappers do the
     boundary/ownership checking once, in one place.
 
+    ``compose``, ``tensor`` and ``trace`` (and ``fix`` where a model has
+    it) also take a :class:`HomSet` in any morphism argument, as the
+    exhaustive law driver hands them the innermost hom-set of a law.  They
+    check its owner and boundary once and return the HomSet of the
+    element-wise results; two HomSet arguments are zipped, since they index
+    the same innermost element, and a Morphism argument is used for every
+    element.  A HomSet's payloads are trusted as the model's own:
+    ``check_mor`` runs on none of them.  The work is done by a payload
+    kernel, ``_compose_hom``, ``_tensor_hom`` or ``_trace_hom``, which maps
+    the per-morphism primitive here and which a model may replace with a
+    loop over raw payloads.  An empty HomSet builds no morphism.
+
     One memo per model instance, ``_memo``, holds what depends on objects
     alone: ``identity``, ``sym``, the associators and unitors (and what else
     a model marks ``_structural``), and the boundary products of each
@@ -172,7 +218,7 @@ class Model:
 
     Optional structure is declared by a flag; a model that sets it defines
     the operations, and checkers test the flag before calling them:
-    ``traced``: ``_trace(X, A, B, f)``, ``_trace_hom`` for a HomSet;
+    ``traced``: ``_trace(X, A, B, f)``;
     ``compact``: ``dual_obj``, ``cup(A) : A* (x) A -> I``,
     ``cap(A) : I -> A (x) A*``; ``cartesian``: ``proj0``, ``proj1``,
     ``pair``, ``terminal_map``; ``has_conway``:
@@ -220,18 +266,51 @@ class Model:
     def _identity(self, A) -> Morphism:
         raise NotImplementedError
 
-    def compose(self, g: Morphism, f: Morphism) -> Morphism:
-        self.check_mor(f)
-        self.check_mor(g)
+    def _check_hom(self, *args) -> None:
+        """Check the arguments of a primitive handed a :class:`HomSet`: a
+        HomSet's owner (its payloads are trusted), a Morphism in full."""
+        n = None
+        for x in args:
+            if x.__class__ is not HomSet:
+                self.check_mor(x)
+            elif x.model != self.name:
+                raise ModelMismatchError(
+                    f"hom-set of model {x.model!r} does not belong to model "
+                    f"{self.name!r}")
+            elif n is None:
+                n = len(x)
+            elif len(x) != n:
+                raise UsageError(f"zipped hom-sets differ in length: "
+                                 f"{n} vs {len(x)}")
+
+    def compose(self, g, f):
+        """``g`` after ``f``; a HomSet argument gives the HomSet of the
+        composites, element by element."""
+        hom = f.__class__ is HomSet or g.__class__ is HomSet
+        if hom:
+            self._check_hom(f, g)
+        else:
+            self.check_mor(f)
+            self.check_mor(g)
         if f.cod != g.dom:
             raise BoundaryError(
                 f"cannot compose: cod of first {f.cod!r} != dom of second {g.dom!r}")
-        return self._compose(g, f)
+        return (self._compose_hom if hom else self._compose)(g, f)
 
     def _compose(self, g, f) -> Morphism:
         raise NotImplementedError
 
-    def tensor(self, f: Morphism, g: Morphism) -> Morphism:
+    def _compose_hom(self, g, f) -> HomSet:
+        return HomSet(self.name, f.dom, g.cod,
+                      [self._compose(gk, fk).payload
+                       for gk, fk in _zip_hom(g, f)])
+
+    def tensor(self, f, g):
+        """``f (x) g``; a HomSet argument gives a HomSet, as ``compose``."""
+        hom = f.__class__ is HomSet or g.__class__ is HomSet
+        if hom:
+            self._check_hom(f, g)
+            return self._tensor_hom(f, g)
         self.check_mor(f)
         self.check_mor(g)
         return self._tensor(f, g)
@@ -239,13 +318,16 @@ class Model:
     def _tensor(self, f, g) -> Morphism:
         raise NotImplementedError
 
+    def _tensor_hom(self, f, g) -> HomSet:
+        return HomSet(self.name, self._tensor_obj(f.dom, g.dom),
+                      self._tensor_obj(f.cod, g.cod),
+                      [self._tensor(fk, gk).payload
+                       for fk, gk in _zip_hom(f, g)])
+
     def mor_eq(self, f: Morphism, g: Morphism) -> bool:
         self.check_mor(f)
         self.check_mor(g)
-        if f.dom != g.dom or f.cod != g.cod:
-            raise BoundaryError(
-                f"mor_eq needs parallel morphisms, got {f.dom!r}->{f.cod!r} "
-                f"vs {g.dom!r}->{g.cod!r}")
+        _check_parallel(f, g)
         return f.payload == g.payload
 
     # ------------------------------------------------------------- structure
@@ -299,8 +381,10 @@ class Model:
         A :class:`HomSet` ``f`` is checked once and traced to a HomSet A -> B."""
         if not self.traced:
             raise CapabilityError(f"model {self.name!r} has no trace operator")
-        hom = isinstance(f, HomSet)
-        if not (hom and f.model == self.name):  # rejects a foreign HomSet too
+        hom = f.__class__ is HomSet
+        if hom:
+            self._check_hom(f)
+        else:
             self.check_mor(f)
         # inline, not _structural: the memo keeps the boundary, not f's trace
         key = ("trace", X, A, B, type(X), type(A), type(B))
@@ -331,8 +415,8 @@ class Model:
         """All objects of size <= max_size (every model enumerates them)."""
         raise NotImplementedError
 
-    def enumerate_hom(self, A, B) -> Optional[list]:
-        """The full hom-set as a list, or None when not (feasibly) finite."""
+    def enumerate_hom(self, A, B) -> Optional[HomSet]:
+        """The full hom-set as a HomSet, or None when not (feasibly) finite."""
         return None
 
     def sample_hom(self, rng, A, B) -> Morphism:

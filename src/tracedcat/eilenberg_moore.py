@@ -410,8 +410,7 @@ def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
 
     def lift(algX, algA):
         X, A = algX.carrier, algA.carrier
-        return algX, algX, lambda fs: HomSet(
-            model.name, A, X, [model.fix(X, A, f).payload for f in fs])
+        return algX, algX, lambda fs: model.fix(X, A, fs)
 
     return _check_lifting(b, budget, f"traced_via_fix[{b.name}]",
                           "fix_monad_conclusion", 2, lift)

@@ -22,6 +22,14 @@ every morphism tuple of its hom-sets).  The snake, round-trip, monad and
 Hopf suites are tables too.  ``symmetry_natural`` is marked sampled-only,
 so exhaustive monoidal runs still sample it.
 
+An exhaustive run hands the innermost hom-set of an instantiation to the
+evaluator at once, as a :class:`~tracedcat.core.HomSet` of at most
+``HOM_SLICE`` elements, so the model primitives it calls
+(``compose``, ``tensor``, ``trace``, ``fix``) run once per slice, not
+once per morphism; a one-element hom-set goes in as its Morphism.
+``Recorder.check_hom`` then counts and compares every element, and keeps
+the failures as if each element had been checked on its own.
+
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
 enumerate is sampled instead; an object tuple with a hom-set that
@@ -37,7 +45,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import CapabilityError, EmptyHomError, Model, Morphism
+from .core import (CapabilityError, EmptyHomError, HomSet, Model, Morphism,
+                   UsageError, _check_parallel, _payloads)
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,37 @@ class Recorder:
         self.fail(law, inputs() if callable(inputs) else inputs, lhs, rhs)
         return False
 
+    def check_hom(self, equations, n) -> bool:
+        """Check the equations of one instantiation whose innermost
+        morphism is a HomSet of ``n`` elements.
+
+        Each side is a HomSet of ``n`` elements or a Morphism used for all
+        of them; each element of each equation is one case.  The sides are
+        checked for ownership and parallelism once, as ``mor_eq`` does, and
+        then compared payload by payload.  A mismatch at element ``k`` is
+        kept as the failure of ``lhs[k]`` and ``rhs[k]``, with every HomSet
+        of ``inputs`` read at ``k``: failures come in element order, then
+        equation order, as if each element had been checked alone.
+        """
+        model, found = self.model, []
+        for j, (law, inputs, lhs, rhs) in enumerate(equations):
+            model._check_hom(lhs, rhs)
+            _check_parallel(lhs, rhs)
+            for side in (lhs, rhs):
+                if side.__class__ is HomSet and len(side) != n:
+                    raise UsageError(f"{law}: a side holds {len(side)} "
+                                     f"elements, not {n}")
+            self.cases += n
+            found.extend((k, j) for k, a, b in zip(range(n), _payloads(lhs),
+                                                   _payloads(rhs)) if a != b)
+        for k, j in sorted(found):
+            law, inputs, lhs, rhs = equations[j]
+            inputs = inputs() if callable(inputs) else inputs
+            self.fail(law, {name: _at(value, k)
+                            for name, value in inputs.items()},
+                      _at(lhs, k), _at(rhs, k))
+        return not found
+
     def fail(self, law, inputs, lhs=None, rhs=None):
         """Keep a failure decided elsewhere; no case is counted."""
         self.failures.append(Failure(law, inputs, lhs, rhs))
@@ -111,6 +151,11 @@ class Recorder:
                    "pass" if exhaustive_ok else "inconclusive")
         return CheckReport(suite, self.model.name, self.cases, verdict,
                            self.failures, findings or {})
+
+
+def _at(value, k):
+    """The k-th element of a HomSet; any other value as it is."""
+    return value[k] if value.__class__ is HomSet else value
 
 
 def _rng(budget: CaseBudget, tag: str, i: int) -> random.Random:
@@ -133,6 +178,11 @@ def _homs_enumerable(model):
 
 # ---------------------------------------------------------------- law driver
 
+# The most elements of an innermost hom-set one call of an evaluator gets:
+# the whole of a 117,649-map hom-set at once doubled the peak memory of an
+# exhaustive pfn run.
+HOM_SLICE = 4096
+
 
 @dataclass(frozen=True)
 class LawSpec:
@@ -142,8 +192,10 @@ class LawSpec:
     draw order (``None``: the laws quantify over objects alone), and
     ``sides(*objects, *morphisms)`` returns the equations of that
     instantiation as a list of ``(law, inputs, lhs, rhs)``; laws that share
-    a draw or costly intermediates are one spec.  A spec with
-    ``exhaustive=False`` is sampled even in exhaustive runs.
+    a draw or costly intermediates are one spec.  In an exhaustive run the
+    last morphism may be a HomSet, so ``sides`` builds its equations with
+    the model's primitives only.  A spec with ``exhaustive=False`` is
+    sampled even in exhaustive runs.
     """
     name: str
     arity: int
@@ -158,9 +210,12 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
 
     A sampled case draws its objects, then one morphism per hom-set; the
     draws are seeded by the spec name and case index.  An exhaustive spec
-    takes the product over objects, then over hom-sets.  Each equation is
-    one case.  An exhaustive run that has to sample a spec, or skips an
-    object tuple, is at best ``inconclusive``.
+    takes the product over objects, then over every hom-set but the
+    innermost, which goes to ``spec.sides`` as one HomSet in slices of at
+    most ``HOM_SLICE`` elements (as its Morphism when it has one element;
+    an empty one makes no call).  Each equation of each element is one
+    case.  An exhaustive run that has to sample a spec, or skips an object
+    tuple, is at best ``inconclusive``.
     """
     if objs is None:
         objs = _objects(model, budget)
@@ -176,9 +231,19 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                 if None in homs:
                     skipped += 1  # hom-set beyond the enumeration cap
                     continue
-                for morphisms in itertools.product(*homs):
-                    for equation in spec.sides(*objects, *morphisms):
-                        rec.check(*equation)
+                if not all([hom.payloads for hom in homs]):
+                    continue  # an empty hom-set: no instantiation
+                if not homs or len(homs[-1].payloads) == 1:
+                    for morphisms in itertools.product(*homs):
+                        for equation in spec.sides(*objects, *morphisms):
+                            rec.check(*equation)
+                    continue
+                inner = homs.pop()
+                slices = [inner[k:k + HOM_SLICE]
+                          for k in range(0, len(inner), HOM_SLICE)]
+                for morphisms in itertools.product(*homs, slices):
+                    rec.check_hom(spec.sides(*objects, *morphisms),
+                                  len(morphisms[-1]))
             continue
         if wanted:
             covered = False  # hom-sets do not enumerate

@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .core import (BoundaryError, Model, ModelMismatchError, Morphism,
-                   _structural, check_labels)
+from .core import (BoundaryError, HomSet, Model, ModelMismatchError,
+                   Morphism, _payloads, _structural, check_labels)
 from .monads import BimonadBundle
 
 _LABEL_SETS = {}
@@ -132,23 +132,54 @@ class PfnModel(Model):
     def initial_map(self, A):
         return Morphism(self.name, self.unit_obj(), A, ())
 
+    def _compose_hom(self, g, f):
+        if g.__class__ is HomSet:
+            # f's None entries index the None appended to each table of g
+            m = f.cod.size
+            fs = _payloads(f, lambda ft: tuple(m if v is None else v
+                                               for v in ft))
+            out = [tuple(map((gt + (None,)).__getitem__, ft))
+                   for gt, ft in zip(g.payloads, fs)]
+        else:
+            look = dict(enumerate(g.payload))
+            look[None] = None
+            out = [tuple(map(look.__getitem__, ft)) for ft in f.payloads]
+        return HomSet(self.name, f.dom, g.cod, out)
+
+    def _tensor_hom(self, f, g):
+        nb = f.cod.size
+        gs = _payloads(g, lambda gt: tuple(None if v is None else nb + v
+                                           for v in gt))
+        return HomSet(self.name, self._tensor_obj(f.dom, g.dom),
+                      self._tensor_obj(f.cod, g.cod),
+                      [ft + gt for ft, gt in zip(_payloads(f), gs)])
+
     # iteration trace
     def _trace(self, X, A, B, f):
-        table = f.payload
-        nb = B.size
-        images = []
-        for i in range(A.size):
-            u = table[i]
-            visited = set()
-            while u is not None and u >= nb:
-                x = u - nb
-                if x in visited:
-                    u = None
-                    break
-                visited.add(x)
-                u = table[A.size + x]
-            images.append(u)
-        return Morphism(self.name, A, B, tuple(images))
+        return self._trace_hom(X, A, B, HomSet(self.name, f.dom, f.cod,
+                                               (f.payload,)))[0]
+
+    def _trace_hom(self, X, A, B, hom):
+        # an output still in X after |X| feedback steps has revisited an
+        # X-state, so it diverges and is undefined
+        nb, steps = B.size, range(X.size)
+        feed = A.size - nb   # output nb + x is fed back in at A.size + x
+        inputs = range(A.size)
+        out = []
+        for table in hom.payloads:
+            images = []
+            for i in inputs:
+                u = table[i]
+                for _ in steps:
+                    if u is None or u < nb:
+                        break
+                    u = table[u + feed]
+                else:
+                    if u is not None and u >= nb:
+                        u = None
+                images.append(u)
+            out.append(tuple(images))
+        return HomSet(self.name, A, B, out)
 
     # enumeration / sampling: canonical label sets are 0..k-1
     def enumerate_objects(self, max_size):
@@ -160,8 +191,8 @@ class PfnModel(Model):
         if (B.size + 1) ** A.size > self.hom_cap:
             return None
         opts = [None] + list(range(B.size))
-        return [Morphism(self.name, A, B, images)
-                for images in itertools.product(opts, repeat=A.size)]
+        return HomSet(self.name, A, B,
+                      itertools.product(opts, repeat=A.size))
 
     def sample_hom(self, rng, A, B):
         opts = [None] + list(range(B.size))

@@ -239,8 +239,9 @@ class IntPosetModel(Model):
     def enumerate_objects(self, max_size):
         return list(range(-max_size, max_size + 1))
 
+    @_structural
     def enumerate_hom(self, A, B):
-        return [self.arrow(A, B)] if A <= B else []
+        return HomSet(self.name, A, B, ("le",) if A <= B else ())
 
     def sample_hom(self, rng, A, B):
         if A > B:
@@ -370,24 +371,37 @@ class _PosetModel(Model):
         raise NotImplementedError
 
     def fix(self, X, A, f):
-        self.check_mor(f)
+        """The parametrized fixed point ``A -> X`` of ``f : A x X -> X``; a
+        HomSet ``f`` is checked once and gives the HomSet of fixed points."""
+        hom = f.__class__ is HomSet
+        if hom:
+            self._check_hom(f)
+        else:
+            self.check_mor(f)
         if f.dom != poset_product(A, X) or f.cod != X:
             raise BoundaryError(f"fix needs f : A x X -> X, got "
                                 f"{f.dom!r} -> {f.cod!r}")
-        nx = X.size
-        table = f.payload
-        images = []
-        for i in range(A.size):
-            x = self._start_index(X)
-            for _ in range(nx + 1):
-                nxt = table[i * nx + x]
-                if nxt == x:
-                    break
-                x = nxt
-            else:
-                raise AssertionError("fixed-point iteration failed to settle")
-            images.append(x)
-        return Morphism(self.name, A, X, tuple(images))
+        # its own Kleene loop, not _trace_hom's: check_conway_trace_roundtrip
+        # compares the two
+        nx, start = X.size, self._start_index(X)
+        bases = range(0, A.size * nx, nx)
+        out = []
+        for table in (f.payloads if hom else (f.payload,)):
+            images = []
+            for base in bases:
+                x = start
+                for _ in range(nx + 1):
+                    nxt = table[base + x]
+                    if nxt == x:
+                        break
+                    x = nxt
+                else:
+                    raise AssertionError("fixed-point iteration failed to settle")
+                images.append(x)
+            out.append(tuple(images))
+        if hom:
+            return HomSet(self.name, A, X, out)
+        return Morphism(self.name, A, X, out[0])
 
     def _trace(self, X, A, B, f):
         return self._trace_hom(X, A, B, HomSet(self.name, f.dom, f.cod,
@@ -441,8 +455,7 @@ class _PosetModel(Model):
         est = B.size ** A.size
         if est > self.hom_cap:
             return None
-        return [Morphism(self.name, A, B, t)
-                for t in enumerate_monotone_tables(A, B)]
+        return HomSet(self.name, A, B, enumerate_monotone_tables(A, B))
 
     def sample_hom(self, rng, A, B):
         self.check_obj(A)

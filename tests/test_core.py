@@ -5,7 +5,7 @@ import pytest
 
 from tracedcat.cli import _LAW_MODELS
 from tracedcat.core import (BoundaryError, CapabilityError, HomSet,
-                            ModelMismatchError, Morphism)
+                            ModelMismatchError, Morphism, UsageError)
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import (bounded_poset_two_traces, int_poset_model,
                                    sierpinski)
@@ -189,6 +189,77 @@ def test_trace_of_a_hom_set_checks_its_boundary_once(pfn, fincppo,
 
     with pytest.raises(CapabilityError):
         Untraced().trace(x, ab, x, hom)
+
+
+@pytest.mark.parametrize("name", ["pfn", "fincppo"])
+def test_primitives_on_a_hom_set_equal_their_elements(name, request):
+    model = request.getfixturevalue(name)
+    A = X = model.enumerate_objects(2)[-1]
+    AX = model.tensor_obj(A, X)
+    fs, gs = model.enumerate_hom(AX, AX), model.enumerate_hom(A, A)
+    rev_fs = HomSet(model.name, AX, AX, fs.payloads[::-1])
+    rev_gs = HomSet(model.name, A, A, gs.payloads[::-1])
+    g = gs[len(gs) // 2]
+    k = model.tensor(g, model.identity(X))
+    AAX = model.tensor_obj(A, AX)
+    cases = [  # (result, its boundary, the per-element results)
+        (model.compose(fs, k), (AX, AX), [model.compose(f, k) for f in fs]),
+        (model.compose(k, fs), (AX, AX), [model.compose(k, f) for f in fs]),
+        (model.compose(rev_fs, fs), (AX, AX),
+         [model.compose(r, f) for r, f in zip(rev_fs, fs)]),
+        (model.tensor(gs, fs[1]), (AAX, AAX),
+         [model.tensor(h, fs[1]) for h in gs]),
+        (model.tensor(g, fs), (AAX, AAX), [model.tensor(g, f) for f in fs]),
+        (model.tensor(rev_gs, gs), (AX, AX),
+         [model.tensor(r, h) for r, h in zip(rev_gs, gs)]),
+        (model.trace(X, A, A, fs), (A, A),
+         [model.trace(X, A, A, f) for f in fs]),
+    ]
+    if model.has_conway:
+        hs = model.enumerate_hom(AX, X)
+        cases.append((model.fix(X, A, hs), (A, X),
+                      [model.fix(X, A, h) for h in hs]))
+    for out, boundary, elements in cases:
+        assert isinstance(out, HomSet) and (out.dom, out.cod) == boundary
+        assert len(elements) > 1 and list(out) == elements
+
+    empty = HomSet(model.name, AX, AX, ())
+    for out, boundary in ((model.compose(empty, k), (AX, AX)),
+                          (model.compose(k, empty), (AX, AX)),
+                          (model.compose(empty, fs[:0]), (AX, AX)),
+                          (model.tensor(g, empty), (AAX, AAX)),
+                          (model.trace(X, A, A, empty), (A, A))):
+        assert (len(out), out.dom, out.cod) == (0, *boundary)
+
+    foreign = HomSet("foreign", AX, AX, fs.payloads)
+    for call in (lambda: model.compose(foreign, k),
+                 lambda: model.compose(k, foreign),
+                 lambda: model.tensor(g, foreign),
+                 lambda: model.trace(X, A, A, foreign)):
+        with pytest.raises(ModelMismatchError):
+            call()
+    for call in (lambda: model.compose(gs, k), lambda: model.compose(k, gs),
+                 lambda: model.trace(X, A, A, gs)):
+        with pytest.raises(BoundaryError):
+            call()
+    with pytest.raises(UsageError):
+        model.compose(fs, fs[1:])
+    if model.has_conway:
+        with pytest.raises(ModelMismatchError):
+            model.fix(X, A, HomSet("foreign", AX, X, ()))
+        with pytest.raises(BoundaryError):
+            model.fix(X, A, fs)
+
+
+def test_an_empty_hom_set_builds_no_morphism(zle):
+    # Hom(1, 0) of the integer poset is empty, and arrow(1, 0) raises
+    none = zle.enumerate_hom(1, 0)
+    assert len(none) == 0
+    for out, boundary in ((zle.compose(none, zle.arrow(0, 1)), (0, 0)),
+                          (zle.compose(zle.arrow(0, 0), none), (1, 0)),
+                          (zle.tensor(none, zle.arrow(2, 2)), (3, 2)),
+                          (zle.trace(0, 1, 0, none), (1, 0))):
+        assert (len(out), out.dom, out.cod) == (0, *boundary)
 
 
 # the operations a model must define when it sets each capability flag

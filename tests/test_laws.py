@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
-from tracedcat.core import CapabilityError, Morphism
-from tracedcat.laws import (CaseBudget, LawSpec, _run_specs,
+from tracedcat import laws
+from tracedcat.core import CapabilityError, HomSet, Morphism
+from tracedcat.laws import (CaseBudget, LawSpec, Recorder, _run_specs,
                             check_conway_axioms, check_conway_trace_roundtrip,
                             check_monoidal_laws, check_snake,
                             check_trace_axioms)
 from tracedcat.eilenberg_moore import check_trace_coherence
+from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import MatModel
 from tracedcat.model_order import bounded_poset_two_traces, sierpinski
 from tracedcat.monads import identity_hopf_bundle
@@ -137,7 +141,9 @@ def test_spec_with_several_equations(pfn, exhaustive):
     spec = LawSpec("endomaps", 1, sides, lambda A: ((A, A),))
     budget = CaseBudget(seed=2, cases=30, max_object_size=2)
     report = _run_specs(pfn, budget, "endomaps", (spec,), exhaustive)
-    drawn = list(seen)
+    # an exhaustive run hands a hom-set of several endomaps over at once
+    drawn = [(A, g) for A, f in seen
+             for g in (f if isinstance(f, HomSet) else (f,))]
     assert len(drawn) == (30 if not exhaustive else
                           sum(len(pfn.enumerate_hom(A, A))
                               for A in pfn.enumerate_objects(2)))
@@ -149,3 +155,49 @@ def test_spec_with_several_equations(pfn, exhaustive):
     assert {fl.law for fl in report.failures} == {"is_identity",
                                                   "idempotent"}
     assert report.verdict == "fail"
+
+
+class _MutantPfn(PfnModel):
+    """A trace wrong at one point: the loop ``a -> x0 -> x1 -> x0`` of
+    ``f : 1 (+) 2 -> 1 (+) 2`` is traced to a defined output."""
+
+    def _trace_hom(self, X, A, B, hom):
+        out = super()._trace_hom(X, A, B, hom)
+        if (X.size, A.size, B.size) != (2, 1, 1):
+            return out
+        return HomSet(self.name, A, B,
+                      [(0,) if f == (1, 2, 1) else p
+                       for f, p in zip(hom.payloads, out.payloads)])
+
+
+def test_hom_set_driver_matches_a_morphism_by_morphism_run(monkeypatch):
+    # the exhaustive driver hands the innermost hom-set over in slices;
+    # the reference evaluates every spec on one Morphism at a time
+    model, budget = _MutantPfn(), CaseBudget(seed=0, cases=60,
+                                             max_object_size=2)
+    specs = []
+
+    def capture(model, budget, suite, run, exhaustive=False, objs=None):
+        specs.extend(run)
+        return _run_specs(model, budget, suite, run, exhaustive, objs)
+
+    monkeypatch.setattr(laws, "_run_specs", capture)
+    report = check_trace_axioms(model, budget, exhaustive=True)
+    reference = Recorder(model)
+    objs = model.enumerate_objects(budget.max_object_size)
+    for spec in specs:
+        for objects in itertools.product(objs, repeat=spec.arity):
+            homs = [model.enumerate_hom(dom, cod)
+                    for dom, cod in (spec.homs(*objects) if spec.homs
+                                     else ())]
+            if None in homs:
+                continue
+            for morphisms in itertools.product(*map(list, homs)):
+                for equation in spec.sides(*objects, *morphisms):
+                    reference.check(*equation)
+    assert report.verdict == "fail"
+    assert report.cases_run == reference.cases
+    assert report.failures == reference.failures
+    assert {f.law for f in report.failures} == {
+        "tightening_left", "tightening_right", "sliding", "vanishing_tensor",
+        "superposing"}

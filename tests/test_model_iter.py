@@ -65,7 +65,7 @@ def test_copair_laws_and_uniqueness(pfn):
 def test_initial_map_unique(pfn):
     A = label_set("a")
     assert pfn.initial_map(A).payload == ()
-    assert pfn.enumerate_hom(pfn.unit_obj(), A) == [pfn.initial_map(A)]
+    assert list(pfn.enumerate_hom(pfn.unit_obj(), A)) == [pfn.initial_map(A)]
 
 
 def test_iteration_axioms_exhaustive_tiny(pfn):

@@ -36,8 +36,8 @@ def test_int_poset_basics(zle):
         zle.arrow(3, 1)
     with pytest.raises(EmptyHomError):
         zle.sample_hom(random.Random(0), 3, 1)
-    assert zle.enumerate_hom(1, 1) == [zle.arrow(1, 1)]
-    assert zle.enumerate_hom(2, 1) == []
+    assert list(zle.enumerate_hom(1, 1)) == [zle.arrow(1, 1)]
+    assert list(zle.enumerate_hom(2, 1)) == []
 
 
 def test_n_monad_values(zle, nbundle):
