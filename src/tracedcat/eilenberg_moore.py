@@ -192,12 +192,16 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
     algebra morphism ``f : A (x) X -> tgt`` is sent at once to the HomSet
     ``op(fs)`` of the images ``A -> B``, in order, and each must be an
     algebra morphism again.  Each ``f`` is one case, but the conclusion
-    only sees its image, so each distinct image is decided once, and the
-    run stops at the first failure, which the size order makes minimal.  A
-    tuple whose hom-set cannot be enumerated is skipped and counted, and
-    makes the verdict ``inconclusive`` unless a failure is found.
+    only sees its image, so each distinct image is decided once, in
+    first-seen order.  The run stops at the first failure, which the size
+    order makes minimal: its hom-set counts the cases up to the first
+    ``f`` with the failing image, and that ``f`` is the witness, as if
+    each ``f`` had been checked alone.  A tuple whose hom-set cannot be
+    enumerated is skipped and counted, and makes the verdict
+    ``inconclusive`` unless a failure is found.
     """
-    rec, skipped = Recorder(b.model), 0
+    model = b.model
+    rec, skipped = Recorder(model), 0
     pool = algebra_pool(b, budget)
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
@@ -208,16 +212,18 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
             skipped += 1  # hom-set beyond the enumeration cap
             continue
         images = op(fs)
-        decided = set()
-        for k, g in enumerate(images.payloads):
-            rec.cases += 1
-            if g in decided:
-                continue
-            if not rec.check(law, functools.partial(_witness, algs, fs[k]),
-                             *algebra_morphism_sides(b, algA, algB, images[k]),
-                             count=False):
+        payloads = images.payloads
+        for g in dict.fromkeys(payloads):   # distinct, in first-seen order
+            lhs, rhs = algebra_morphism_sides(
+                b, algA, algB, Morphism(images.model, images.dom,
+                                        images.cod, g))
+            if not model.mor_eq(lhs, rhs):
+                k = payloads.index(g)   # the first f with this image
+                rec.cases += k + 1
+                rec.fail(law, _witness(algs, fs[k]), lhs, rhs)
                 break
-            decided.add(g)
+        else:
+            rec.cases += len(payloads)
         if rec.failures:
             break
     findings = ({"quantification": "exhaustive_with_skips",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, HomSet,
                    Model, ModelMismatchError, Morphism, UsageError,
@@ -118,62 +119,76 @@ def sierpinski() -> FinPoset:
 _UNIT_POSET = poset_from_pairs(("*",), [])
 
 
-def _topo_order(P: FinPoset):
-    below = [sum(1 for j in range(P.size) if P.leq(j, i)) for i in range(P.size)]
-    return sorted(range(P.size), key=lambda i: (below[i], i))
+@lru_cache(maxsize=None)
+def _topo_covers(P: FinPoset):
+    """``(order, covers)``: the indices of P in topological order, each
+    after all its predecessors, and for each index the elements it covers
+    (its lower covers in the Hasse diagram).  A map that is monotone along
+    every cover is monotone."""
+    n = P.size
+    below = [[j for j in range(n) if j != i and P.leq(j, i)]
+             for i in range(n)]
+    order = tuple(sorted(range(n), key=lambda i: (len(below[i]), i)))
+    covers = tuple(tuple(j for j in below[i]
+                         if not any(P.leq(j, k) for k in below[i] if k != j))
+                   for i in range(n))
+    return order, covers
 
 
 def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
-                              narrow=None):
-    """Odometer enumeration of monotone maps P -> Q as index tables.
+                              narrow=None) -> list:
+    """Odometer enumeration of the monotone maps P -> Q, as a list of index
+    tables.
 
-    Positions follow ``_topo_order(P)``, so every predecessor of a position
-    is placed before it.  Candidate images are bitmasks over Q: index i
-    starts from ``fixed[i]`` (or all of Q), and each constraint ``(bits, j)``
-    of i keeps ``bits[f(j)]`` of them; one per predecessor j, with the
-    up-sets of Q as bits, makes f monotone, and ``narrow[i]`` adds more.
-    ``masks[pos]`` keeps the candidates a position has still to try.
-    Tables come out in lexicographic order along ``_topo_order(P)``.
+    Positions follow the topological order of ``_topo_covers(P)``, so every
+    predecessor of a position is placed before it.  Candidate images are
+    bitmasks over Q: index i starts from ``fixed[i]`` (or all of Q), and
+    each constraint ``(bits, j)`` of i keeps ``bits[f(j)]`` of them; one per
+    lower cover j of i, with the up-sets of Q as bits, makes f monotone, and
+    ``narrow[i]`` adds more.  ``steps[pos]`` holds the index, start and
+    constraints of a position, and ``masks[pos]`` the candidates it has
+    still to try; the last position runs through the bits of its mask,
+    listed once per mask.  Tables come out in lexicographic order along the
+    topological order.
     """
     n = P.size
     if n == 0:
-        yield ()
-        return
-    order = _topo_order(P)
+        return [()]
+    order, covers = _topo_covers(P)
     nq = Q.size
     upmask = [sum(1 << v for v in range(nq) if Q.leq(u, v))
               for u in range(nq)]
-    start = [(1 << nq) - 1 if fixed is None else fixed[i] for i in order]
-    constraints = [[(upmask, j) for j in order[:pos] if P.leq(j, i)]
-                   + (narrow[i] if narrow else [])
-                   for pos, i in enumerate(order)]
-    vals = [None] * n
+    steps = [(i, (1 << nq) - 1 if fixed is None else fixed[i],
+              [(upmask, j) for j in covers[i]] + (narrow[i] if narrow else []))
+             for i in order]
+    bits_of = {}   # mask -> its set bits, lowest first
+    out = []
+    append = out.append
+    vals = [0] * n
     masks = [0] * n
     last = n - 1
     pos = -1
     while True:
         # step forward: collect the candidates of the next position
         pos += 1
-        i = order[pos]
-        mask = start[pos]
-        for bits, j in constraints[pos]:
+        i, mask, cons = steps[pos]
+        for bits, j in cons:
             mask &= bits[vals[j]]
         if pos == last:
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                vals[i] = low.bit_length() - 1
-                yield tuple(vals)
-            vals[i] = None
+            vs = bits_of.get(mask)
+            if vs is None:
+                vs = bits_of[mask] = [v for v in range(nq) if mask >> v & 1]
+            for v in vs:
+                vals[i] = v
+                append(tuple(vals))
             pos -= 1
         else:
             masks[pos] = mask
         # step back to the latest position with a candidate left, and take it
         while pos >= 0 and not masks[pos]:
-            vals[order[pos]] = None
             pos -= 1
         if pos < 0:
-            return
+            return out
         mask = masks[pos]
         low = mask & -mask
         masks[pos] = mask ^ low
@@ -210,17 +225,19 @@ class IntPosetModel(Model):
             raise BoundaryError(f"no arrow {n} -> {m} in the integer poset")
         return Morphism(self.name, n, m, "le")
 
+    # the primitives build their arrows directly: their objects are checked
+    # already, and n <= m holds by construction
     def _identity(self, A):
-        return self.arrow(A, A)
+        return Morphism(self.name, A, A, "le")
 
     def _compose(self, g, f):
-        return self.arrow(f.dom, g.cod)
+        return Morphism(self.name, f.dom, g.cod, "le")
 
     def _tensor(self, f, g):
-        return self.arrow(f.dom + g.dom, f.cod + g.cod)
+        return Morphism(self.name, f.dom + g.dom, f.cod + g.cod, "le")
 
     def _sym(self, A, B):
-        return self.arrow(A + B, B + A)
+        return Morphism(self.name, A + B, B + A, "le")
 
     def dual_obj(self, A):
         self.check_obj(A)
@@ -234,7 +251,7 @@ class IntPosetModel(Model):
 
     def _trace(self, X, A, B, f):
         # a + x <= b + x already forces a <= b
-        return self.arrow(A, B)
+        return Morphism(self.name, A, B, "le")
 
     def enumerate_objects(self, max_size):
         return list(range(-max_size, max_size + 1))
@@ -279,6 +296,30 @@ def n_monad(model: IntPosetModel = None) -> BimonadBundle:
 
 # --------------------------------------------------------------- poset models
 # structural morphisms are memoised per model instance, in core.Model._memo
+
+
+class _RowTraces(dict):
+    """Memo of one trace call: row ``f(a, -)`` of ``f : A x X -> B x X``,
+    as a tuple of indices into B x X, to the image of ``a`` under the
+    trace, found by the Kleene iteration of the feedback coordinate from
+    ``start``."""
+
+    __slots__ = ("nx", "start")
+
+    def __init__(self, nx, start):
+        self.nx, self.start = nx, start
+
+    def __missing__(self, row):
+        nx, x = self.nx, self.start
+        for _ in range(nx + 1):
+            nxt = row[x] % nx
+            if nxt == x:
+                break
+            x = nxt
+        else:
+            raise AssertionError("feedback iteration failed to settle")
+        image = self[row] = row[x] // nx
+        return image
 
 
 class _PosetModel(Model):
@@ -411,25 +452,15 @@ class _PosetModel(Model):
         # the fixed point of the feedback coordinate, fed back in, projected
         # out: the pairing/fixed-point/projection formula that
         # check_conway_trace_roundtrip's trace_from_fix law checks, computed
-        # on raw tables (the exhaustive checkers trace millions of them)
+        # on raw tables (the exhaustive checkers trace millions of them).
+        # Image a of a table depends only on its row f(a, -), and the rows
+        # of a hom-set repeat, so each distinct row is traced once.
         nx = X.size
-        start = self._start_index(X)
-        bases = range(0, A.size * nx, nx)
-        out = []
-        for table in hom.payloads:
-            images = []
-            for base in bases:
-                x = start
-                for _ in range(nx + 1):
-                    nxt = table[base + x] % nx
-                    if nxt == x:
-                        break
-                    x = nxt
-                else:
-                    raise AssertionError("feedback iteration failed to settle")
-                images.append(table[base + x] // nx)
-            out.append(tuple(images))
-        return HomSet(self.name, A, B, out)
+        rows = _RowTraces(nx, self._start_index(X)).__getitem__
+        payloads = hom.payloads
+        columns = [map(rows, map(itemgetter(slice(base, base + nx)), payloads))
+                   for base in range(0, A.size * nx, nx)]
+        return HomSet(self.name, A, B, zip(*columns))
 
     # enumeration and sampling
     def enumerate_objects(self, max_size):
@@ -460,14 +491,13 @@ class _PosetModel(Model):
     def sample_hom(self, rng, A, B):
         self.check_obj(A)
         self.check_obj(B)
-        order = _topo_order(A)
+        order, covers = _topo_covers(A)
         for _ in range(32):
             images = {}
             dead = False
-            for pos, i in enumerate(order):
+            for i in order:
                 opts = [v for v in range(B.size)
-                        if all(B.leq(images[j], v)
-                               for j in order[:pos] if A.leq(j, i))]
+                        if all(B.leq(images[j], v) for j in covers[i])]
                 if not opts:
                     dead = True
                     break
@@ -725,7 +755,7 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
     act_t = tgt.action.payload
     np_, nq = P.size, Q.size
 
-    pos_of = {i: pos for pos, i in enumerate(_topo_order(P))}
+    pos_of = {i: pos for pos, i in enumerate(_topo_covers(P)[0])}
     # bitmask tables: image_bit[h][t] is {h.t}, preimage[h][t] is {v : h.v = t}
     image_bit = [[1 << act_t[h * nq + t] for t in range(nq)]
                  for h in range(h_size)]

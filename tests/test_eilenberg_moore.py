@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -8,16 +9,19 @@ from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import FinCppoModel, sigma_meet_bimonad
+from tracedcat.model_order import (FinCppoModel, sigma_join_bimonad,
+                                   sigma_meet_bimonad)
 from tracedcat import eilenberg_moore
 from tracedcat.monads import identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
+                                       algebra_morphism_sides, algebra_pool,
                                        algebra_tensor, check_fix_coherence,
                                        check_trace_coherence,
                                        check_traced_monad,
                                        check_traced_via_fix,
                                        cocartesian_corollary_check,
                                        crosscheck_main_theorem,
+                                       enumerate_algebra_morphisms,
                                        enumerate_algebras, free_algebra,
                                        free_extension_agrees,
                                        is_algebra_morphism, unit_algebra,
@@ -154,6 +158,63 @@ def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
     assert len(calls) == len(eilenberg_moore.algebra_pool(bundle, budget)) ** 3
     assert all(isinstance(f, HomSet) for f in calls)
     assert sum(len(f) for f in calls) == rep.cases_run
+
+
+def _lifting_by_element(b, budget, arity):
+    """The lifting loop of ``check_traced_monad`` (arity 3) or
+    ``check_traced_via_fix`` (arity 2), one algebra morphism at a time:
+    each is traced (or its fixed point taken) alone, and each distinct
+    image is decided once.  Gives the cases run, and the position of the
+    first failing ``f`` in its hom-set with its witness, or None."""
+    model, cases = b.model, 0
+    for algs in itertools.product(algebra_pool(b, budget), repeat=arity):
+        algX, algA = algs[:2]
+        algB = algs[2] if arity == 3 else algX
+        tgt = algebra_tensor(b, algB, algX) if arity == 3 else algX
+        fs = enumerate_algebra_morphisms(b, algebra_tensor(b, algA, algX), tgt)
+        decided = set()
+        for k, f in enumerate(fs):
+            cases += 1
+            if arity == 3:
+                g = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
+            else:
+                g = model.fix(algX.carrier, algA.carrier, f)
+            if g.payload in decided:
+                continue
+            lhs, rhs = algebra_morphism_sides(b, algA, algB, g)
+            if not model.mor_eq(lhs, rhs):
+                inputs = {"f": f}
+                for name, alg in zip("XAB", algs):
+                    inputs[name], inputs[name.lower()] = alg.carrier, alg.action
+                return cases, k, (inputs, lhs, rhs)
+            decided.add(g.payload)
+    return cases, None, None
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_lifting_loop_matches_a_morphism_by_morphism_run(fincppo, size):
+    # sigma_join fails both lifting checks at the first f of a hom-set; its
+    # reversed hom-sets put passing images before the failing one (in the
+    # traced check, one image three times), so the run stops k > 0 cases
+    # into the failing hom-set
+    join = sigma_join_bimonad(fincppo)
+    reverse = dataclasses.replace(
+        join, algmor_enumerator=lambda src, tgt:
+        join.algmor_enumerator(src, tgt)[::-1])
+    budget = CaseBudget(seed=0, cases=20, max_object_size=size)
+    positions = []
+    for b in (join, reverse):
+        for check, arity in ((check_traced_monad, 3),
+                             (check_traced_via_fix, 2)):
+            rep = check(b, budget)
+            cases, k, (inputs, lhs, rhs) = _lifting_by_element(b, budget,
+                                                               arity)
+            assert (rep.verdict, rep.cases_run) == ("fail", cases)
+            [failure] = rep.failures
+            assert failure.inputs == inputs
+            assert (failure.lhs, failure.rhs) == (lhs, rhs)
+            positions.append(k)
+    assert positions == [0, 0, 3, 1]
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):

@@ -14,7 +14,7 @@ from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
 from tracedcat.model_order import (FinCppoModel, FinPoset, PairOb,
                                    _module_morphism_enumerator,
-                                   _strictness_property, _topo_order,
+                                   _strictness_property, _topo_covers,
                                    diagonal_preservation_check,
                                    enumerate_monotone_tables,
                                    poset_from_pairs, poset_product,
@@ -102,13 +102,15 @@ def test_monotone_enumeration_counts():
     assert sorted(maps) == [(0, 0), (0, 1), (1, 1)]
 
 
-def test_monotone_tables_match_brute_force(fincppo):
+def test_monotone_tables_match_brute_force(fincppo, two_traces):
     # every table of range(|Q|)^|P| that is monotone, in lexicographic order
-    # along the topological order the odometer walks
-    objs = fincppo.enumerate_objects(3)
+    # along the topological order the odometer walks; the bounded posets'
+    # tops have predecessors that they do not cover
+    objs = list(dict.fromkeys(fincppo.enumerate_objects(3)
+                              + two_traces.lfp.enumerate_objects(3)))
     domains = objs + [poset_product(A, B) for A in objs for B in objs]
     for P in domains:
-        order = _topo_order(P)
+        order = _topo_covers(P)[0]
         for Q in objs:
             brute = sorted(
                 (t for t in itertools.product(range(Q.size), repeat=P.size)
@@ -163,11 +165,15 @@ def test_equivariant_enumerator_agrees_with_filtering(fincppo):
 
 
 def test_hom_set_traces_equal_element_traces(fincppo, two_traces):
-    # every A, B, X of size <= 2 whose Hom(A x X, B x X) enumerates; each
-    # trace is also the fixed-point formula the Conway round trip checks
+    # every A, B of size <= 2 and X of size <= 3 whose Hom(A x X, B x X)
+    # enumerates; each trace is also the fixed-point formula the Conway
+    # round trip checks.  Rows f(a, -) repeat across a hom-set, and each
+    # distinct row is traced once per call.
+    rows = repeated = 0
     for model in (fincppo, two_traces.lfp, two_traces.gfp):
-        objs = model.enumerate_objects(2)
-        for A, B, X in itertools.product(objs, repeat=3):
+        small = model.enumerate_objects(2)
+        for A, B, X in itertools.product(small, small,
+                                         model.enumerate_objects(3)):
             dom, cod = model.tensor_obj(A, X), model.tensor_obj(B, X)
             homs = model.enumerate_hom(dom, cod)
             if homs is None:
@@ -181,6 +187,12 @@ def test_hom_set_traces_equal_element_traces(fincppo, two_traces):
                 assert tr == model.seq(
                     model.pair(model.identity(A), model.fix(X, A, feedback)),
                     f, model.proj0(B, X))
+            nx = X.size
+            seen = {t[b:b + nx] for t in hom.payloads
+                    for b in range(0, dom.size, nx)}
+            rows += len(hom) * A.size
+            repeated += len(hom) * A.size - len(seen)
+    assert repeated > rows // 2
 
 
 def test_algebra_morphism_hook_must_fit_its_boundary(fincppo):
