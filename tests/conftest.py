@@ -62,6 +62,6 @@ def nbundle(zle):
 
 @pytest.fixture(scope="session")
 def sierpinski_results():
-    # the exhaustive meet run is the most expensive computation in the
-    # suite; share it between the scenario tests and the acceptance gate
+    # the exhaustive meet run is one of the most expensive computations in
+    # the suite; share it between the scenario tests
     return sierpinski_scenarios(CaseBudget(seed=0, cases=50, max_object_size=3))

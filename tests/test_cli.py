@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from tracedcat.cli import (RunConfig, format_report, load_group, load_poset,
-                           main, run_scenario, serialize_report)
+from tracedcat.cli import (SCENARIOS, RunConfig, format_report, load_group,
+                           load_poset, main, run_scenario, serialize_report)
 from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget, check_trace_axioms
 from tracedcat.model_iter import pfn_model
@@ -92,6 +92,7 @@ PINNED_REPORTS = {
 
 
 def test_reports_match_pinned_digests():
+    assert set(PINNED_REPORTS) | {"group-algebra:s3"} == set(SCENARIOS)
     cfg = RunConfig(seed=0, cases=20, max_size=2)
     digests = {name: hashlib.sha256(
                    format_report(run_scenario(name, cfg), "json").encode()
@@ -137,15 +138,19 @@ def test_scenario_table_rejects_empty_budgets(monkeypatch, capsys):
     assert "argument --max-size: must be >= 1" in capsys.readouterr().err
 
 
-def test_verdict_mismatch_exits_nonzero(monkeypatch, capsys):
+@pytest.mark.parametrize("verdict, facts", [("fail", {"answer": 42}),
+                                             ("pass", {"answer": 41})],
+                         ids=["suite-verdict-differs", "fact-differs"])
+def test_verdict_mismatch_exits_nonzero(monkeypatch, capsys, verdict, facts):
     import tracedcat.cli as cli
+    from tracedcat.laws import CheckReport
 
     def fake(config):
-        from tracedcat.laws import CheckReport
-        return [("stub", CheckReport("stub", "mat", 1, "fail"))], False, "forced"
+        return [("stub", CheckReport("stub", "mat", 1, verdict))], facts, "forced"
 
     monkeypatch.setitem(cli.SCENARIOS, "stub",
-                        cli.Scenario("stub", "synthetic mismatch", fake))
+                        cli.Scenario("stub", "synthetic mismatch", fake,
+                                     {"answer": 42}))
     assert main(["run", "stub"]) == 1
     assert "expected_match: NO" in capsys.readouterr().out
 

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used, and failures are
 built in one place.
 
-No linter ships with the project, so this scans each ``tracedcat`` module
-with :mod:`ast`.  A name counts as used when the module loads it anywhere,
+No linter ships with the project, so this scans each ``tracedcat`` module,
+test module and script with :mod:`ast`.  A name counts as used when the module loads it anywhere,
 re-exports it through ``__all__``, or mentions it in a string annotation
 such as ``"TAlgebra"``.
 """
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tracedcat"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tracedcat"
 
 
 def unused_imports(source):
@@ -45,7 +46,10 @@ def test_unused_import_scan():
     assert unused_imports("from .x import T\ndef f() -> 'T': pass\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted((ROOT / "tests").glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -260,11 +260,13 @@ def test_pair_model_is_componentwise(two_traces):
             prod.tensor_obj(A, bad)
 
 
-def test_sierpinski_meet_results(sierpinski_results):
+def test_sierpinski_meet_results(sierpinski_results, fincppo):
     meet = sierpinski_results["meet"]
     assert meet["traced_monad"].verdict == "pass"
     assert meet["traced_via_fix"].verdict == "pass"
+    # no antipode among all three monotone endomaps
     assert meet["antipodes"] == []
+    assert len(fincppo.enumerate_hom(sierpinski(), sierpinski())) == 3
     strictness = sierpinski_results["strictness"]
     assert strictness.verdict == "pass"
     # the 4000-case stop leaves most object triples unchecked, and says so
