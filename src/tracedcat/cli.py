@@ -215,8 +215,9 @@ def _run_z_not_hopf(config: RunConfig):
 
 
 def _run_sierpinski(config: RunConfig, which):
-    sc = sierpinski_scenarios(config.budget(max_size=min(config.max_size, 3)),
-                              parts=(which,))
+    # the join's separating witness needs posets of size 2
+    size = min(max(config.max_size, 2 if which == "join" else 1), 3)
+    sc = sierpinski_scenarios(config.budget(max_size=size), parts=(which,))
     part = sc[which]
     suites = [(name, part[name]) for name in ("traced_monad", "traced_via_fix")]
     if which == "meet":
@@ -231,8 +232,8 @@ def _run_sierpinski(config: RunConfig, which):
 
 
 def _group_bundle(group_name):
-    """The group table, its group algebra's data, the report of the data's
-    Hopf-monoid validation, and its Hopf bundle."""
+    """The group table, the report of its group algebra's Hopf-monoid
+    validation, and its Hopf bundle."""
     if group_name == "c2":
         table = group_table_c2()
     elif group_name == "s3":
@@ -244,7 +245,7 @@ def _group_bundle(group_name):
 
 
 def _run_group_algebra(config: RunConfig, group_name):
-    table, _, hopf_monoid_laws, bundle = _group_bundle(group_name)
+    table, hopf_monoid_laws, bundle = _group_bundle(group_name)
     size = min(config.max_size, 2 if len(table.elements) > 2 else 3)
     budget = config.budget(max_size=size)
     suites = [
@@ -337,7 +338,7 @@ _BUNDLES = {
 
 def _run_mainthm(config: RunConfig, bundle_name):
     bundle = _BUNDLES[bundle_name]()
-    size = 2 if bundle_name.startswith("qs3") else min(config.max_size, 3)
+    size = min(config.max_size, 2 if bundle_name.startswith("qs3") else 3)
     if bundle.model.name in ("fin_cppo", "pfn"):
         size = min(size, 2)
     report = crosscheck_main_theorem(bundle, config.budget(max_size=size))

@@ -196,9 +196,10 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
     first-seen order.  The run stops at the first failure, which the size
     order makes minimal: its hom-set counts the cases up to the first
     ``f`` with the failing image, and that ``f`` is the witness, as if
-    each ``f`` had been checked alone.  A tuple whose hom-set cannot be
-    enumerated is skipped and counted, and makes the verdict
-    ``inconclusive`` unless a failure is found.
+    each ``f`` had been checked alone; a witness that is not an algebra
+    morphism is kept as an ``algebra_morphism_premise`` failure.  A tuple
+    whose hom-set cannot be enumerated is skipped and counted, and makes
+    the verdict ``inconclusive`` unless a failure is found.
     """
     model = b.model
     rec, skipped = Recorder(model), 0
@@ -220,7 +221,12 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
             if not model.mor_eq(lhs, rhs):
                 k = payloads.index(g)   # the first f with this image
                 rec.cases += k + 1
-                rec.fail(law, _witness(algs, fs[k]), lhs, rhs)
+                witness = _witness(algs, fs[k])
+                # the conclusion fails only where its premise holds
+                if rec.check("algebra_morphism_premise", witness,
+                             *algebra_morphism_sides(b, src, tgt, fs[k]),
+                             count=False):
+                    rec.fail(law, witness, lhs, rhs)
                 break
         else:
             rec.cases += len(payloads)
@@ -237,7 +243,8 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
 
     Exhaustive over algebra triples and algebra morphisms when the model
     enumerates hom-sets; otherwise sampled over the bundle's registered
-    algebras and refutation-sound only.
+    algebras and refutation-sound only, each sampled ``f`` one case whose
+    premise (``f`` is an algebra morphism) is checked before its trace.
     """
     model = b.model
     if not model.traced:
@@ -262,10 +269,15 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         src = algebra_tensor(b, algA, algX)
         tgt = algebra_tensor(b, algB, algX)
         for f in sample_algebra_morphisms(b, rng, src, tgt, k=1):
+            # one case: the premise, then the conclusion it licenses
+            witness = functools.partial(_witness, algs, f)
+            if not rec.check("algebra_morphism_premise", witness,
+                             *algebra_morphism_sides(b, src, tgt, f)):
+                continue
             trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-            rec.check("traced_monad_conclusion",
-                      functools.partial(_witness, algs, f),
-                      *algebra_morphism_sides(b, algA, algB, trf))
+            rec.check("traced_monad_conclusion", witness,
+                      *algebra_morphism_sides(b, algA, algB, trf),
+                      count=False)
     return rec.finish(suite,
                       findings={"quantification": "sampled_refutation_only"})
 

@@ -10,16 +10,17 @@ that inverse is transcribed here in Sweedler style (``h |-> h1 (x) h2``)
 from its string-diagram form, so the constructor verifies the round-trip
 ``h_l o h_l_inv = id`` by brute force before handing the bundle out.
 
-Group algebras over Q are the stock example: ``group_algebra`` turns a
-finite Cayley table into Hopf-monoid data on the matrix model, and
-``group_hopf_bundle`` attaches representation-based algebra generators and
-an averaging (Reynolds) sampler for equivariant maps.
+Group algebras over Q are the stock example: ``GroupTable`` validates a
+Cayley table once (labels are names only), ``group_algebra`` turns it into
+Hopf-monoid data on the matrix model, and ``group_hopf_bundle`` attaches
+algebra generators built from the table's representations and an
+averaging (Reynolds) sampler for equivariant maps.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CapabilityError, Model, Morphism, UsageError
@@ -241,97 +242,87 @@ def verify_representable_coherence(bundle: HopfBundle,
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group as labels plus a complete Cayley table."""
+    """A finite group as labels plus a complete Cayley table.
+
+    The labels are names only: the table is validated once, here, and the
+    identity and each element's inverse are kept from that pass.  ``reps``
+    maps a name to a representation (label to square matrix) beyond those
+    every table gives; see ``group_representations``.
+    """
     elements: tuple
     mul: dict
+    reps: dict = field(default_factory=dict)
+    identity_label: object = field(init=False, repr=False, compare=False)
+    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        errs = group_table_errors(self)
-        if errs:
-            raise UsageError("invalid group table: " + errs[0])
+        els, mul = self.elements, self.mul
 
-    @property
-    def identity_label(self):
-        for e in self.elements:
-            if all(self.mul[(e, x)] == x and self.mul[(x, e)] == x
-                   for x in self.elements):
-                return e
-        raise UsageError("group table has no identity")
+        def invalid(reason):
+            raise UsageError("invalid group table: " + reason)
+
+        if len(set(els)) != len(els):
+            invalid("duplicate element labels")
+        for x, y in itertools.product(els, repeat=2):
+            if (x, y) not in mul:
+                invalid(f"missing product {x!r}*{y!r}")
+            if mul[(x, y)] not in els:
+                invalid(f"product {x!r}*{y!r} leaves the element set")
+        for e in els:
+            if all(mul[(e, x)] == x == mul[(x, e)] for x in els):
+                break
+        else:
+            invalid("no identity element")
+        inverses = {}
+        for g in els:
+            for h in els:
+                if mul[(g, h)] == e == mul[(h, g)]:
+                    inverses[g] = h
+                    break
+            else:
+                invalid(f"element {g!r} has no inverse")
+        for x, y, z in itertools.product(els, repeat=3):
+            if mul[(mul[(x, y)], z)] != mul[(x, mul[(y, z)])]:
+                invalid(f"associativity fails on triple ({x!r}, {y!r}, {z!r})")
+        object.__setattr__(self, "identity_label", e)
+        object.__setattr__(self, "_inverses", inverses)
 
     def inverse(self, g):
-        e = self.identity_label
-        for h in self.elements:
-            if self.mul[(g, h)] == e and self.mul[(h, g)] == e:
-                return h
-        raise UsageError(f"group element {g!r} has no inverse")
+        return self._inverses[g]
 
 
-def group_table_errors(table) -> list:
-    els = table.elements
-    errs = []
-    if len(set(els)) != len(els):
-        return ["duplicate element labels"]
-    for x, y in itertools.product(els, repeat=2):
-        if (x, y) not in table.mul:
-            return [f"missing product {x!r}*{y!r}"]
-        if table.mul[(x, y)] not in els:
-            return [f"product {x!r}*{y!r} leaves the element set"]
-    idents = [e for e in els
-              if all(table.mul[(e, x)] == x and table.mul[(x, e)] == x
-                     for x in els)]
-    if not idents:
-        errs.append("no identity element")
-        return errs
-    e = idents[0]
-    for g in els:
-        if not any(table.mul[(g, h)] == e and table.mul[(h, g)] == e
-                   for h in els):
-            errs.append(f"element {g!r} has no inverse")
-            return errs
-    for x, y, z in itertools.product(els, repeat=3):
-        if table.mul[(table.mul[(x, y)], z)] != table.mul[(x, table.mul[(y, z)])]:
-            errs.append(f"associativity fails on triple ({x!r}, {y!r}, {z!r})")
-            return errs
-    return errs
+def _basis_rows(dom, cod, images) -> list:
+    """The 0/1 matrix rows of the linear map sending each basis vector
+    ``x`` of ``dom`` to the basis vector ``images(x)`` of ``cod``."""
+    row_of = {y: r for r, y in enumerate(cod)}
+    rows = [[0] * len(dom) for _ in cod]
+    for c, x in enumerate(dom):
+        rows[row_of[images(x)]][c] = 1
+    return rows
 
 
-def group_algebra(model, table: GroupTable) -> HopfMonoidData:
-    """The group algebra Q[G] as a cocommutative Hopf monoid in matrices.
+def group_algebra(model, table: GroupTable
+                  ) -> tuple[HopfMonoidData, CheckReport]:
+    """The group algebra Q[G] as a cocommutative Hopf monoid in matrices,
+    with the passing report of its Hopf-monoid validation.
 
     Multiplication is linearised group multiplication, the comultiplication
     is grouplike (g |-> g (x) g), the counit sends each g to 1, and the
-    antipode permutes each basis vector to its group inverse.
+    antipode permutes each basis vector to its group inverse.  Raises
+    UsageError if the data fails a Hopf-monoid law.
     """
-    return _validated_group_algebra(model, table)[0]
-
-
-def _validated_group_algebra(model, table: GroupTable):
-    """``group_algebra``'s data with the passing report of its validation;
-    raises UsageError if the data fails a Hopf-monoid law."""
     els = table.elements
     n = len(els)
-    idx = {g: k for k, g in enumerate(els)}
-
-    mult_rows = [[0] * (n * n) for _ in range(n)]
-    for g, h in itertools.product(els, repeat=2):
-        mult_rows[idx[table.mul[(g, h)]]][idx[g] * n + idx[h]] = 1
-    mult = model.morphism(n * n, n, mult_rows)
-
-    unit = model.morphism(1, n, [[1 if g == table.identity_label else 0]
-                                 for g in els])
-    comult_rows = [[0] * n for _ in range(n * n)]
-    for g in els:
-        comult_rows[idx[g] * n + idx[g]][idx[g]] = 1
-    comult = model.morphism(n, n * n, comult_rows)
-
-    counit = model.morphism(n, 1, [[1] * n])
-
-    anti_rows = [[0] * n for _ in range(n)]
-    for g in els:
-        anti_rows[idx[table.inverse(g)]][idx[g]] = 1
-    antipode = model.morphism(n, n, anti_rows)
-
-    d = HopfMonoidData(n, mult, unit, comult, counit, antipode)
+    pairs = list(itertools.product(els, repeat=2))
+    one = ((),)     # the basis of the unit object
+    d = HopfMonoidData(n, *(
+        model.morphism(len(dom), len(cod), _basis_rows(dom, cod, images))
+        for dom, cod, images in (
+            (pairs, els, table.mul.__getitem__),            # mult
+            (one, els, lambda _: table.identity_label),     # unit
+            (els, pairs, lambda g: (g, g)),                 # comult
+            (els, one, lambda _: ()),                       # counit
+            (els, els, table.inverse))))                    # antipode
     report = validate_hopf_monoid(model, d)
     if not report.passed:
         raise UsageError("group algebra failed Hopf-monoid validation: "
@@ -347,18 +338,27 @@ def group_table_c2() -> GroupTable:
     return GroupTable(("e", "s"), mul)
 
 
-def _perm_label(p):
-    return "".join(str(i) for i in p)
-
-
 def group_table_s3() -> GroupTable:
+    """The permutations of three letters in one-line notation, composed
+    right to left, with the 2-dimensional standard representation on the
+    basis ``e0 - e1``, ``e1 - e2`` of the vectors with coordinate sum 0."""
     perms = list(itertools.permutations(range(3)))
-    labels = {p: _perm_label(p) for p in perms}
-    mul = {}
-    for p, q in itertools.product(perms, repeat=2):
-        comp = tuple(p[q[i]] for i in range(3))  # p after q
-        mul[(labels[p], labels[q])] = labels[comp]
-    return GroupTable(tuple(labels[p] for p in perms), mul)
+    label = {p: "".join(map(str, p)) for p in perms}
+    mul = {(label[p], label[q]): label[tuple(p[i] for i in q)]  # p after q
+           for p, q in itertools.product(perms, repeat=2)}
+    standard = {}
+    for p in perms:
+        # p sends e_i - e_(i+1) to v = e_p(i) - e_p(i+1), which is
+        # v_0 (e0 - e1) - v_2 (e1 - e2)
+        cols = []
+        for i in (0, 1):
+            v = [0, 0, 0]
+            v[p[i]] += 1
+            v[p[i + 1]] -= 1
+            cols.append((v[0], -v[2]))
+        standard[label[p]] = tuple(zip(*cols))
+    return GroupTable(tuple(label[p] for p in perms), mul,
+                      {"standard": standard})
 
 
 def _perm_sign(p):
@@ -369,54 +369,23 @@ def _perm_sign(p):
     return sign
 
 
-def group_representations(model, table: GroupTable) -> dict:
-    """Exact irreducible-ish representation table for the builtin groups.
-
-    Always includes the trivial and regular representations; for the
-    builtin permutation groups it adds sign (and, for S3, the 2-dimensional
-    standard representation).
+def group_representations(table: GroupTable) -> dict:
+    """The representations of a group table, each a dict from label to
+    square matrix: trivial, regular, ``sign`` (the determinant of the
+    regular representation, the sign of ``h |-> gh``) when it is not
+    trivial, then the table's own ``reps``.
     """
     els = table.elements
-    n = len(els)
-    idx = {g: k for k, g in enumerate(els)}
-    reps = {}
-    reps["trivial"] = {g: ((1,),) for g in els}
-    regular = {}
+    index = {g: k for k, g in enumerate(els)}
+    regular, sign = {}, {}
     for g in els:
-        rows = [[0] * n for _ in range(n)]
-        for h in els:
-            rows[idx[table.mul[(g, h)]]][idx[h]] = 1
-        regular[g] = tuple(tuple(r) for r in rows)
-    reps["regular"] = regular
-
-    if n == 2:
-        e = table.identity_label
-        reps["sign"] = {g: ((1 if g == e else -1,),) for g in els}
-
-    perms = {}
-    for g in els:
-        try:
-            perms[g] = tuple(int(c) for c in g)
-        except ValueError:
-            perms = None
-            break
-    if perms is not None and all(len(set(p)) == len(p) for p in perms.values()):
-        reps["sign"] = {g: ((_perm_sign(p),),) for g, p in perms.items()}
-        deg = len(next(iter(perms.values())))
-        if deg == 3:
-            # standard representation in the basis e0-e1, e1-e2
-            std = {}
-            for g, p in perms.items():
-                cols = []
-                for v in ((1, -1, 0), (0, 1, -1)):
-                    img = [0, 0, 0]
-                    for i, c in enumerate(v):
-                        img[p[i]] += c
-                    # express img = x*(e0-e1) + y*(e1-e2): x = img0, y = -img2
-                    cols.append((img[0], -img[2]))
-                std[g] = tuple(zip(*cols))
-            reps["standard"] = std
-    return reps
+        gh = {h: table.mul[(g, h)] for h in els}
+        regular[g] = tuple(map(tuple, _basis_rows(els, els, gh.__getitem__)))
+        sign[g] = ((_perm_sign([index[gh[h]] for h in els]),),)
+    reps = {"trivial": {g: ((1,),) for g in els}, "regular": regular}
+    if any(s != ((1,),) for s in sign.values()):
+        reps["sign"] = sign
+    return {**reps, **table.reps}
 
 
 def algebra_from_rep(model, table: GroupTable, rep) -> "TAlgebra":
@@ -435,7 +404,7 @@ def algebra_from_rep(model, table: GroupTable, rep) -> "TAlgebra":
     return TAlgebra(dim, model.morphism(n * dim, dim, rows))
 
 
-def rep_from_action(model, group_size, algebra) -> list:
+def rep_from_action(group_size, algebra) -> list:
     """Recover the per-element matrices from an action morphism."""
     from .model_linear import dense_rows
 
@@ -449,15 +418,15 @@ def rep_from_action(model, group_size, algebra) -> list:
 
 
 def group_hopf_bundle(model, table: GroupTable, name=None
-                      ) -> tuple[HopfMonoidData, CheckReport, HopfBundle]:
-    """The group algebra's Hopf-monoid data, the passing report of its
-    validation, and its induced Hopf bundle, with representation generators
+                      ) -> tuple[CheckReport, HopfBundle]:
+    """The passing report of the group algebra's Hopf-monoid validation and
+    the algebra's induced Hopf bundle, with representation generators
     attached."""
     from .eilenberg_moore import validate_algebra
     from .model_linear import dense_mul
 
-    d, report = _validated_group_algebra(model, table)
-    reps = group_representations(model, table)
+    d, report = group_algebra(model, table)
+    reps = group_representations(table)
     els = table.elements
     n = len(els)
     inv_index = [els.index(table.inverse(g)) for g in els]
@@ -473,23 +442,20 @@ def group_hopf_bundle(model, table: GroupTable, name=None
         return [alg for alg in algebras if alg.carrier == A]
 
     def algmor_sampler(rng, src, tgt):
-        rho_s = rep_from_action(model, n, src)
-        rho_t = rep_from_action(model, n, tgt)
+        rho_s = rep_from_action(n, src)
+        rho_t = rep_from_action(n, tgt)
         raw = tuple(tuple(rng.randint(-3, 3) for _ in range(src.carrier))
                     for _ in range(tgt.carrier))
-        total = None
+        total = [[0] * src.carrier for _ in range(tgt.carrier)]
         for k in range(n):
             term = dense_mul(rho_t[k], dense_mul(raw, rho_s[inv_index[k]]))
-            if total is None:
-                total = [list(r) for r in term]
-            else:
-                for r, row in enumerate(term):
-                    for c, v in enumerate(row):
-                        total[r][c] += v
+            for r, row in enumerate(term):
+                for c, v in enumerate(row):
+                    total[r][c] += v
         scale = Fraction(1, n)
         avg = [[scale * v for v in row] for row in total]
         return model.morphism(src.carrier, tgt.carrier, avg)
 
-    return d, report, induced_hopf_monad(
+    return report, induced_hopf_monad(
         model, d, name=name or f"group_algebra[{n}]",
         algebra_source=algebra_source, algmor_sampler=algmor_sampler)

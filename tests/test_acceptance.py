@@ -98,7 +98,7 @@ def test_criterion_07_mat_partial_trace(mat, qc2, qs3):
     duals_ok = True
     shipped = [(identity_hopf_bundle(mat), ["identity"])]
     for bundle, table in ((qc2, group_table_c2()), (qs3, group_table_s3())):
-        reps = group_representations(mat, table)
+        reps = group_representations(table)
         for rep_name, rep in reps.items():
             alg = algebra_from_rep(mat, table, rep)
             dual = dual_algebra(bundle, alg)  # validates internally

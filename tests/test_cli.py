@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import operator
 import runpy
 from pathlib import Path
 
@@ -8,8 +10,10 @@ import pytest
 from tracedcat.cli import (SCENARIOS, RunConfig, format_report, load_group,
                            load_poset, main, run_scenario, serialize_report)
 from tracedcat.core import UsageError
+from tracedcat.hopf_monoid import group_algebra, group_representations
 from tracedcat.laws import CaseBudget, check_trace_axioms
 from tracedcat.model_iter import pfn_model
+from tracedcat.model_linear import mat_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,6 +142,21 @@ def test_scenario_table_rejects_empty_budgets(monkeypatch, capsys):
     assert "argument --max-size: must be >= 1" in capsys.readouterr().err
 
 
+def test_scenario_table_reproduces_at_size_one(monkeypatch, capsys):
+    # sierpinski-join floors its size at 2, where its witness lives
+    monkeypatch.setattr("sys.argv", ["run_all_scenarios.py", "--max-size",
+                                     "1", "--cases", "20"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_all_scenarios.py"),
+                       run_name="__main__")
+    assert exc.value.code == 0, capsys.readouterr().out
+    # and mainthm-crosscheck:qs3 runs at the size asked for, up to 2
+    cases = [run_scenario("mainthm-crosscheck:qs3",
+                          RunConfig(seed=5, cases=5, max_size=size))
+             ["suites"][0]["cases_run"] for size in (1, 2, 3)]
+    assert cases == [56, 112, 112]
+
+
 @pytest.mark.parametrize("verdict, facts", [("fail", {"answer": 42}),
                                              ("pass", {"answer": 41})],
                          ids=["suite-verdict-differs", "fact-differs"])
@@ -239,6 +258,49 @@ def test_group_algebra_scenario_accepts_file(tmp_path):
                     "mul: e e e\nmul: e s s\nmul: s e s\nmul: s s e\n")
     cfg = RunConfig(seed=5, cases=20, max_size=2)
     payload = run_scenario(f"group-algebra:{path}", cfg)
+    assert payload["expected_match"] is True
+
+
+_PERMS = list(itertools.permutations(range(3)))
+
+# every group of order at most 6: (order, product of element indices), with
+# index 0 the identity
+SMALL_GROUPS = {
+    **{f"c{n}": (n, lambda i, j, n=n: (i + j) % n) for n in range(1, 7)},
+    "v4": (4, operator.xor),
+    "s3": (6, lambda i, j: _PERMS.index(tuple(_PERMS[i][k]
+                                              for k in _PERMS[j]))),
+}
+
+
+@pytest.mark.parametrize("labels", ["letters", "digits"])
+@pytest.mark.parametrize("group", sorted(SMALL_GROUPS))
+def test_group_files_of_small_groups(tmp_path, group, labels):
+    # labels are names only: letters list the identity last, and one-hot
+    # digit strings make it 10..0 (for c2, the file 'elements: 10 01')
+    n, product = SMALL_GROUPS[group]
+    if labels == "letters":
+        label = [chr(ord("z") - k) for k in range(n)]
+        order = label[::-1]
+    else:
+        label = ["".join("1" if i == k else "0" for i in range(n))
+                 for k in range(n)]
+        order = label
+    path = tmp_path / f"{group}.group"
+    path.write_text("\n".join(
+        [f"elements: {' '.join(order)}"]
+        + [f"mul: {label[i]} {label[j]} {label[product(i, j)]}"
+           for i, j in itertools.product(range(n), repeat=2)]) + "\n")
+    table = load_group(str(path))
+    assert table.identity_label == label[0]
+    assert all(table.mul[(g, table.inverse(g))] == label[0]
+               for g in table.elements)
+    assert group_algebra(mat_model(), table)[1].passed
+    # the sign of h |-> gh is trivial exactly when that permutation is even
+    # for every g
+    assert ("sign" in group_representations(table)) == (
+        group in ("c2", "c4", "c6", "s3"))
+    payload = run_scenario(f"group-algebra:{path}", RunConfig(0, 5, 1))
     assert payload["expected_match"] is True
 
 

@@ -56,7 +56,7 @@ def test_algebra_validation(mat, qc2):
 
 def test_sign_tensor_sign_is_trivial(mat, qc2):
     table = group_table_c2()
-    reps = group_representations(mat, table)
+    reps = group_representations(table)
     sign = algebra_from_rep(mat, table, reps["sign"])
     trivial = algebra_from_rep(mat, table, reps["trivial"])
     tensor = algebra_tensor(qc2, sign, sign)
@@ -97,7 +97,7 @@ def test_enumerate_algebras_needs_source_on_mat(mat, qc2):
 
 def test_algebra_morphism_witness(mat, qc2):
     table = group_table_c2()
-    reps = group_representations(mat, table)
+    reps = group_representations(table)
     sign = algebra_from_rep(mat, table, reps["sign"])
     assert is_algebra_morphism(qc2, sign, sign, mat.identity(1))
     regular = algebra_from_rep(mat, table, reps["regular"])
@@ -215,6 +215,22 @@ def test_lifting_loop_matches_a_morphism_by_morphism_run(fincppo, size):
             assert (failure.lhs, failure.rhs) == (lhs, rhs)
             positions.append(k)
     assert positions == [0, 0, 3, 1]
+
+
+def test_lifting_failures_check_their_premise(fincppo):
+    # a hook handing out every monotone map, module map or not: the first
+    # failing f is kept as the premise it breaks
+    meet = sigma_meet_bimonad(fincppo)
+    raw = dataclasses.replace(meet, algmor_enumerator=lambda src, tgt:
+                              fincppo.enumerate_hom(src.carrier, tgt.carrier))
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+    for check in (check_traced_monad, check_traced_via_fix):
+        report = check(raw, budget)
+        assert report.verdict == "fail"
+        assert [fl.law for fl in report.failures] == [
+            "algebra_morphism_premise"]
+        assert not fincppo.mor_eq(report.failures[0].lhs,
+                                  report.failures[0].rhs)
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):

@@ -9,10 +9,12 @@ from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import poset_product, sierpinski
 from tracedcat.eilenberg_moore import (TAlgebra, algebra_tensor,
+                                       check_traced_monad,
                                        free_algebra, is_algebra,
                                        is_algebra_morphism, unit_algebra)
 from tracedcat.hopf_monoid import (GroupTable, HopfMonoidData,
                                    antipode_search, group_algebra,
+                                   group_representations,
                                    group_table_c2, group_table_s3,
                                    induced_bimonad, induced_hopf_monad,
                                    validate_hopf_monoid,
@@ -23,10 +25,10 @@ BUDGET = CaseBudget(seed=17, cases=25, max_object_size=2)
 
 
 def test_group_algebra_structure(mat):
-    d = group_algebra(mat, group_table_c2())
+    d = group_algebra(mat, group_table_c2())[0]
     assert d.carrier == 2
     assert dense_rows(d.antipode) == ((1, 0), (0, 1))  # every element self-inverse
-    s3 = group_algebra(mat, group_table_s3())
+    s3 = group_algebra(mat, group_table_s3())[0]
     anti = dense_rows(s3.antipode)
     table = group_table_s3()
     for j, g in enumerate(table.elements):
@@ -50,9 +52,23 @@ def test_malformed_group_tables():
         GroupTable(els, mul)
 
 
+def test_representation_tables_of_the_builtin_groups():
+    # the algebra pools, and so every seeded draw, follow this key order
+    c2, s3 = group_table_c2(), group_table_s3()
+    reps = group_representations(c2)
+    assert list(reps) == ["trivial", "regular", "sign"]
+    assert reps["sign"] == {"e": ((1,),), "s": ((-1,),)}
+    reps = group_representations(s3)
+    assert list(reps) == ["trivial", "regular", "sign", "standard"]
+    assert {g: m[0][0] for g, m in reps["sign"].items()} == {
+        "012": 1, "021": -1, "102": -1, "120": 1, "201": 1, "210": -1}
+    assert reps["standard"] == s3.reps["standard"]
+    assert reps["standard"]["120"] == ((0, -1), (1, -1))
+
+
 def test_validate_group_hopf_monoids(mat):
     for table in (group_table_c2(), group_table_s3()):
-        assert validate_hopf_monoid(mat, group_algebra(mat, table)).passed
+        assert validate_hopf_monoid(mat, group_algebra(mat, table)[0]).passed
 
 
 def test_trivial_hopf_monoid_on_unit(mat, fincppo):
@@ -106,7 +122,7 @@ def test_sweedler_inverse_on_basis(mat, qc2):
 
 
 def test_wrong_antipode_fails_construction(mat):
-    d = group_algebra(mat, group_table_s3())
+    d = group_algebra(mat, group_table_s3())[0]
     wrong = HopfMonoidData(d.carrier, d.mult, d.unit, d.comult, d.counit,
                            mat.identity(d.carrier))
     with pytest.raises(UsageError, match="round-trip"):
@@ -116,7 +132,7 @@ def test_wrong_antipode_fails_construction(mat):
 def test_modules(mat, qc2):
     # C2-modules are the algebras of H (x) -: the regular module is the free
     # algebra on the unit, the trivial module is the unit algebra
-    d = group_algebra(mat, group_table_c2())
+    d = group_algebra(mat, group_table_c2())[0]
     reg = free_algebra(qc2, 1)
     assert reg.carrier == 2 and mat.mor_eq(reg.action, d.mult)
     assert is_algebra(qc2, reg)
@@ -135,7 +151,7 @@ def test_modules(mat, qc2):
 def test_noncocommutative_comultiplication_breaks_symmetry(mat):
     # replace the grouplike comultiplication with g |-> g (x) gs; the
     # symmetric-bimonad law must now fail
-    d = group_algebra(mat, group_table_c2())
+    d = group_algebra(mat, group_table_c2())[0]
     shift = mat.morphism(2, 2, [[0, 1], [1, 0]])
     skew_comult = mat.compose(
         mat.tensor(mat.identity(2), shift), d.comult)
@@ -162,6 +178,19 @@ def test_module_premise_witness_replays(mat, qc2):
                if fl.law == "module_morphism_premise"]
     assert premise
     assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in premise)
+
+
+def test_sampled_traced_monad_checks_its_premise(mat, qc2):
+    # maps drawn without averaging are mostly not module maps: such an f
+    # fails its premise, is counted once, and its trace is not judged
+    raw = dataclasses.replace(
+        qc2, algmor_sampler=lambda rng, src, tgt:
+            mat.sample_hom(rng, src.carrier, tgt.carrier))
+    report = check_traced_monad(raw, CaseBudget(seed=0, cases=60,
+                                                max_object_size=3))
+    assert (report.verdict, report.cases_run) == ("fail", 60)
+    assert {fl.law for fl in report.failures} == {"algebra_morphism_premise"}
+    assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in report.failures)
 
 
 def test_representable_coherence_passes_traced_skips_through(capped_pfn,

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used, and failures are
-built in one place.
+"""Source hygiene: every name a module imports is used, every parameter of
+a module-level library function is used, and failures are built in one
+place.
 
 No linter ships with the project, so this scans each ``tracedcat`` module,
 test module and script with :mod:`ast`.  A name counts as used when the module loads it anywhere,
@@ -71,3 +72,36 @@ def test_failures_built_only_by_the_recorder():
     calls = {path.name: failure_calls(path.read_text(encoding="utf-8"))
              for path in SRC.glob("*.py") if path.name != "laws.py"}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def unused_parameters(source):
+    """``(line, function, parameter)`` for each parameter of a module-level
+    function of ``source`` that its body never refers to."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (args.posonlyargs + args.args
+                                  + args.kwonlyargs)]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out.extend((node.lineno, node.name, p) for p in params
+                   if p not in used)
+    return out
+
+
+def test_unused_parameter_scan():
+    source = ("def f(a, b, *c, d, **e):\n    return a + len(c)\n"
+              "def g(x):\n    def h():\n        return x\n    return h\n"
+              "class K:\n    def m(self, y):\n        pass\n")
+    assert unused_parameters(source) == [(1, "f", "b"), (1, "f", "d"),
+                                         (1, "f", "e")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    # every module-level function uses each of its parameters
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

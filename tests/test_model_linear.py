@@ -108,7 +108,7 @@ def test_dual_algebra_identity_monad_collapses(mat):
 
 def test_dual_algebra_c2_examples(mat, qc2):
     table = group_table_c2()
-    reps = group_representations(mat, table)
+    reps = group_representations(table)
     regular = algebra_from_rep(mat, table, reps["regular"])
     dual = dual_algebra(qc2, regular)
     # inverse transpose of a permutation representation is itself
@@ -122,7 +122,7 @@ def test_cup_cap_are_algebra_morphisms_for_lift(mat, qc2):
     from tracedcat.eilenberg_moore import algebra_tensor
 
     table = group_table_c2()
-    reps = group_representations(mat, table)
+    reps = group_representations(table)
     for name in ("trivial", "sign", "regular"):
         alg = algebra_from_rep(mat, table, reps[name])
         dual = dual_algebra(qc2, alg)
