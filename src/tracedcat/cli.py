@@ -20,7 +20,8 @@ from .core import Morphism, UsageError
 from .laws import (CaseBudget, CheckReport, check_conway_axioms,
                    check_conway_trace_roundtrip, check_monoidal_laws,
                    check_snake, check_trace_axioms)
-from .model_iter import FinLabelSet, exception_bimonad, label_set, pfn_model
+from .model_iter import (UNDEF, FinLabelSet, exception_bimonad, label_set,
+                         pfn_model)
 from .model_linear import dense_rows, mat_model
 from .model_order import (FinPoset, PairOb, bounded_poset_two_traces,
                           diagonal_preservation_check, fincppo_model,
@@ -92,6 +93,8 @@ def serialize_morphism(f: Morphism):
     elif isinstance(f.payload, tuple) and all(
             isinstance(x, Morphism) for x in f.payload):
         out["components"] = [serialize_morphism(x) for x in f.payload]
+    elif f.model == "pfn":
+        out["table"] = [None if v == UNDEF else v for v in f.payload]
     else:
         out["table"] = list(f.payload)
     return out

@@ -206,7 +206,8 @@ class Model:
     ``check_mor`` runs on none of them.  The work is done by a payload
     kernel, ``_compose_hom``, ``_tensor_hom`` or ``_trace_hom``, which maps
     the per-morphism primitive here and which a model may replace with a
-    loop over raw payloads.  An empty HomSet builds no morphism.
+    loop over raw payloads.  An empty HomSet builds no morphism.  The law
+    driver checks its objects once per run and reuses its hom-sets.
 
     One memo per model instance, ``_memo``, holds what depends on objects
     alone: ``identity``, ``sym``, the associators and unitors (and what else

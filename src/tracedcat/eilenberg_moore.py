@@ -313,7 +313,7 @@ def check_trace_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
 
     def homs(A, B, X):
         TX = hopf.on_obj(X)
-        return ((model.tensor_obj(A, TX), model.tensor_obj(B, TX)),)
+        return ((model._tensor_obj(A, TX), model._tensor_obj(B, TX)),)
 
     spec = LawSpec("trace_coherence", 3,
                    functools.partial(coherence_sides, hopf), homs)
@@ -399,7 +399,7 @@ def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
 
     def homs(A, X):
         TX = hopf.on_obj(X)
-        return ((model.tensor_obj(A, TX), TX),)
+        return ((model._tensor_obj(A, TX), TX),)
 
     spec = LawSpec("fix_coherence", 2,
                    functools.partial(fix_coherence_sides, hopf), homs)

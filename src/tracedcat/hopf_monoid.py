@@ -224,7 +224,7 @@ def verify_representable_coherence(bundle: HopfBundle,
         for f in sample_algebra_morphisms(bundle, rng, src, tgt):
             # one case: the premise, then the conclusion it licenses
             inputs = {"A": A, "B": B, "X": X, "f": f}
-            if not rec.check("module_morphism_premise", inputs,
+            if not rec.check("algebra_morphism_premise", inputs,
                              *algebra_morphism_sides(bundle, src, tgt, f)):
                 continue
             tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)

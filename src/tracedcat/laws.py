@@ -30,6 +30,10 @@ once per morphism; a one-element hom-set goes in as its Morphism.
 ``Recorder.check_hom`` then counts and compares every element, and keeps
 the failures as if each element had been checked on its own.
 
+A run checks each object of its pool once, so the law tables build
+boundaries with the unchecked ``_tensor_obj``; ``_HomSets`` keeps each
+hom-set of at most ``HOM_SLICE`` elements for the rest of the run.
+
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
 enumerate is sampled instead; an object tuple with a hom-set that
@@ -171,9 +175,9 @@ def _size_sorted_objects(model: Model, budget: CaseBudget) -> list:
                   key=lambda o: (model.obj_size(o), repr(o)))
 
 
-def _homs_enumerable(model):
+def _homs_enumerable(model, hom_of=None):
     I = model.unit_obj()
-    return model.enumerate_hom(I, I) is not None
+    return (hom_of or _HomSets(model).__getitem__)((I, I)) is not None
 
 
 # ---------------------------------------------------------------- law driver
@@ -182,6 +186,21 @@ def _homs_enumerable(model):
 # the whole of a 117,649-map hom-set at once doubled the peak memory of an
 # exhaustive pfn run.
 HOM_SLICE = 4096
+
+
+class _HomSets(dict):
+    """One run's memo of ``enumerate_hom``: ``(dom, cod)`` to its HomSet or
+    None.  One of more than ``HOM_SLICE`` elements is not kept, so a run
+    holds at most one at a time."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __missing__(self, boundary):
+        hom = self.model.enumerate_hom(*boundary)
+        if hom is None or len(hom) <= HOM_SLICE:
+            self[boundary] = hom
+        return hom
 
 
 @dataclass(frozen=True)
@@ -215,19 +234,21 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     most ``HOM_SLICE`` elements (as its Morphism when it has one element;
     an empty one makes no call).  Each equation of each element is one
     case.  An exhaustive run that has to sample a spec, or skips an object
-    tuple, is at best ``inconclusive``.
+    tuple, is at best ``inconclusive``.  Each object is checked first.
     """
     if objs is None:
         objs = _objects(model, budget)
-    homs_ok = exhaustive and _homs_enumerable(model)
+    for ob in objs:
+        model.check_obj(ob)
+    hom_of = _HomSets(model).__getitem__
+    homs_ok = exhaustive and _homs_enumerable(model, hom_of)
     rec, skipped, covered = Recorder(model), 0, True
     for spec in specs:
         wanted = exhaustive and spec.exhaustive
         if wanted and (homs_ok or spec.homs is None):
             for objects in itertools.product(objs, repeat=spec.arity):
-                homs = (list(itertools.starmap(model.enumerate_hom,
-                                               spec.homs(*objects)))
-                        if spec.homs else [])
+                homs = list(map(hom_of, spec.homs(*objects))) \
+                    if spec.homs else []
                 if None in homs:
                     skipped += 1  # hom-set beyond the enumeration cap
                     continue
@@ -271,12 +292,13 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
                         exhaustive=False) -> CheckReport:
     """Pentagon, triangle, symmetry involution, hexagon, bifunctoriality."""
     i = model.identity
+    T = model._tensor_obj
 
     def pentagon(A, B, C, D):
-        lhs = model.compose(model.assoc(model.tensor_obj(A, B), C, D),
-                            model.assoc(A, B, model.tensor_obj(C, D)))
+        lhs = model.compose(model.assoc(T(A, B), C, D),
+                            model.assoc(A, B, T(C, D)))
         rhs = model.seq(model.tensor(i(A), model.assoc(B, C, D)),
-                        model.assoc(A, model.tensor_obj(B, C), D),
+                        model.assoc(A, T(B, C), D),
                         model.tensor(model.assoc(A, B, C), i(D)))
         return [("pentagon", {"objects": (A, B, C, D)}, lhs, rhs)]
 
@@ -289,7 +311,7 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
 
     def sym_invol(A, B):
         lhs = model.compose(model.sym(B, A), model.sym(A, B))
-        rhs = i(model.tensor_obj(A, B))
+        rhs = i(T(A, B))
         return [("symmetry_involution", {"objects": (A, B)}, lhs, rhs)]
 
     def hexagon(A, B, C):
@@ -297,7 +319,7 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
                         model.assoc_inv(B, A, C),
                         model.tensor(i(B), model.sym(A, C)))
         rhs = model.seq(model.assoc_inv(A, B, C),
-                        model.sym(A, model.tensor_obj(B, C)),
+                        model.sym(A, T(B, C)),
                         model.assoc_inv(B, C, A))
         return [("hexagon", {"objects": (A, B, C)}, lhs, rhs)]
 
@@ -329,7 +351,7 @@ def check_monoidal_laws(model: Model, budget: CaseBudget,
 
     def tensor_id(A, B):
         lhs = model.tensor(i(A), i(B))
-        rhs = i(model.tensor_obj(A, B))
+        rhs = i(T(A, B))
         return [("tensor_identity", {"objects": (A, B)}, lhs, rhs)]
 
     specs = (
@@ -362,7 +384,7 @@ def check_trace_axioms(model: Model, budget: CaseBudget,
     if not model.traced:
         raise CapabilityError("check_trace_axioms needs a traced model")
     i = model.identity
-    T = model.tensor_obj
+    T = model._tensor_obj
     I = model.unit_obj()
 
     def tightening_left(A, Ap, B, X, f, g):
@@ -472,7 +494,7 @@ def check_conway_axioms(model: Model, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("check_conway_axioms needs a cartesian model "
                               "with a fixed-point operator")
     i = model.identity
-    T = model.tensor_obj
+    T = model._tensor_obj
 
     def fixed_point(A, X, f):
         fx = model.fix(X, A, f)
@@ -530,7 +552,7 @@ def check_conway_trace_roundtrip(model: Model, budget: CaseBudget) -> CheckRepor
         raise CapabilityError("round-trip needs a traced cartesian model "
                               "with a fixed-point operator")
     i = model.identity
-    T = model.tensor_obj
+    T = model._tensor_obj
 
     def roundtrip(A, B, X, f, h):
         # trace -> fix: the fixed point derived from the trace is fix itself

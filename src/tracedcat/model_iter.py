@@ -7,17 +7,28 @@ revisiting an X-state (or stepping on an undefined entry) makes the output
 undefined.  Divergence-as-undefinedness is what lets finite sets carry a
 trace at all: with total functions there is none.
 
-Morphism tables are index-based: entry i is the codomain index or None.
+Morphism tables are ``bytes``: entry i is a codomain index, or ``UNDEF``
+(255) where the map is undefined, and every table maps UNDEF to itself.  So
+each primitive is a C-level ``bytes`` operation (``g o f`` is f translated
+by g padded with ``IDENT``), and a set has at most ``MAX_LABELS`` (254)
+labels: a larger one is a :class:`~tracedcat.core.UsageError`.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add, itemgetter
 
 from .core import (BoundaryError, HomSet, Model, ModelMismatchError,
-                   Morphism, _payloads, _structural, check_labels)
+                   Morphism, UsageError, _payloads, _structural,
+                   check_labels)
 from .monads import BimonadBundle
+
+UNDEF = 255                   # the entry of a table where it is undefined
+IDENT = bytes(range(256))     # IDENT[:n] is the identity table of n labels
+_UNDEFS = bytes([UNDEF]) * 256
+MAX_LABELS = UNDEF - 1
 
 _LABEL_SETS = {}
 
@@ -34,6 +45,8 @@ class FinLabelSet:
         check_labels(labels)
         self = _LABEL_SETS.get(labels)
         if self is None:
+            if len(labels) > MAX_LABELS:
+                raise UsageError(f"a label set has at most {MAX_LABELS} labels")
             self = _LABEL_SETS[labels] = object.__new__(cls)
             object.__setattr__(self, "labels", labels)
             object.__setattr__(self, "size", len(labels))
@@ -61,6 +74,33 @@ def _tagged_union(A: FinLabelSet, B: FinLabelSet) -> FinLabelSet:
                        + tuple((1, y) for y in B.labels))
 
 
+@lru_cache(maxsize=None)
+def _shift(n: int) -> bytes:
+    """The translation table that adds ``n`` to an index and fixes UNDEF."""
+    return IDENT[n:UNDEF] + _UNDEFS[:n + 1]
+
+
+def _mapped(op, x, *args):
+    """``op(payload, *args)`` over a HomSet in C; a Morphism's, repeated."""
+    if x.__class__ is HomSet:
+        return map(op, x.payloads, *map(itertools.repeat, args))
+    return itertools.repeat(op(x.payload, *args))
+
+
+def _resolved(parts, nb, nx):
+    """For each feedback part fb = table[|A|:] of an ``A (+) X -> B (+) X``
+    table, the 256-byte table taking its outputs to the trace's.  A step
+    takes output |B| + x to fb[x], and r is where |X| steps lead; an output
+    still in X has then revisited an X-state, so it diverges (undefined)."""
+    repeat, lo, kill = itertools.repeat, IDENT[:nb], IDENT[:nb] + _UNDEFS[nb:]
+    steps = list(map(bytes.join, parts, repeat((lo, IDENT[nb + nx:]))))
+    r = parts
+    for _ in range(nx - 1):
+        r = list(map(bytes.translate, r, steps))
+    return map(bytes.join, map(bytes.translate, r, repeat(kill)),
+               repeat((lo, kill[nb + nx:])))
+
+
 class PfnModel(Model):
     name = "pfn"
     traced = True
@@ -80,45 +120,41 @@ class PfnModel(Model):
     def _tensor_obj(self, A, B):
         return _tagged_union(A, B)
 
-    # morphisms
+    # morphisms; None is the undefined entry of a table given here
     def table(self, dom, cod, images) -> Morphism:
         images = tuple(images)
         if len(images) != dom.size or any(
                 v is not None and not (0 <= v < cod.size) for v in images):
             raise ModelMismatchError("partial-function table out of range")
-        return Morphism(self.name, dom, cod, images)
+        return Morphism(self.name, dom, cod,
+                        bytes(UNDEF if v is None else v for v in images))
 
     def _identity(self, A):
-        return Morphism(self.name, A, A, tuple(range(A.size)))
+        return Morphism(self.name, A, A, IDENT[:A.size])
 
     def _compose(self, g, f):
-        gt = g.payload
-        images = tuple(None if v is None else gt[v] for v in f.payload)
-        return Morphism(self.name, f.dom, g.cod, images)
+        return Morphism(self.name, f.dom, g.cod,
+                        f.payload.translate(g.payload + IDENT[g.dom.size:]))
 
     def _tensor(self, f, g):
-        nb = f.cod.size
-        images = tuple(f.payload) + tuple(
-            None if v is None else nb + v for v in g.payload)
         return Morphism(self.name, self._tensor_obj(f.dom, g.dom),
-                        self._tensor_obj(f.cod, g.cod), images)
+                        self._tensor_obj(f.cod, g.cod),
+                        f.payload + g.payload.translate(_shift(f.cod.size)))
 
     def _sym(self, A, B):
-        images = tuple(B.size + i for i in range(A.size)) \
-            + tuple(range(B.size))
         return Morphism(self.name, self._tensor_obj(A, B),
-                        self._tensor_obj(B, A), images)
+                        self._tensor_obj(B, A),
+                        IDENT[B.size:B.size + A.size] + IDENT[:B.size])
 
     # coproduct structure
     @_structural
     def inj0(self, A, B):
-        return Morphism(self.name, A, self._tensor_obj(A, B),
-                        tuple(range(A.size)))
+        return Morphism(self.name, A, self._tensor_obj(A, B), IDENT[:A.size])
 
     @_structural
     def inj1(self, A, B):
         return Morphism(self.name, B, self._tensor_obj(A, B),
-                        tuple(A.size + j for j in range(B.size)))
+                        IDENT[A.size:A.size + B.size])
 
     def copair(self, f, g):
         self.check_mor(f)
@@ -126,60 +162,37 @@ class PfnModel(Model):
         if f.cod != g.cod:
             raise BoundaryError("copairing needs a shared codomain")
         dom = self._tensor_obj(f.dom, g.dom)
-        return Morphism(self.name, dom, f.cod, tuple(f.payload) + tuple(g.payload))
+        return Morphism(self.name, dom, f.cod, f.payload + g.payload)
 
     @_structural
     def initial_map(self, A):
-        return Morphism(self.name, self.unit_obj(), A, ())
+        return Morphism(self.name, self.unit_obj(), A, b"")
 
+    # the HomSet kernels map the formula of their primitive in C
     def _compose_hom(self, g, f):
-        if g.__class__ is HomSet:
-            # f's None entries index the None appended to each table of g
-            m = f.cod.size
-            fs = _payloads(f, lambda ft: tuple(m if v is None else v
-                                               for v in ft))
-            out = [tuple(map((gt + (None,)).__getitem__, ft))
-                   for gt, ft in zip(g.payloads, fs)]
-        else:
-            look = dict(enumerate(g.payload))
-            look[None] = None
-            out = [tuple(map(look.__getitem__, ft)) for ft in f.payloads]
-        return HomSet(self.name, f.dom, g.cod, out)
+        return HomSet(self.name, f.dom, g.cod, map(
+            bytes.translate, _payloads(f),
+            _mapped(add, g, IDENT[g.dom.size:])))
 
     def _tensor_hom(self, f, g):
-        nb = f.cod.size
-        gs = _payloads(g, lambda gt: tuple(None if v is None else nb + v
-                                           for v in gt))
         return HomSet(self.name, self._tensor_obj(f.dom, g.dom),
-                      self._tensor_obj(f.cod, g.cod),
-                      [ft + gt for ft, gt in zip(_payloads(f), gs)])
+                      self._tensor_obj(f.cod, g.cod), map(
+                          add, _payloads(f),
+                          _mapped(bytes.translate, g, _shift(f.cod.size))))
 
-    # iteration trace
+    # iteration trace: a HomSet resolves each distinct feedback part once
     def _trace(self, X, A, B, f):
-        return self._trace_hom(X, A, B, HomSet(self.name, f.dom, f.cod,
-                                               (f.payload,)))[0]
+        table, na = f.payload, A.size
+        resolve, = _resolved((table[na:],), B.size, X.size)
+        return Morphism(self.name, A, B, table[:na].translate(resolve))
 
     def _trace_hom(self, X, A, B, hom):
-        # an output still in X after |X| feedback steps has revisited an
-        # X-state, so it diverges and is undefined
-        nb, steps = B.size, range(X.size)
-        feed = A.size - nb   # output nb + x is fed back in at A.size + x
-        inputs = range(A.size)
-        out = []
-        for table in hom.payloads:
-            images = []
-            for i in inputs:
-                u = table[i]
-                for _ in steps:
-                    if u is None or u < nb:
-                        break
-                    u = table[u + feed]
-                else:
-                    if u is not None and u >= nb:
-                        u = None
-                images.append(u)
-            out.append(tuple(images))
-        return HomSet(self.name, A, B, out)
+        feedback = list(map(itemgetter(slice(A.size, None)), hom.payloads))
+        parts = list(dict.fromkeys(feedback))
+        resolve = dict(zip(parts, _resolved(parts, B.size, X.size)))
+        return HomSet(self.name, A, B, map(
+            bytes.translate, map(itemgetter(slice(A.size)), hom.payloads),
+            map(resolve.__getitem__, feedback)))
 
     # enumeration / sampling: canonical label sets are 0..k-1
     def enumerate_objects(self, max_size):
@@ -190,25 +203,24 @@ class PfnModel(Model):
         self.check_obj(B)
         if (B.size + 1) ** A.size > self.hom_cap:
             return None
-        opts = [None] + list(range(B.size))
-        return HomSet(self.name, A, B,
-                      itertools.product(opts, repeat=A.size))
+        return HomSet(self.name, A, B, map(bytes, itertools.product(
+            [UNDEF, *range(B.size)], repeat=A.size)))
 
     def sample_hom(self, rng, A, B):
-        opts = [None] + list(range(B.size))
+        opts = [UNDEF, *range(B.size)]   # the order enumerate_hom uses
         return Morphism(self.name, A, B,
-                        tuple(rng.choice(opts) for _ in range(A.size)))
+                        bytes(rng.choice(opts) for _ in range(A.size)))
 
     def invert(self, f):
         self.check_mor(f)
         if f.dom.size != f.cod.size:
             return None
-        if None in f.payload or len(set(f.payload)) != f.dom.size:
+        if UNDEF in f.payload or len(set(f.payload)) != f.dom.size:
             return None
         inv = [0] * f.cod.size
         for i, v in enumerate(f.payload):
             inv[v] = i
-        return Morphism(self.name, f.cod, f.dom, tuple(inv))
+        return Morphism(self.name, f.cod, f.dom, bytes(inv))
 
 
 def pfn_model() -> PfnModel:
@@ -235,7 +247,7 @@ def exception_bimonad(model: PfnModel, E: FinLabelSet) -> BimonadBundle:
 
     def mu(A):
         na = A.size
-        images = tuple(range(na + ne)) + tuple(range(na, na + ne))
+        images = IDENT[:na + ne] + IDENT[na:na + ne]
         return Morphism(model.name, T(T(A)), T(A), images)
 
     def eta(A):
@@ -243,14 +255,14 @@ def exception_bimonad(model: PfnModel, E: FinLabelSet) -> BimonadBundle:
 
     def m(A, B):
         na, nb = A.size, B.size
-        images = (tuple(range(na))                                  # A -> left A
-                  + tuple(na + ne + b for b in range(nb))           # B -> right B
-                  + tuple(na + e for e in range(ne)))               # E -> left E
+        images = (IDENT[:na]                                  # A -> left A
+                  + IDENT[na + ne:na + ne + nb]                 # B -> right B
+                  + IDENT[na:na + ne])                          # E -> left E
         return Morphism(model.name, T(model.tensor_obj(A, B)),
                         model.tensor_obj(T(A), T(B)), images)
 
     m_unit = Morphism(model.name, T(model.unit_obj()), model.unit_obj(),
-                      (None,) * ne)
+                      _UNDEFS[:ne])
 
     return BimonadBundle(model, f"exception[{ne}]", on_obj=T, on_mor=on_mor,
                          mu=mu, eta=eta, m=m, m_unit=m_unit)

@@ -17,7 +17,7 @@ def test_identity_examples(mat, zle, pfn):
     seven = zle.identity(7)
     assert (seven.dom, seven.cod) == (7, 7)
     ab = label_set("a", "b")
-    assert pfn.identity(ab).payload == (0, 1)
+    assert pfn.identity(ab).payload == bytes([0, 1])
 
 
 def test_compose_examples(mat, zle, fincppo):

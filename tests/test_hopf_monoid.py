@@ -175,7 +175,7 @@ def test_module_premise_witness_replays(mat, qc2):
             mat.sample_hom(rng, src.carrier, tgt.carrier))
     report = verify_representable_coherence(raw, BUDGET)
     premise = [fl for fl in report.failures
-               if fl.law == "module_morphism_premise"]
+               if fl.law == "algebra_morphism_premise"]
     assert premise
     assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in premise)
 

@@ -1,15 +1,17 @@
+import collections
 import itertools
 
 import pytest
 
 from tracedcat import laws
-from tracedcat.core import CapabilityError, HomSet, Morphism
+from tracedcat.core import (CapabilityError, HomSet, ModelMismatchError,
+                            Morphism)
 from tracedcat.laws import (CaseBudget, LawSpec, Recorder, _run_specs,
                             check_conway_axioms, check_conway_trace_roundtrip,
                             check_monoidal_laws, check_snake,
                             check_trace_axioms)
 from tracedcat.eilenberg_moore import check_trace_coherence
-from tracedcat.model_iter import PfnModel
+from tracedcat.model_iter import PfnModel, label_set
 from tracedcat.model_linear import MatModel
 from tracedcat.model_order import bounded_poset_two_traces, sierpinski
 from tracedcat.monads import identity_hopf_bundle
@@ -97,6 +99,29 @@ def test_declined_hom_set_is_skipped_and_counted(capped_pfn):
                                "skipped_object_tuples": 6}
 
 
+def test_driver_checks_objects_then_enumerates_each_hom_set_once(
+        monkeypatch):
+    model, calls = PfnModel(), collections.Counter()
+    enumerate_hom = model.enumerate_hom
+
+    def counted(A, B):
+        calls[A, B] += 1
+        return enumerate_hom(A, B)
+
+    monkeypatch.setattr(model, "enumerate_hom", counted)
+    budget = CaseBudget(seed=0, cases=5, max_object_size=1)
+    report = check_trace_axioms(model, budget, exhaustive=True)
+    assert (report.verdict, report.cases_run) == ("pass", 389)
+    assert len(calls) == 31 and set(calls.values()) == {1}
+
+    def no_case(A):
+        raise AssertionError(f"a case ran on {A!r}")
+
+    with pytest.raises(ModelMismatchError, match="not a finite label set"):
+        _run_specs(model, budget, "objects", (LawSpec("any", 1, no_case),),
+                   exhaustive=True, objs=[label_set(0), 3])
+
+
 class _BrokenTrace(MatModel):
     """Trace that drops the off-diagonal feedback: violates the axioms."""
 
@@ -161,12 +186,19 @@ class _MutantPfn(PfnModel):
     """A trace wrong at one point: the loop ``a -> x0 -> x1 -> x0`` of
     ``f : 1 (+) 2 -> 1 (+) 2`` is traced to a defined output."""
 
+    LOOP, WRONG = bytes([1, 2, 1]), bytes([0])
+
+    def _trace(self, X, A, B, f):
+        if f.payload == self.LOOP and (X.size, A.size, B.size) == (2, 1, 1):
+            return Morphism(self.name, A, B, self.WRONG)
+        return super()._trace(X, A, B, f)
+
     def _trace_hom(self, X, A, B, hom):
         out = super()._trace_hom(X, A, B, hom)
         if (X.size, A.size, B.size) != (2, 1, 1):
             return out
         return HomSet(self.name, A, B,
-                      [(0,) if f == (1, 2, 1) else p
+                      [self.WRONG if f == self.LOOP else p
                        for f, p in zip(hom.payloads, out.payloads)])
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget, check_trace_axioms
-from tracedcat.model_iter import (FinLabelSet, _tagged_union, exception_bimonad,
-                                  label_set)
+from tracedcat.model_iter import (UNDEF, FinLabelSet, _tagged_union,
+                                  exception_bimonad, label_set)
 from tracedcat.monads import (check_bimonad_laws, check_monad_laws,
                               hopf_from_bimonad, idempotence_suite,
                               try_invert_fusion)
@@ -19,7 +19,7 @@ from tracedcat.eilenberg_moore import cocartesian_corollary_check
 def test_trace_examples(pfn):
     x = label_set("x")
     yank = pfn.trace(x, x, x, pfn.sym(x, x))
-    assert yank.payload == (0,)
+    assert yank.payload == bytes([0])
 
     # a self-loop diverges: output undefined for anything routed into it
     A = label_set("a")
@@ -27,10 +27,10 @@ def test_trace_examples(pfn):
     dom = pfn.tensor_obj(A, X)
     f = pfn.table(dom, dom, (1, 1))  # a -> loop state -> itself
     tr = pfn.trace(X, A, A, f)
-    assert tr.payload == (None,)
+    assert tr.payload == bytes([UNDEF])
 
     nowhere = pfn.table(dom, dom, (None, None))
-    assert pfn.trace(X, A, A, nowhere).payload == (None,)
+    assert pfn.trace(X, A, A, nowhere).payload == bytes([UNDEF])
 
 
 def test_trace_terminates_through_states(pfn):
@@ -41,7 +41,7 @@ def test_trace_terminates_through_states(pfn):
     cod = pfn.tensor_obj(B, X)
     # a -> state0 -> state1 -> b
     f = pfn.table(dom, cod, (1, 2, 0))
-    assert pfn.trace(X, A, B, f).payload == (0,)
+    assert pfn.trace(X, A, B, f).payload == bytes([0])
 
 
 def test_copair_laws_and_uniqueness(pfn):
@@ -64,7 +64,7 @@ def test_copair_laws_and_uniqueness(pfn):
 
 def test_initial_map_unique(pfn):
     A = label_set("a")
-    assert pfn.initial_map(A).payload == ()
+    assert pfn.initial_map(A).payload == b""
     assert list(pfn.enumerate_hom(pfn.unit_obj(), A)) == [pfn.initial_map(A)]
 
 
@@ -134,6 +134,18 @@ def test_unhashable_or_repeated_label_is_a_usage_error():
         FinLabelSet([(0, [1])])
     with pytest.raises(UsageError, match="distinct"):
         label_set("a", "a")
+
+
+def test_label_sets_fit_in_a_byte(pfn):
+    with pytest.raises(UsageError, match="at most 254 labels"):
+        label_set(*range(255))
+    half = label_set(*range(128))
+    with pytest.raises(UsageError, match="at most 254 labels"):
+        pfn.tensor_obj(half, half)
+    widest = pfn.identity(label_set(*range(254)))
+    assert pfn.compose(widest, widest) == widest == pfn.invert(widest)
+    assert pfn.tensor(widest, pfn.identity(pfn.unit_obj())).payload \
+        == widest.payload
 
 
 def _sets(draw, lo, hi):

@@ -4,7 +4,9 @@ On the poset models the trace of ``f : A x X -> B x X`` at ``a`` feeds
 back the least fixed point (the greatest, for the descending flavour) of
 ``x |-> f(a, x)_X``, found here among all fixed points by the order.  On
 partial functions it is the execution formula
-``f_AB v V_n f_XB o f_XX^n o f_AX``, the join of partial maps.
+``f_AB v V_n f_XB o f_XX^n o f_AX``, the join of partial maps; the
+partial-function composite and tensor are checked against their
+definitions on tuple tables too, where None is the undefined entry.
 """
 
 import itertools
@@ -12,7 +14,8 @@ import random
 
 import pytest
 
-from tracedcat.model_iter import pfn_model
+from tracedcat.core import HomSet
+from tracedcat.model_iter import UNDEF, pfn_model
 from tracedcat.model_order import (bounded_poset_two_traces, fincppo_model,
                                    poset_product)
 
@@ -61,6 +64,15 @@ def execution_formula(X, A, B, table):
         assert len(outputs) <= 1     # the join of the terms is a partial map
         images.append(outputs.pop() if outputs else None)
     return tuple(images)
+
+
+def as_tuple(table):
+    """A pfn table as a tuple, with None where it is undefined."""
+    return tuple(None if v == UNDEF else v for v in table)
+
+
+def from_tuple(images):
+    return bytes(UNDEF if v is None else v for v in images)
 
 
 def _poset_models():
@@ -118,5 +130,51 @@ def test_pfn_traces_follow_the_execution_formula():
         pfn,
         _hom_sets(pfn, 2, lambda X, A, B: (pfn.tensor_obj(A, X),
                                            pfn.tensor_obj(B, X))),
-        execution_formula)
+        lambda X, A, B, table: from_tuple(
+            execution_formula(X, A, B, as_tuple(table))))
     assert checked == 1388
+
+
+def composite(f, g):
+    """g after f, on tuple tables."""
+    gt = as_tuple(g.payload)
+    return tuple(None if v is None else gt[v] for v in as_tuple(f.payload))
+
+
+def tensor_product(f, g):
+    """f (+) g on tuple tables: g's entries follow f's codomain."""
+    nb = f.cod.size
+    return as_tuple(f.payload) + tuple(None if v is None else nb + v
+                                       for v in as_tuple(g.payload))
+
+
+def _check_kernel(op, definition, fs, gs):
+    """``op`` on two zipped HomSets, and on a HomSet with a Morphism, gives
+    element by element ``op`` on each pair of Morphisms, and that is the
+    definition."""
+    pairs = list(itertools.product(fs, gs))
+    runs = [(op(HomSet("pfn", fs.dom, fs.cod, [f.payload for f, _ in pairs]),
+                HomSet("pfn", gs.dom, gs.cod, [g.payload for _, g in pairs])),
+             pairs)]
+    runs += [(op(f, gs), [(f, g) for g in gs]) for f in fs]
+    runs += [(op(fs, g), [(f, g) for f in fs]) for g in gs]
+    for hom, run in runs:
+        assert hom.__class__ is HomSet and len(hom) == len(run)
+        for h, (f, g) in zip(hom, run):
+            assert h == op(f, g)
+            assert as_tuple(h.payload) == definition(f, g)
+    return len(pairs)
+
+
+def test_pfn_compose_and_tensor_kernels_follow_their_definitions():
+    pfn = pfn_model()
+    objects = pfn.enumerate_objects(2)
+    homs = [pfn.enumerate_hom(A, B)
+            for A, B in itertools.product(objects, repeat=2)]
+    composed = tensored = 0
+    for fs, gs in itertools.product(homs, repeat=2):
+        tensored += _check_kernel(pfn.tensor, tensor_product, fs, gs)
+        if fs.cod == gs.dom:
+            composed += _check_kernel(lambda f, g: pfn.compose(g, f),
+                                      composite, fs, gs)
+    assert (composed, tensored) == (233, 529)
