@@ -51,6 +51,11 @@ class EmptyHomError(ModelError):
     """A sampler was asked for a morphism out of an empty hom-set."""
 
 
+# the entry of a ``bytes`` table (a partial function's, in ``model_iter``)
+# where the map is undefined
+UNDEF = 255
+
+
 def check_labels(labels: tuple) -> None:
     """The labels of an interned object must be hashable and distinct."""
     for label in labels:
@@ -94,7 +99,10 @@ class Morphism:
         return hash((self.model, self.dom, self.cod, self.payload))
 
     def __repr__(self):  # short, for failure witnesses
-        return f"Mor[{self.model}]({self.dom!r} -> {self.cod!r}; {self.payload!r})"
+        payload = self.payload
+        if payload.__class__ is bytes:  # a table: indices, None undefined
+            payload = tuple(None if v == UNDEF else v for v in payload)
+        return f"Mor[{self.model}]({self.dom!r} -> {self.cod!r}; {payload!r})"
 
 
 _set_model, _set_dom, _set_cod, _set_payload = (
@@ -196,10 +204,10 @@ class Model:
     are derived here through ``_strict``.  The public wrappers do the
     boundary/ownership checking once, in one place.
 
-    ``compose``, ``tensor`` and ``trace`` (and ``fix`` where a model has
-    it) also take a :class:`HomSet` in any morphism argument, as the
-    exhaustive law driver hands them the innermost hom-set of a law.  They
-    check its owner and boundary once and return the HomSet of the
+    ``compose``, ``tensor`` and ``trace`` (and ``fix`` and ``pair`` where a
+    model has them) also take a :class:`HomSet` in any morphism argument,
+    as the exhaustive law driver hands them the innermost hom-set of a law.
+    They check its owner and boundary once and return the HomSet of the
     element-wise results; two HomSet arguments are zipped, since they index
     the same innermost element, and a Morphism argument is used for every
     element.  A HomSet's payloads are trusted as the model's own:

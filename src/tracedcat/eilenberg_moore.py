@@ -183,8 +183,20 @@ def _witness(algs, f):
     return inputs
 
 
-def _check_lifting(b, budget: CaseBudget, suite, law, arity,
-                   lift) -> CheckReport:
+def _first_failure(b, algA, algB, images):
+    """The first distinct image, in first-seen order, that is no algebra
+    morphism ``algA -> algB``, with both sides, or None."""
+    model = b.model
+    for g in dict.fromkeys(images.payloads):
+        lhs, rhs = algebra_morphism_sides(
+            b, algA, algB, Morphism(images.model, images.dom, images.cod, g))
+        if not model.mor_eq(lhs, rhs):
+            return g, lhs, rhs
+    return None
+
+
+def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
+                   components=None) -> CheckReport:
     """Exhaustive lifting loop of the traced and fixed-point checkers.
 
     For every size-ordered tuple ``(X, A, ...)`` of ``arity`` algebras,
@@ -200,65 +212,137 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity,
     morphism is kept as an ``algebra_morphism_premise`` failure.  A tuple
     whose hom-set cannot be enumerated is skipped and counted, and makes
     the verdict ``inconclusive`` unless a failure is found.
+
+    ``components(src, tgt, X, A, ...)``, where given, may decide a tuple
+    without its joint hom-set: it returns None to leave the tuple to the
+    joint path, or ``(n, images)``, the number of cases and the HomSet of
+    every distinct image (None for a declined hom-set).  A tuple whose
+    images all pass adds ``n`` cases; one with a failing image is replayed
+    on its joint hom-set, so its count and witness are the joint path's.
     """
     model = b.model
     rec, skipped = Recorder(model), 0
     pool = algebra_pool(b, budget)
+    tensor = functools.cache(functools.partial(algebra_tensor, b))
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
-        src = algebra_tensor(b, algA, algX)
+        src = tensor(algA, algX)
         algB, tgt, op = lift(*algs)
+        decided = components and components(src, tgt, *algs)
+        if decided:
+            n, images = decided
+            if images is None:
+                skipped += 1  # a component hom-set beyond the cap
+                continue
+            if _first_failure(b, algA, algB, images) is None:
+                rec.cases += n
+                continue
         fs = enumerate_algebra_morphisms(b, src, tgt)
         if fs is None:
             skipped += 1  # hom-set beyond the enumeration cap
             continue
         images = op(fs)
-        payloads = images.payloads
-        for g in dict.fromkeys(payloads):   # distinct, in first-seen order
-            lhs, rhs = algebra_morphism_sides(
-                b, algA, algB, Morphism(images.model, images.dom,
-                                        images.cod, g))
-            if not model.mor_eq(lhs, rhs):
-                k = payloads.index(g)   # the first f with this image
-                rec.cases += k + 1
-                witness = _witness(algs, fs[k])
-                # the conclusion fails only where its premise holds
-                if rec.check("algebra_morphism_premise", witness,
-                             *algebra_morphism_sides(b, src, tgt, fs[k]),
-                             count=False):
-                    rec.fail(law, witness, lhs, rhs)
-                break
-        else:
-            rec.cases += len(payloads)
-        if rec.failures:
-            break
+        failure = _first_failure(b, algA, algB, images)
+        if failure is None:
+            rec.cases += len(fs)
+            continue
+        g, lhs, rhs = failure
+        k = images.payloads.index(g)   # the first f with this image
+        rec.cases += k + 1
+        witness = _witness(algs, fs[k])
+        # the conclusion fails only where its premise holds
+        if rec.check("algebra_morphism_premise", witness,
+                     *algebra_morphism_sides(b, src, tgt, fs[k]),
+                     count=False):
+            rec.fail(law, witness, lhs, rhs)
+        break
     findings = ({"quantification": "exhaustive_with_skips",
                  "skipped_object_tuples": skipped} if skipped
                 else {"quantification": "exhaustive"})
     return rec.finish(suite, exhaustive_ok=not skipped, findings=findings)
 
 
+def _product_components(b):
+    """The component path of the exhaustive traced-monad check on a
+    cartesian model with fixed points, or None elsewhere.
+
+    Its product gate asks whether ``B (x) X`` carries the product algebra,
+    ``<a_B o T p_B, a_X o T p_X>``; a triple that fails it is left to the
+    joint path.  Where it holds, the algebra morphisms ``f : A (x) X ->
+    B (x) X`` are the pairs ``<f_B, f_X>`` of algebra morphisms into each
+    factor (as ``T`` preserves composition), and the trace of one is ``f_B o <1, fix f_X>`` (the trace of a
+    Conway operator), so it sees ``f_X`` only through its fixed point.
+    Every ``f_B`` is paired with one ``f_X`` per distinct fixed point, and
+    the model traces the pairs in one call: that gives every image of the
+    joint hom-set, whose ``|Alg(A (x) X, B)| * |Alg(A (x) X, X)|`` maps
+    are the cases.  A declined component hom-set skips the triple.  The
+    gate depends on ``(B, X)`` alone and the ``f_X`` side on ``(X, A)``, so
+    each is worked out once per pair.
+    """
+    model = b.model
+    if not (model.cartesian and model.has_conway):
+        return None
+
+    @functools.cache
+    def is_product(tgt, algB, algX):
+        B, X = algB.carrier, algX.carrier
+        return tgt.action == model.pair(
+            model.compose(algB.action, b.on_mor(model.proj0(B, X))),
+            model.compose(algX.action, b.on_mor(model.proj1(B, X))))
+
+    @functools.cache
+    def by_fixed_point(src, algX, algA):
+        """``|Alg(A (x) X, X)|`` and one ``f_X`` per fixed point, or None."""
+        fxs = enumerate_algebra_morphisms(b, src, algX)
+        if fxs is None:
+            return None
+        fixes = model.fix(algX.carrier, algA.carrier, fxs)
+        return len(fxs), list(dict(zip(fixes.payloads, fxs.payloads)).values())
+
+    def components(src, tgt, algX, algA, algB):
+        if not is_product(tgt, algB, algX):
+            return None
+        fixed = by_fixed_point(src, algX, algA)
+        fbs = enumerate_algebra_morphisms(b, src, algB)
+        if fixed is None or fbs is None:
+            return 0, None
+        n_x, reps = fixed
+        pairs = model.pair(
+            HomSet(model.name, src.carrier, algB.carrier,
+                   [f for f in fbs.payloads for _ in reps]),
+            HomSet(model.name, src.carrier, algX.carrier, reps * len(fbs)))
+        return (len(fbs) * n_x,
+                model.trace(algX.carrier, algA.carrier, algB.carrier, pairs))
+
+    return components
+
+
 def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
     """Traces of algebra morphisms must be algebra morphisms again.
 
     Exhaustive over algebra triples and algebra morphisms when the model
-    enumerates hom-sets; otherwise sampled over the bundle's registered
-    algebras and refutation-sound only, each sampled ``f`` one case whose
-    premise (``f`` is an algebra morphism) is checked before its trace.
+    enumerates hom-sets; on a cartesian model with fixed points, a triple
+    whose target passes the product gate of :func:`_product_components` is
+    decided one product component at a time, and replayed on its joint
+    hom-set only if an image fails.  Otherwise sampled over the bundle's
+    registered algebras and refutation-sound only, each sampled ``f`` one
+    case whose premise (``f`` is an algebra morphism) is checked before its
+    trace.
     """
     model = b.model
     if not model.traced:
         raise CapabilityError("check_traced_monad needs a traced model")
     suite = f"traced_monad[{b.name}]"
     if _homs_enumerable(model):
+        tensor = functools.cache(functools.partial(algebra_tensor, b))
 
         def lift(algX, algA, algB):
-            return (algB, algebra_tensor(b, algB, algX),
+            return (algB, tensor(algB, algX),
                     functools.partial(model.trace, algX.carrier,
                                       algA.carrier, algB.carrier))
 
-        return _check_lifting(b, budget, suite,
-                              "traced_monad_conclusion", 3, lift)
+        return _check_lifting(b, budget, suite, "traced_monad_conclusion",
+                              3, lift, _product_components(b))
 
     rec = Recorder(model)
     pool = algebra_pool(b, budget)

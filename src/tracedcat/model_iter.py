@@ -20,12 +20,11 @@ import itertools
 from functools import lru_cache
 from operator import add, itemgetter
 
-from .core import (BoundaryError, HomSet, Model, ModelMismatchError,
+from .core import (UNDEF, BoundaryError, HomSet, Model, ModelMismatchError,
                    Morphism, UsageError, _payloads, _structural,
                    check_labels)
 from .monads import BimonadBundle
 
-UNDEF = 255                   # the entry of a table where it is undefined
 IDENT = bytes(range(256))     # IDENT[:n] is the identity table of n labels
 _UNDEFS = bytes([UNDEF]) * 256
 MAX_LABELS = UNDEF - 1

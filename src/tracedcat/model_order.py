@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, HomSet,
                    Model, ModelMismatchError, Morphism, UsageError,
-                   _structural, check_labels)
+                   _payloads, _structural, check_labels)
 from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
 
@@ -394,14 +394,29 @@ class _PosetModel(Model):
                         tuple(j for _ in range(A.size) for j in range(B.size)))
 
     def pair(self, f, g):
-        self.check_mor(f)
-        self.check_mor(g)
+        """``<f, g>``; a HomSet argument gives a HomSet, as ``compose``."""
+        hom = f.__class__ is HomSet or g.__class__ is HomSet
+        if hom:
+            self._check_hom(f, g)
+        else:
+            self.check_mor(f)
+            self.check_mor(g)
         if f.dom != g.dom:
             raise BoundaryError("pairing needs a shared domain")
-        nb = g.cod.size
-        images = tuple(f.payload[i] * nb + g.payload[i]
-                       for i in range(f.dom.size))
-        return Morphism(self.name, f.dom, poset_product(f.cod, g.cod), images)
+        cod = poset_product(f.cod, g.cod)
+        scale = g.cod.size.__mul__
+        if not hom:
+            return Morphism(self.name, f.dom, cod, tuple(
+                map(add, map(scale, f.payload), g.payload)))
+        if f.__class__ is HomSet:  # its tables may repeat: scale each once
+            scaled = {fp: tuple(map(scale, fp))
+                      for fp in dict.fromkeys(f.payloads)}
+            fps = map(scaled.__getitem__, f.payloads)
+        else:
+            fps = itertools.repeat(tuple(map(scale, f.payload)))
+        return HomSet(self.name, f.dom, cod,
+                      map(tuple, map(map, itertools.repeat(add), fps,
+                                     _payloads(g))))
 
     @_structural
     def terminal_map(self, A):

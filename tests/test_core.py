@@ -219,6 +219,19 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
         hs = model.enumerate_hom(AX, X)
         cases.append((model.fix(X, A, hs), (A, X),
                       [model.fix(X, A, h) for h in hs]))
+    if model.cartesian:
+        h = hs[len(hs) // 2]
+        twice = HomSet(model.name, AX, X, [p for p in hs.payloads
+                                           for _ in (0, 1)])
+        rev_twice = HomSet(model.name, AX, X, twice.payloads[::-1])
+        cases += [
+            (model.pair(fs, h), (AX, model.tensor_obj(AX, X)),
+             [model.pair(f, h) for f in fs]),
+            (model.pair(h, fs), (AX, model.tensor_obj(X, AX)),
+             [model.pair(h, f) for f in fs]),
+            (model.pair(twice, rev_twice), (AX, model.tensor_obj(X, X)),
+             [model.pair(p, r) for p, r in zip(twice, rev_twice)]),
+        ]
     for out, boundary, elements in cases:
         assert isinstance(out, HomSet) and (out.dom, out.cod) == boundary
         assert len(elements) > 1 and list(out) == elements
@@ -249,6 +262,18 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
             model.fix(X, A, HomSet("foreign", AX, X, ()))
         with pytest.raises(BoundaryError):
             model.fix(X, A, fs)
+    if model.cartesian:
+        pairs = model.pair(fs, h)
+        assert model.compose(model.proj0(AX, X),
+                             pairs).payloads == fs.payloads
+        assert list(model.compose(model.proj1(AX, X), pairs)) == [h] * len(fs)
+        assert len(model.pair(fs[:0], h)) == 0
+        with pytest.raises(ModelMismatchError):
+            model.pair(foreign, h)
+        with pytest.raises(BoundaryError):
+            model.pair(gs, fs[:len(gs)])
+        with pytest.raises(UsageError):
+            model.pair(fs, fs[1:])
 
 
 def test_an_empty_hom_set_builds_no_morphism(zle):

@@ -9,8 +9,9 @@ from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import (FinCppoModel, sigma_join_bimonad,
-                                   sigma_meet_bimonad)
+from tracedcat.model_order import (BoundedPosetModel, FinCppoModel,
+                                   fincppo_model, sierpinski,
+                                   sigma_join_bimonad, sigma_meet_bimonad)
 from tracedcat import eilenberg_moore
 from tracedcat.monads import identity_hopf_bundle
 from tracedcat.eilenberg_moore import (AlgebraLawError, TAlgebra,
@@ -140,9 +141,11 @@ def test_traced_monad_checks(nbundle, qc2):
 
 def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
                                                          monkeypatch):
-    # one public Model.trace call per algebra triple, on the whole HomSet
-    # of its algebra morphisms: the span perfbench's traced run requires on
-    # the exhaustive workload, and one case per morphism
+    # one public Model.trace call per algebra triple, on one HomSet: the
+    # span perfbench's traced run requires on the exhaustive workload.  On
+    # fin_cppo every triple takes the component path, whose HomSet pairs
+    # each f_B with one f_X per fixed point, while each f of the joint
+    # hom-set is still one case
     calls = []
     trace = Model.trace
 
@@ -154,10 +157,20 @@ def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
     bundle = sigma_meet_bimonad(fincppo)
     budget = CaseBudget(seed=0, cases=20, max_object_size=2)
     rep = check_traced_monad(bundle, budget)
+    monkeypatch.undo()
+    pool = eilenberg_moore.algebra_pool(bundle, budget)
     assert rep.verdict == "pass" and rep.cases_run > 0
-    assert len(calls) == len(eilenberg_moore.algebra_pool(bundle, budget)) ** 3
+    assert len(calls) == len(pool) ** 3
     assert all(isinstance(f, HomSet) for f in calls)
-    assert sum(len(f) for f in calls) == rep.cases_run
+    traced = 0
+    for algX, algA, algB in itertools.product(pool, repeat=3):
+        src = algebra_tensor(bundle, algA, algX)
+        fxs = enumerate_algebra_morphisms(bundle, src, algX)
+        fixes = set(fincppo.fix(algX.carrier, algA.carrier, fxs).payloads)
+        traced += len(enumerate_algebra_morphisms(bundle, src, algB)) * len(
+            fixes)
+    assert sum(len(f) for f in calls) == traced
+    assert rep.cases_run == _lifting_by_element(bundle, budget, 3)[0]
 
 
 def _lifting_by_element(b, budget, arity):
@@ -231,6 +244,106 @@ def test_lifting_failures_check_their_premise(fincppo):
             "algebra_morphism_premise"]
         assert not fincppo.mor_eq(report.failures[0].lhs,
                                   report.failures[0].rhs)
+
+
+def _reversed_hook(b):
+    """``b`` with every algebra-morphism hom-set of its hook reversed."""
+    return dataclasses.replace(b, algmor_enumerator=lambda src, tgt:
+                               b.algmor_enumerator(src, tgt)[::-1])
+
+
+def _raw_hook(b):
+    """``b`` with a hook handing out every map, algebra morphism or not."""
+    return dataclasses.replace(b, algmor_enumerator=lambda src, tgt:
+                               b.model.enumerate_hom(src.carrier, tgt.carrier))
+
+
+def _unpaired_m(b):
+    """``b``, a monoid bundle over the Sierpinski poset, with ``m(A, B)``
+    sending ``(h, (a, b))`` to ``((h, a), (1, b))``: the tensor ``B (x) X``
+    of two algebras is still an algebra, acted on in ``B`` alone, so it is
+    the product algebra only where ``X``'s action is trivial."""
+    model, H = b.model, sierpinski()
+
+    def m(A, B):
+        return model.pair(
+            b.on_mor(model.proj0(A, B)),
+            model.seq(model.proj1(H, model.tensor_obj(A, B)),
+                      model.proj1(A, B), b.eta(B)))
+
+    return dataclasses.replace(b, m=m)
+
+
+def _traced_both_ways(b, budget, monkeypatch):
+    """``check_traced_monad`` with and without its component path, and for
+    each triple whether the product gate let the components decide it."""
+    gated = []
+    real = eilenberg_moore._product_components
+
+    def spy(b):
+        components = real(b)
+
+        def gate(*args):
+            out = components(*args)
+            gated.append(out is not None)
+            return out
+
+        return gate
+
+    monkeypatch.setattr(eilenberg_moore, "_product_components", spy)
+    by_components = check_traced_monad(b, budget)
+    monkeypatch.setattr(eilenberg_moore, "_product_components",
+                        lambda b: None)
+    joint = check_traced_monad(b, budget)
+    monkeypatch.undo()
+    return by_components, joint, gated
+
+
+_CARTESIAN_BUNDLES = {
+    "sigma_meet": lambda: sigma_meet_bimonad(fincppo_model()),
+    "sigma_join": lambda: sigma_join_bimonad(fincppo_model()),
+    "identity:fincppo": lambda: identity_hopf_bundle(fincppo_model()),
+    "identity:bposet-lfp": lambda: identity_hopf_bundle(
+        BoundedPosetModel("lfp")),
+    "identity:bposet-gfp": lambda: identity_hopf_bundle(
+        BoundedPosetModel("gfp")),
+    "sigma_join-reversed": lambda: _reversed_hook(
+        sigma_join_bimonad(fincppo_model())),
+    "sigma_meet-raw": lambda: _raw_hook(sigma_meet_bimonad(fincppo_model())),
+}
+
+
+@pytest.mark.parametrize("name, size, verdict", [
+    ("sigma_meet", 2, "pass"), ("sigma_meet", 3, "pass"),
+    ("sigma_join", 2, "fail"), ("sigma_join", 3, "fail"),
+    ("identity:fincppo", 2, "pass"), ("identity:bposet-lfp", 2, "pass"),
+    ("identity:bposet-gfp", 2, "pass"),
+    ("sigma_join-reversed", 2, "fail"), ("sigma_join-reversed", 3, "fail"),
+    ("sigma_meet-raw", 2, "fail")])
+def test_component_path_matches_the_joint_path(name, size, verdict,
+                                               monkeypatch):
+    # the same report, failures and witnesses included, whether each
+    # triple is decided by product components or by its joint hom-set;
+    # every registered cartesian triple passes the product gate
+    b = _CARTESIAN_BUNDLES[name]()
+    budget = CaseBudget(seed=0, cases=20, max_object_size=size)
+    by_components, joint, gated = _traced_both_ways(b, budget, monkeypatch)
+    assert by_components == joint
+    assert by_components.verdict == verdict
+    assert gated and all(gated)
+
+
+def test_product_gate_leaves_other_tensors_to_the_joint_path(fincppo,
+                                                             monkeypatch):
+    # an m whose tensor of algebras is no product algebra where X acts
+    # nontrivially: those triples run on their joint hom-sets, the others
+    # on components, and the report is the joint path's
+    b = _unpaired_m(sigma_meet_bimonad(fincppo))
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+    by_components, joint, gated = _traced_both_ways(b, budget, monkeypatch)
+    assert by_components == joint
+    assert by_components.cases_run == _lifting_by_element(b, budget, 3)[0]
+    assert True in gated and False in gated
 
 
 def test_trace_coherence_bundles(mat, fincppo, qc2, qs3):
@@ -332,6 +445,34 @@ def test_fix_lifting_skips_declined_hom_sets():
     assert (report.verdict, report.cases_run) == ("inconclusive", 13)
     assert report.findings == {"quantification": "exhaustive_with_skips",
                                "skipped_object_tuples": 10}
+
+
+def test_traced_monad_skips_triples_whose_component_declines():
+    # above 20 maps a hom-set is declined: a joint A x X -> B x X often is
+    # where both its components enumerate, so only a triple with a declined
+    # component is skipped; at size 2 none is, and the run is the uncapped
+    # model's
+    model = _CappedFinCppo()
+    bundle = identity_hopf_bundle(model)
+    reports = {}
+    for size in (2, 3):
+        budget = CaseBudget(seed=0, cases=20, max_object_size=size)
+        reports[size] = check_traced_monad(bundle, budget)
+        pool = algebra_pool(bundle, budget)
+        declined = sum(
+            any(model.enumerate_hom(model.tensor_obj(A.carrier, X.carrier),
+                                    C.carrier) is None for C in (B, X))
+            for X, A, B in itertools.product(pool, repeat=3))
+        assert reports[size].findings.get("skipped_object_tuples",
+                                          0) == declined
+    uncapped = check_traced_monad(identity_hopf_bundle(fincppo_model()),
+                                  CaseBudget(seed=0, cases=20,
+                                             max_object_size=2))
+    assert (reports[2].verdict, reports[2].cases_run) == ("pass", 61)
+    assert reports[2] == uncapped
+    assert (reports[3].verdict, reports[3].cases_run) == ("inconclusive",
+                                                          122)
+    assert reports[3].findings["skipped_object_tuples"] == 46
 
 
 def test_fix_coherence_capability(mat):

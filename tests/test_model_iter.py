@@ -127,6 +127,14 @@ def test_label_sets_are_interned(pfn):
     assert two.labels == (0, 1) and two.size == 2
 
 
+def test_repr_shows_table_indices(pfn):
+    # a table is bytes, but a witness prints its indices and None
+    f = pfn.table(label_set(0, 1, 2), label_set(0, 1), (1, None, 0))
+    assert f.payload == bytes([1, UNDEF, 0])
+    assert repr(f) == "Mor[pfn](Labels[0, 1, 2] -> Labels[0, 1]; (1, None, 0))"
+    assert repr(pfn.identity(label_set())).endswith("; ())")
+
+
 def test_unhashable_or_repeated_label_is_a_usage_error():
     with pytest.raises(UsageError, match=r"label \[1\] is not hashable"):
         label_set([1])
