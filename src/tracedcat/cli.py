@@ -1,11 +1,11 @@
 """Command-line driver: scenario registry, loaders, report emission.
 
-Each scenario is one row of ``SCENARIOS``.  Its ``expect`` holds every
-suite verdict that is not ``"pass"`` -- expected failures are the separating
-counterexamples -- and every fact, such as a pinned witness, that its run
-must reproduce.  ``tracedcat run <scenario>`` exits 0 iff all of them match;
-``tracedcat list`` prints the registry.  Reports serialize deterministically
-(byte-for-byte for a fixed scenario and config).
+Each scenario is one row of ``SCENARIOS``: a ``_run_*`` body and an
+``expect`` that holds every suite verdict that is not ``"pass"`` -- expected
+failures are the separating counterexamples -- and every fact, such as a
+pinned witness, that its run must reproduce.  ``tracedcat run <scenario>``
+exits 0 iff all of them match; ``tracedcat list`` prints the registry.
+Reports serialize deterministically (byte-for-byte per scenario and config).
 """
 
 from __future__ import annotations
@@ -23,18 +23,23 @@ from .laws import (CaseBudget, CheckReport, check_conway_axioms,
 from .model_iter import (UNDEF, FinLabelSet, exception_bimonad, label_set,
                          pfn_model)
 from .model_linear import dense_rows, mat_model
-from .model_order import (FinPoset, PairOb, bounded_poset_two_traces,
+from .model_order import (SIGMA_JOIN, SIGMA_MEET, FinPoset, PairOb,
+                          bounded_poset_two_traces,
                           diagonal_preservation_check, fincppo_model,
                           int_poset_model, n_monad, poset_from_pairs,
-                          sierpinski_scenarios, two_trace_distinctness_witness)
+                          poset_product, sierpinski, sigma_join_bimonad,
+                          sigma_meet_bimonad, strictness_property,
+                          two_trace_distinctness_witness)
 from .monads import (check_bimonad_laws, check_hopf, check_monad_laws,
                      fusion_left, hopf_from_bimonad, identity_hopf_bundle,
                      idempotence_suite, trace_meta_check, try_invert_fusion)
 from .eilenberg_moore import (check_trace_coherence, check_traced_monad,
+                              check_traced_via_fix,
                               cocartesian_corollary_check,
                               crosscheck_main_theorem)
-from .hopf_monoid import (GroupTable, group_hopf_bundle, group_table_c2,
-                          group_table_s3, verify_representable_coherence)
+from .hopf_monoid import (GroupTable, antipode_search, group_hopf_bundle,
+                          group_table_c2, group_table_s3,
+                          verify_representable_coherence)
 
 
 @dataclass(frozen=True)
@@ -217,18 +222,42 @@ def _run_z_not_hopf(config: RunConfig):
     return suites, facts, detail
 
 
-def _run_sierpinski(config: RunConfig, which):
-    # the join's separating witness needs posets of size 2
-    size = min(max(config.max_size, 2 if which == "join" else 1), 3)
-    sc = sierpinski_scenarios(config.budget(max_size=size), parts=(which,))
-    part = sc[which]
-    suites = [(name, part[name]) for name in ("traced_monad", "traced_via_fix")]
-    if which == "meet":
-        suites.append(("strictness", sc["strictness"]))
-        return suites, {"antipodes": part["antipodes"]}, (
-            f"antipode search over all monotone endomaps: "
-            f"{len(part['antipodes'])} found")
-    pinned = part["pinned_witness"]
+def _run_sierpinski_meet(config: RunConfig):
+    budget = config.budget(max_size=min(config.max_size, 3))
+    model, sig = fincppo_model(), sierpinski()
+    meet = sigma_meet_bimonad(model)
+    suites = [("traced_monad", check_traced_monad(meet, budget)),
+              ("traced_via_fix", check_traced_via_fix(meet, budget)),
+              ("strictness", strictness_property(model, budget))]
+    # no antipode among all monotone endomaps, so meet is not Hopf
+    table, unit_index = SIGMA_MEET
+    antipodes = antipode_search(
+        model, sig, model.table(poset_product(sig, sig), sig, table),
+        model.table(model.unit_obj(), sig, (unit_index,)),
+        model.pair(model.identity(sig), model.identity(sig)),
+        model.terminal_map(sig))
+    return suites, {"antipodes": antipodes}, (
+        f"antipode search over all monotone endomaps: {len(antipodes)} found")
+
+
+def _run_sierpinski_join(config: RunConfig):
+    # the separating witness needs posets of size 2
+    budget = config.budget(max_size=min(max(config.max_size, 2), 3))
+    model, sig = fincppo_model(), sierpinski()
+    join = sigma_join_bimonad(model)
+    suites = [("traced_monad", check_traced_monad(join, budget)),
+              ("traced_via_fix", check_traced_via_fix(join, budget))]
+    # the pinned instance: carrier and feedback both the join module on the
+    # lattice itself, f the projection onto the feedback coordinate
+    act = model.table(poset_product(sig, sig), sig, SIGMA_JOIN[0])
+    fx = model.fix(sig, sig, model.proj1(sig, sig))   # everything to bottom
+    lhs = model.compose(fx, act)                      # Fix(f) after the action
+    rhs = model.compose(act, model.tensor(model.identity(sig), fx))
+    top_top = sig.size + 1                            # the pair (top, top)
+    pinned = {"fix_is_constant_bottom": fx.payload == (0, 0),
+              "lhs_at_top_top": sig.elements[lhs.payload[top_top]],
+              "rhs_at_top_top": sig.elements[rhs.payload[top_top]],
+              "violated": lhs.payload[top_top] != rhs.payload[top_top]}
     return suites, pinned, (f"fixed point of the feedback projection at "
                             f"(top, top): {pinned['lhs_at_top_top']} vs "
                             f"{pinned['rhs_at_top_top']}")
@@ -400,12 +429,12 @@ SCENARIOS = {row.name: row for row in [
     Scenario("sierpinski-meet",
              "two-point lattice with meet: traced monad both ways, yet no "
              "antipode exists, so it is not a Hopf monad",
-             lambda cfg: _run_sierpinski(cfg, "meet"), {"antipodes": []}),
+             _run_sierpinski_meet, {"antipodes": []}),
     Scenario("sierpinski-join",
              "two-point lattice with join: fine symmetric bimonad whose fixed "
              "point of the feedback projection breaks the module law (bot vs "
              "top)",
-             lambda cfg: _run_sierpinski(cfg, "join"),
+             _run_sierpinski_join,
              {"traced_monad": "fail", "traced_via_fix": "fail",
               "fix_is_constant_bottom": True, "violated": True,
               "lhs_at_top_top": "bot", "rhs_at_top_top": "top"}),

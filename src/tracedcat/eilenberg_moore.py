@@ -25,7 +25,8 @@ from .core import (BoundaryError, CapabilityError, HomSet, ModelMismatchError,
                    Morphism)
 from .laws import (CaseBudget, CheckReport, LawSpec, Recorder,
                    _homs_enumerable, _rng, _run_specs, _size_sorted_objects)
-from .monads import HopfBundle, MonadBundle, fusion_left
+from .monads import (HopfBundle, MonadBundle, check_bimonad_laws, check_hopf,
+                     fusion_left, idempotence_suite)
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,10 @@ def enumerate_algebra_morphisms(monad: MonadBundle, src: TAlgebra,
                    if is_algebra_morphism(monad, src, tgt, f)])
 
 
-def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra,
-                             k=1) -> list:
-    """k algebra morphisms src -> tgt drawn through the bundle's sampler."""
+def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra) -> list:
+    """[f] for one sampled algebra morphism f: src -> tgt, [] if none."""
     if b.algmor_sampler is not None:
-        return [b.algmor_sampler(rng, src, tgt) for _ in range(k)]
+        return [b.algmor_sampler(rng, src, tgt)]
     found = enumerate_algebra_morphisms(b, src, tgt)
     if found is None:
         raise CapabilityError(
@@ -166,7 +166,7 @@ def sample_algebra_morphisms(b, rng, src: TAlgebra, tgt: TAlgebra,
             f"an enumerable hom-set")
     if not found:
         return []
-    return [found[rng.randrange(len(found))] for _ in range(k)]
+    return [found[rng.randrange(len(found))]]
 
 
 # ------------------------------------------------------- traced-monad checker
@@ -200,7 +200,8 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     """Exhaustive lifting loop of the traced and fixed-point checkers.
 
     For every size-ordered tuple ``(X, A, ...)`` of ``arity`` algebras,
-    ``lift(X, A, ...)`` gives ``(B, tgt, op)``: the HomSet ``fs`` of every
+    ``lift(tensor, X, A, ...)``, with ``tensor`` the run's cached
+    :func:`algebra_tensor`, gives ``(B, tgt, op)``: the HomSet ``fs`` of every
     algebra morphism ``f : A (x) X -> tgt`` is sent at once to the HomSet
     ``op(fs)`` of the images ``A -> B``, in order, and each must be an
     algebra morphism again.  Each ``f`` is one case, but the conclusion
@@ -227,7 +228,7 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
         src = tensor(algA, algX)
-        algB, tgt, op = lift(*algs)
+        algB, tgt, op = lift(tensor, *algs)
         decided = components and components(src, tgt, *algs)
         if decided:
             n, images = decided
@@ -334,9 +335,7 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("check_traced_monad needs a traced model")
     suite = f"traced_monad[{b.name}]"
     if _homs_enumerable(model):
-        tensor = functools.cache(functools.partial(algebra_tensor, b))
-
-        def lift(algX, algA, algB):
+        def lift(tensor, algX, algA, algB):
             return (algB, tensor(algB, algX),
                     functools.partial(model.trace, algX.carrier,
                                       algA.carrier, algB.carrier))
@@ -352,7 +351,7 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         algX, algA, algB = algs
         src = algebra_tensor(b, algA, algX)
         tgt = algebra_tensor(b, algB, algX)
-        for f in sample_algebra_morphisms(b, rng, src, tgt, k=1):
+        for f in sample_algebra_morphisms(b, rng, src, tgt):
             # one case: the premise, then the conclusion it licenses
             witness = functools.partial(_witness, algs, f)
             if not rec.check("algebra_morphism_premise", witness,
@@ -430,8 +429,6 @@ def crosscheck_main_theorem(hopf: HopfBundle,
     disagreement between the gated verdicts is reported as a library bug;
     an inconclusive side makes the report inconclusive.
     """
-    from .monads import check_hopf
-
     model = hopf.model
     gate = check_hopf(hopf, budget)
     traced = check_traced_monad(hopf, budget)
@@ -510,7 +507,7 @@ def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
         raise CapabilityError("check_traced_via_fix needs a traced cartesian "
                               "model with a fixed-point operator")
 
-    def lift(algX, algA):
+    def lift(_tensor, algX, algA):
         X, A = algX.carrier, algA.carrier
         return algX, algX, lambda fs: model.fix(X, A, fs)
 
@@ -528,8 +525,6 @@ def cocartesian_corollary_check(bundle, budget: CaseBudget) -> CheckReport:
     first gates on the bimonad and Hopf law suites; when the gate fails the
     report records the computed sub-verdicts without forcing agreement.
     """
-    from .monads import check_bimonad_laws, check_hopf, idempotence_suite
-
     model = bundle.model
     if not model.cocartesian:
         raise CapabilityError("cocartesian_corollary_check needs a "

@@ -24,8 +24,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CapabilityError, Model, Morphism, UsageError
+from .eilenberg_moore import (TAlgebra, algebra_morphism_sides,
+                              algebra_tensor, check_trace_coherence,
+                              check_traced_monad, free_algebra,
+                              sample_algebra_morphisms, validate_algebra)
 from .laws import (CaseBudget, CheckReport, Recorder, _rng,
                    _size_sorted_objects)
+from .model_linear import dense_mul, dense_rows
 from .monads import BimonadBundle, HopfBundle, MonadBundle, fusion_left
 
 
@@ -168,12 +173,12 @@ def sweedler_fusion_inverse(model: Model, d: HopfMonoidData, A, B) -> Morphism:
 
 
 def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
-                       verify_max_size=2, **hooks) -> HopfBundle:
+                       **hooks) -> HopfBundle:
     """Hopf bundle of a validated Hopf monoid, fusion inverse included.
 
     The Sweedler transcription of the inverse is not taken on faith: the
     constructor brute-forces ``h_l o inv = id`` and ``inv o h_l = id`` over
-    all object pairs up to ``verify_max_size``.
+    all object pairs of size at most 2.
     """
     name = name or f"H({d.carrier!r})"
     bimonad = induced_bimonad(model, d.carrier, d.mult, d.unit, d.comult,
@@ -182,7 +187,7 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
     def hl_inv(A, B):
         return sweedler_fusion_inverse(model, d, A, B)
 
-    probe = model.enumerate_objects(verify_max_size)
+    probe = model.enumerate_objects(2)
     for A, B in itertools.product(probe, repeat=2):
         hl = fusion_left(bimonad, A, B)
         inv = hl_inv(A, B)
@@ -203,10 +208,6 @@ def verify_representable_coherence(bundle: HopfBundle,
     """The induced bundle lifts the trace: coherence, traced-monad property,
     and the direct module statement (traces of module morphisms between
     module tensors are module morphisms)."""
-    from .eilenberg_moore import (algebra_morphism_sides, algebra_tensor,
-                                  check_trace_coherence, check_traced_monad,
-                                  free_algebra, sample_algebra_morphisms)
-
     model = bundle.model
     coh = check_trace_coherence(bundle, budget)
     traced = check_traced_monad(bundle, budget)
@@ -388,10 +389,8 @@ def group_representations(table: GroupTable) -> dict:
     return {**reps, **table.reps}
 
 
-def algebra_from_rep(model, table: GroupTable, rep) -> "TAlgebra":
+def algebra_from_rep(model, table: GroupTable, rep) -> TAlgebra:
     """Action matrix H (x) A -> A with columns indexed by (g, basis_i)."""
-    from .eilenberg_moore import TAlgebra
-
     els = table.elements
     dim = len(next(iter(rep.values())))
     n = len(els)
@@ -406,8 +405,6 @@ def algebra_from_rep(model, table: GroupTable, rep) -> "TAlgebra":
 
 def rep_from_action(group_size, algebra) -> list:
     """Recover the per-element matrices from an action morphism."""
-    from .model_linear import dense_rows
-
     dim = algebra.carrier
     pay = dense_rows(algebra.action)
     mats = []
@@ -422,9 +419,6 @@ def group_hopf_bundle(model, table: GroupTable, name=None
     """The passing report of the group algebra's Hopf-monoid validation and
     the algebra's induced Hopf bundle, with representation generators
     attached."""
-    from .eilenberg_moore import validate_algebra
-    from .model_linear import dense_mul
-
     d, report = group_algebra(model, table)
     reps = group_representations(table)
     els = table.elements

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import Model, ModelMismatchError, Morphism, UsageError
+from .eilenberg_moore import TAlgebra, validate_algebra
 
 # ------------------------------------------------------------ sparse matrices
 
@@ -310,8 +311,6 @@ def dual_algebra(hopf, algebra):
     validated before being returned; cup and cap are algebra morphisms for
     the lifted structure (see the tests).
     """
-    from .eilenberg_moore import TAlgebra, validate_algebra
-
     model = hopf.model
     A = algebra.carrier
     a = algebra.action

@@ -11,7 +11,9 @@ Three families live here:
   pointwise pair model over them shows a diagonal functor that preserves no
   trace.
 
-All posets are finite, all maps are tables, all equalities are exact.
+The lattice monoids on the Sierpinski poset and the strictness check serve
+the ``sierpinski-*`` rows of :mod:`tracedcat.cli`.  All posets are finite,
+all maps are tables, all equalities are exact.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from operator import add, itemgetter
 from .core import (BoundaryError, CapabilityError, EmptyHomError, HomSet,
                    Model, ModelMismatchError, Morphism, UsageError,
                    _payloads, _structural, check_labels)
+from .hopf_monoid import induced_monad
 from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
 
@@ -796,8 +799,6 @@ def _module_morphism_enumerator(model, h_size, src, tgt):
 def monoid_bimonad(model: _PosetModel, H: FinPoset, mult_table, unit_index,
                    name) -> BimonadBundle:
     """Canonical bimonad of the representable monad of a poset monoid."""
-    from .hopf_monoid import induced_monad
-
     mult = model.table(poset_product(H, H), H, mult_table)
     unit = model.table(model.unit_obj(), H, (unit_index,))
     hooks = {
@@ -808,74 +809,21 @@ def monoid_bimonad(model: _PosetModel, H: FinPoset, mult_table, unit_index,
     return canonical_cartesian_bimonad(monad)
 
 
+SIGMA_MEET = ((0, 0, 0, 1), 1)   # (meet table, index of its unit: top)
+SIGMA_JOIN = ((0, 1, 1, 1), 0)   # (join table, index of its unit: bottom)
+
+
 def sigma_meet_bimonad(model: FinCppoModel) -> BimonadBundle:
-    """Two-point lattice acting by meet; the unit is the top element."""
-    return monoid_bimonad(model, sierpinski(), (0, 0, 0, 1), 1, "sigma_meet")
+    """Two-point lattice acting by meet."""
+    return monoid_bimonad(model, sierpinski(), *SIGMA_MEET, "sigma_meet")
 
 
 def sigma_join_bimonad(model: FinCppoModel) -> BimonadBundle:
-    """Two-point lattice acting by join; the unit is the bottom element."""
-    return monoid_bimonad(model, sierpinski(), (0, 1, 1, 1), 0, "sigma_join")
+    """Two-point lattice acting by join."""
+    return monoid_bimonad(model, sierpinski(), *SIGMA_JOIN, "sigma_join")
 
 
-def sierpinski_scenarios(budget: CaseBudget = None, parts=("meet", "join")) -> dict:
-    """The separating behaviour of the two lattice monoids on posets.
-
-    meet: traced monad (checked two ways) but provably not Hopf -- the
-    exhaustive antipode search over all monotone endomaps comes back empty.
-    join: a perfectly fine symmetric bimonad whose fixed-point operator does
-    not lift: the projection onto the feedback coordinate is a module
-    morphism whose fixed point is not.
-    """
-    from .eilenberg_moore import (TAlgebra, check_traced_monad,
-                                  check_traced_via_fix)
-    from .hopf_monoid import antipode_search
-
-    budget = budget or CaseBudget(seed=0, cases=50, max_object_size=3)
-    model = fincppo_model()
-    sig = sierpinski()
-    out = {}
-
-    if "meet" in parts:
-        meet = sigma_meet_bimonad(model)
-        mult = model.table(poset_product(sig, sig), sig, (0, 0, 0, 1))
-        unit = model.table(model.unit_obj(), sig, (1,))
-        comult = model.pair(model.identity(sig), model.identity(sig))
-        counit = model.terminal_map(sig)
-        out["meet"] = {
-            "traced_monad": check_traced_monad(meet, budget),
-            "traced_via_fix": check_traced_via_fix(meet, budget),
-            "antipodes": antipode_search(model, sig, mult, unit, comult,
-                                         counit),
-        }
-        out["strictness"] = _strictness_property(model, budget)
-
-    if "join" in parts:
-        join = sigma_join_bimonad(model)
-        # the pinned instance: carrier and feedback both the join module on
-        # the lattice itself, f the projection onto the feedback coordinate
-        join_mod = TAlgebra(sig, model.table(poset_product(sig, sig), sig,
-                                             (0, 1, 1, 1)))
-        f = model.proj1(sig, sig)
-        fx = model.fix(sig, sig, f)          # everything to bottom
-        act = join_mod.action
-        lhs = model.compose(fx, act)         # Fix(f) after the action
-        rhs = model.compose(act, model.tensor(model.identity(sig), fx))
-        top_top = 1 * sig.size + 1
-        out["join"] = {
-            "traced_monad": check_traced_monad(join, budget),
-            "traced_via_fix": check_traced_via_fix(join, budget),
-            "pinned_witness": {
-                "fix_is_constant_bottom": fx.payload == (0, 0),
-                "lhs_at_top_top": sig.elements[lhs.payload[top_top]],
-                "rhs_at_top_top": sig.elements[rhs.payload[top_top]],
-                "violated": lhs.payload[top_top] != rhs.payload[top_top],
-            },
-        }
-    return out
-
-
-def _strictness_property(model: FinCppoModel, budget: CaseBudget) -> CheckReport:
+def strictness_property(model: FinCppoModel, budget: CaseBudget) -> CheckReport:
     """If h is strict and g o (1 x h) = h o f then fix(g(a,-)) = h(fix(f(a,-))).
 
     Stops after the object triple that passes 4000 cases; findings count the

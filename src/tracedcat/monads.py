@@ -64,7 +64,7 @@ class HopfBundle(BimonadBundle):
     hl_inv: Callable     # (A, B) -> inverse of the left fusion operator
 
 
-def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
+def identity_hopf_bundle(model: Model) -> HopfBundle:
     """The identity monad, bimonad and Hopf monad on any symmetric model."""
 
     def algebra_source(A):
@@ -73,7 +73,7 @@ def identity_hopf_bundle(model: Model, name="identity") -> HopfBundle:
         return [TAlgebra(A, model.identity(A))]
 
     return HopfBundle(
-        model, name,
+        model, "identity",
         on_obj=lambda A: A,
         on_mor=lambda f: f,
         mu=model.identity,

@@ -1,13 +1,11 @@
 import pytest
 
-from tracedcat.laws import CaseBudget
 from tracedcat.hopf_monoid import (group_hopf_bundle, group_table_c2,
                                    group_table_s3)
 from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import mat_model
 from tracedcat.model_order import (bounded_poset_two_traces, fincppo_model,
-                                   int_poset_model, n_monad,
-                                   sierpinski_scenarios)
+                                   int_poset_model, n_monad)
 
 
 @pytest.fixture(scope="session")
@@ -59,9 +57,3 @@ def qs3(mat):
 def nbundle(zle):
     return n_monad(zle)
 
-
-@pytest.fixture(scope="session")
-def sierpinski_results():
-    # the exhaustive meet run is one of the most expensive computations in
-    # the suite; share it between the scenario tests
-    return sierpinski_scenarios(CaseBudget(seed=0, cases=50, max_object_size=3))

@@ -129,8 +129,10 @@ def test_averaged_samples_are_algebra_morphisms(qc2, qs3):
             a, b, x = (pool[rng.randrange(len(pool))] for _ in range(3))
             src = algebra_tensor(bundle, a, x)
             tgt = algebra_tensor(bundle, b, x)
-            for f in sample_algebra_morphisms(bundle, rng, src, tgt, k=2):
-                assert is_algebra_morphism(bundle, src, tgt, f)
+            # two draws from the same rng
+            for _ in range(2):
+                for f in sample_algebra_morphisms(bundle, rng, src, tgt):
+                    assert is_algebra_morphism(bundle, src, tgt, f)
 
 
 def test_traced_monad_checks(nbundle, qc2):

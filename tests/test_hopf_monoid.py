@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from tracedcat import eilenberg_moore
+from tracedcat import hopf_monoid
 from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel
@@ -197,8 +197,8 @@ def test_representable_coherence_passes_traced_skips_through(capped_pfn,
                                                              monkeypatch):
     # coherence runs on an uncapped model and passes, so only the
     # traced-monad side skips hom-sets above the 50-map cap
-    check_trace_coherence = eilenberg_moore.check_trace_coherence
-    monkeypatch.setattr(eilenberg_moore, "check_trace_coherence",
+    check_trace_coherence = hopf_monoid.check_trace_coherence
+    monkeypatch.setattr(hopf_monoid, "check_trace_coherence",
                         lambda bundle, budget: check_trace_coherence(
                             identity_hopf_bundle(PfnModel()), budget))
     report = verify_representable_coherence(

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used, every parameter of
-a module-level library function is used, and failures are built in one
-place.
+a module-level library function is used, failures are built in one place,
+and the package's top-level imports form no cycle, with an import inside a
+function only where one at the top would close a cycle.
 
 No linter ships with the project, so this scans each ``tracedcat`` module,
 test module and script with :mod:`ast`.  A name counts as used when the module loads it anywhere,
@@ -105,3 +106,62 @@ def test_unused_parameter_scan():
 def test_no_unused_parameters(path):
     # every module-level function uses each of its parameters
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def sibling_imports(source):
+    """``(top, nested)``: the module ``x`` of each ``from .x import`` in
+    ``source``, as a set for its top level and as ``(line, x)`` pairs for
+    those inside a function or class."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level == 1}
+    nested = sorted((node.lineno, node.module) for stmt in tree.body
+                    if not isinstance(stmt, ast.ImportFrom)
+                    for node in ast.walk(stmt)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1)
+    return top, nested
+
+
+def reachable(graph, start):
+    """The modules ``start`` reaches along one or more edges of ``graph``."""
+    seen, todo = set(), list(graph.get(start, ()))
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(graph.get(module, ()))
+    return seen
+
+
+def test_sibling_import_scan():
+    source = ("from __future__ import annotations\nimport os\n"
+              "from .a import f\nclass K:\n    from .c import k\n"
+              "def g():\n    from .b import h\n    return h\n")
+    assert sibling_imports(source) == ({"a"}, [(5, "c"), (7, "b")])
+    assert reachable({"a": {"b"}, "b": {"c", "a"}}, "a") == {"a", "b", "c"}
+    assert reachable({"a": {"b"}, "b": set()}, "b") == set()
+
+
+def package_imports():
+    """``(graph, nested)``: each ``tracedcat`` module's top-level sibling
+    imports, and its function-level ones with their lines."""
+    scans = {path.stem: sibling_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    return ({module: top for module, (top, _) in scans.items()},
+            {module: nested for module, (_, nested) in scans.items()})
+
+
+def test_top_level_imports_are_acyclic():
+    graph, _ = package_imports()
+    assert [m for m in graph if m in reachable(graph, m)] == []
+
+
+def test_function_level_imports_only_break_cycles():
+    # an import sits inside a function only where its module already
+    # reaches the importing one, so that importing it at the top would
+    # close a cycle
+    graph, nested = package_imports()
+    hoistable = {module: [(line, x) for line, x in found
+                          if module not in reachable(graph, x)]
+                 for module, found in nested.items()}
+    assert {m: found for m, found in hoistable.items() if found} == {}

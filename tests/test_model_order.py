@@ -7,19 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from tracedcat.cli import load_poset
+from tracedcat.cli import RunConfig, load_poset, run_scenario
 from tracedcat.core import (BoundaryError, EmptyHomError, HomSet,
                             ModelMismatchError, UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
 from tracedcat.laws import CaseBudget
 from tracedcat.model_order import (FinCppoModel, FinPoset, PairOb,
-                                   _module_morphism_enumerator,
-                                   _strictness_property, _topo_covers,
+                                   _module_morphism_enumerator, _topo_covers,
                                    diagonal_preservation_check,
                                    enumerate_monotone_tables,
                                    poset_from_pairs, poset_product,
                                    sierpinski, sigma_join_bimonad,
-                                   sigma_meet_bimonad,
+                                   sigma_meet_bimonad, strictness_property,
                                    two_trace_distinctness_witness)
 from tracedcat.monads import fusion_left
 from tracedcat.eilenberg_moore import (algebra_pool, algebra_tensor,
@@ -260,19 +259,27 @@ def test_pair_model_is_componentwise(two_traces):
             prod.tensor_obj(A, bad)
 
 
-def test_sierpinski_meet_results(sierpinski_results, fincppo):
-    meet = sierpinski_results["meet"]
-    assert meet["traced_monad"].verdict == "pass"
-    assert meet["traced_via_fix"].verdict == "pass"
-    # no antipode among all three monotone endomaps
-    assert meet["antipodes"] == []
+def _sierpinski_row(name):
+    """The suites of a Sierpinski row run at cases 50 and size 3, by name.
+
+    Its expected_match covers the empty antipode list of the meet and every
+    pinned fact of the join."""
+    payload = run_scenario(name, RunConfig(0, 50, 3))
+    assert payload["expected_match"]
+    return dict(zip(payload["suite_names"], payload["suites"]))
+
+
+def test_sierpinski_meet_results(fincppo):
+    suites = _sierpinski_row("sierpinski-meet")
+    assert {name: rep["verdict"] for name, rep in suites.items()} == {
+        "traced_monad": "pass", "traced_via_fix": "pass",
+        "strictness": "pass"}
+    # the antipode search ranges over all three monotone endomaps
     assert len(fincppo.enumerate_hom(sierpinski(), sierpinski())) == 3
-    strictness = sierpinski_results["strictness"]
-    assert strictness.verdict == "pass"
     # the 4000-case stop leaves most object triples unchecked, and says so
-    assert strictness.findings == {"checked_object_tuples": 28,
-                                   "skipped_object_tuples": 0,
-                                   "total_object_tuples": 64}
+    assert suites["strictness"]["findings"] == {"checked_object_tuples": 28,
+                                                "skipped_object_tuples": 0,
+                                                "total_object_tuples": 64}
 
 
 class _CappedFinCppo(FinCppoModel):
@@ -282,9 +289,9 @@ class _CappedFinCppo(FinCppoModel):
 
 
 def test_strictness_counts_declined_hom_sets():
-    report = _strictness_property(_CappedFinCppo(),
-                                  CaseBudget(seed=0, cases=20,
-                                             max_object_size=3))
+    report = strictness_property(_CappedFinCppo(),
+                                 CaseBudget(seed=0, cases=20,
+                                            max_object_size=3))
     assert (report.verdict, report.cases_run) == ("inconclusive", 51)
     assert not report.failures
     assert report.findings == {"checked_object_tuples": 10,
@@ -292,15 +299,10 @@ def test_strictness_counts_declined_hom_sets():
                                "total_object_tuples": 64}
 
 
-def test_sierpinski_join_results(sierpinski_results):
-    join = sierpinski_results["join"]
-    assert join["traced_monad"].verdict == "fail"
-    assert join["traced_via_fix"].verdict == "fail"
-    pinned = join["pinned_witness"]
-    assert pinned["fix_is_constant_bottom"]
-    assert pinned["lhs_at_top_top"] == "bot"
-    assert pinned["rhs_at_top_top"] == "top"
-    assert pinned["violated"]
+def test_sierpinski_join_results():
+    suites = _sierpinski_row("sierpinski-join")
+    assert {name: rep["verdict"] for name, rep in suites.items()} == {
+        "traced_monad": "fail", "traced_via_fix": "fail"}
 
 
 def test_join_module_actions_enumerandae(fincppo):
