@@ -26,10 +26,9 @@ from .model_linear import dense_rows, mat_model
 from .model_order import (SIGMA_JOIN, SIGMA_MEET, FinPoset, PairOb,
                           bounded_poset_two_traces,
                           diagonal_preservation_check, fincppo_model,
-                          int_poset_model, n_monad, poset_from_pairs,
-                          poset_product, sierpinski, sigma_join_bimonad,
-                          sigma_meet_bimonad, strictness_property,
-                          two_trace_distinctness_witness)
+                          int_poset_model, n_monad, poset_product,
+                          sierpinski, sigma_join_bimonad, sigma_meet_bimonad,
+                          strictness_property, two_trace_distinctness_witness)
 from .monads import (check_bimonad_laws, check_hopf, check_monad_laws,
                      fusion_left, hopf_from_bimonad, identity_hopf_bundle,
                      idempotence_suite, trace_meta_check, try_invert_fusion)
@@ -123,13 +122,13 @@ def serialize_report(report: CheckReport):
 # ------------------------------------------------------------------ loaders
 
 
-def _read_table_file(path, key, arity):
-    """The 'elements:' labels and the 'key:' lines of a text table file.
+def _read_table_file(path):
+    """The 'elements:' labels and the 'mul:' lines of a group table file.
 
     Returns ``(elements, [(lineno, labels), ...])``; '#' starts a comment.
     Raises :class:`UsageError`, naming the path and the line, on a file that
-    cannot be read as UTF-8 text, an unrecognized line, a 'key:' line
-    without ``arity`` labels, and a missing or a second 'elements:' line.
+    cannot be read as UTF-8 text, an unrecognized line, a 'mul:' line
+    without three labels, and a missing or a second 'elements:' line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -149,11 +148,10 @@ def _read_table_file(path, key, arity):
                 raise UsageError(f"{path}:{lineno}: second 'elements:' line "
                                  f"(the first is line {elements_line})")
             elements, elements_line = line[len("elements:"):].split(), lineno
-        elif line.startswith(f"{key}:"):
-            labels = line[len(key) + 1:].split()
-            if len(labels) != arity:
-                raise UsageError(
-                    f"{path}:{lineno}: '{key}:' wants {arity} labels")
+        elif line.startswith("mul:"):
+            labels = line[len("mul:"):].split()
+            if len(labels) != 3:
+                raise UsageError(f"{path}:{lineno}: 'mul:' wants 3 labels")
             entries.append((lineno, labels))
         else:
             raise UsageError(f"{path}:{lineno}: unrecognized line {line!r}")
@@ -162,22 +160,13 @@ def _read_table_file(path, key, arity):
     return elements, entries
 
 
-def load_poset(path) -> FinPoset:
-    """Text format: 'elements: a b ...' then 'le: x y' lines."""
-    elements, entries = _read_table_file(path, "le", 2)
-    try:
-        return poset_from_pairs(elements, [(x, y) for _, (x, y) in entries])
-    except UsageError as err:
-        raise UsageError(f"{path}: {err}") from err
-
-
 def load_group(path) -> GroupTable:
     """Text format: 'elements: e g ...' then 'mul: x y z' meaning x*y = z.
 
     Each product is given once, and only of declared elements: a second
     'mul: x y' line, or a label missing from 'elements:', is an error.
     """
-    elements, entries = _read_table_file(path, "mul", 3)
+    elements, entries = _read_table_file(path)
     mul, given_at, declared = {}, {}, set(elements)
     for lineno, (x, y, z) in entries:
         for label in (x, y, z):

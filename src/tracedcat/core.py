@@ -150,13 +150,11 @@ def _zip_hom(*args):
                  for x in args))
 
 
-def _payloads(x, prepare=None):
-    """The payloads of a HomSet, or a Morphism's payload repeated, each
-    passed through ``prepare`` (once for a Morphism)."""
+def _payloads(x):
+    """The payloads of a HomSet, or a Morphism's payload repeated."""
     if x.__class__ is HomSet:
-        return x.payloads if prepare is None else map(prepare, x.payloads)
-    return itertools.repeat(x.payload if prepare is None
-                            else prepare(x.payload))
+        return x.payloads
+    return itertools.repeat(x.payload)
 
 
 def _check_parallel(f, g) -> None:
@@ -169,7 +167,8 @@ def _check_parallel(f, g) -> None:
 
 def _structural(build):
     """Keep what is fixed by its objects alone in ``Model._memo``: a
-    structural morphism, or a thin model's hom-set."""
+    structural morphism, a thin model's hom-set, or ``_trace_boundary``,
+    the boundary of a trace triple."""
 
     def lookup(self, key):
         try:
@@ -202,7 +201,8 @@ class Model:
     ``_compose``, ``_tensor`` and ``_sym``, and ``enumerate_hom`` (which may
     decline a hom-set) and ``sample_hom``.  The six associators and unitors
     are derived here through ``_strict``.  The public wrappers do the
-    boundary/ownership checking once, in one place.
+    boundary/ownership checking once, in one place: ``_check_args`` checks
+    the morphism arguments of every primitive.
 
     ``compose``, ``tensor`` and ``trace`` (and ``fix`` and ``pair`` where a
     model has them) also take a :class:`HomSet` in any morphism argument,
@@ -219,10 +219,11 @@ class Model:
 
     One memo per model instance, ``_memo``, holds what depends on objects
     alone: ``identity``, ``sym``, the associators and unitors (and what else
-    a model marks ``_structural``), and the boundary products of each
-    ``trace`` triple ``(X, A, B)``, which ``trace`` compares ``f`` with on
-    every call.  An entry is filled on the first call, once ``check_obj``
-    has passed its objects; an unhashable one fails there.  Keys hold the
+    a model marks ``_structural``), and ``_trace_boundary``, the boundary
+    products of each ``trace`` triple ``(X, A, B)``, which ``trace``
+    compares ``f`` with on every call.  An entry is filled on the first
+    call, once ``check_obj`` has passed its objects; an unhashable one fails
+    there.  Keys hold the
     types too: ``True == 1``, but it is no ``int_poset`` object.
 
     Optional structure is declared by a flag; a model that sets it defines
@@ -275,9 +276,10 @@ class Model:
     def _identity(self, A) -> Morphism:
         raise NotImplementedError
 
-    def _check_hom(self, *args) -> None:
-        """Check the arguments of a primitive handed a :class:`HomSet`: a
-        HomSet's owner (its payloads are trusted), a Morphism in full."""
+    def _check_args(self, *args) -> bool:
+        """Check the morphism arguments of a primitive: a Morphism in full,
+        a :class:`HomSet` by its owner (its payloads are trusted), and
+        zipped HomSets by their length.  Whether any argument is a HomSet."""
         n = None
         for x in args:
             if x.__class__ is not HomSet:
@@ -291,16 +293,12 @@ class Model:
             elif len(x) != n:
                 raise UsageError(f"zipped hom-sets differ in length: "
                                  f"{n} vs {len(x)}")
+        return n is not None
 
     def compose(self, g, f):
         """``g`` after ``f``; a HomSet argument gives the HomSet of the
         composites, element by element."""
-        hom = f.__class__ is HomSet or g.__class__ is HomSet
-        if hom:
-            self._check_hom(f, g)
-        else:
-            self.check_mor(f)
-            self.check_mor(g)
+        hom = self._check_args(f, g)
         if f.cod != g.dom:
             raise BoundaryError(
                 f"cannot compose: cod of first {f.cod!r} != dom of second {g.dom!r}")
@@ -316,13 +314,8 @@ class Model:
 
     def tensor(self, f, g):
         """``f (x) g``; a HomSet argument gives a HomSet, as ``compose``."""
-        hom = f.__class__ is HomSet or g.__class__ is HomSet
-        if hom:
-            self._check_hom(f, g)
-            return self._tensor_hom(f, g)
-        self.check_mor(f)
-        self.check_mor(g)
-        return self._tensor(f, g)
+        return (self._tensor_hom if self._check_args(f, g)
+                else self._tensor)(f, g)
 
     def _tensor(self, f, g) -> Morphism:
         raise NotImplementedError
@@ -390,25 +383,18 @@ class Model:
         A :class:`HomSet` ``f`` is checked once and traced to a HomSet A -> B."""
         if not self.traced:
             raise CapabilityError(f"model {self.name!r} has no trace operator")
-        hom = f.__class__ is HomSet
-        if hom:
-            self._check_hom(f)
-        else:
-            self.check_mor(f)
-        # inline, not _structural: the memo keeps the boundary, not f's trace
-        key = ("trace", X, A, B, type(X), type(A), type(B))
-        try:
-            shape = self._memo.get(key)
-        except TypeError:  # unhashable: check_obj names the bad object
-            shape = None
-        if shape is None:
-            shape = self._memo[key] = (self.tensor_obj(A, X),
-                                       self.tensor_obj(B, X))
-        if f.dom != shape[0] or f.cod != shape[1]:
+        hom = self._check_args(f)
+        dom, cod = self._trace_boundary(X, A, B)
+        if f.dom != dom or f.cod != cod:
             raise BoundaryError(
                 f"trace shape mismatch: f is {f.dom!r}->{f.cod!r}, "
                 f"expected {A!r}(x){X!r} -> {B!r}(x){X!r}")
         return (self._trace_hom if hom else self._trace)(X, A, B, f)
+
+    @_structural
+    def _trace_boundary(self, X, A, B):
+        """``(A (x) X, B (x) X)``, the boundary of a traced ``f``."""
+        return self.tensor_obj(A, X), self.tensor_obj(B, X)
 
     def _trace_hom(self, X, A, B, hom: HomSet) -> HomSet:
         return HomSet(self.name, A, B,

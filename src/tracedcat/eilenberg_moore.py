@@ -353,7 +353,7 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
         tgt = algebra_tensor(b, algB, algX)
         for f in sample_algebra_morphisms(b, rng, src, tgt):
             # one case: the premise, then the conclusion it licenses
-            witness = functools.partial(_witness, algs, f)
+            witness = _witness(algs, f)
             if not rec.check("algebra_morphism_premise", witness,
                              *algebra_morphism_sides(b, src, tgt, f)):
                 continue

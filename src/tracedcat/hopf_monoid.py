@@ -420,17 +420,10 @@ def group_hopf_bundle(model, table: GroupTable, name=None
     the algebra's induced Hopf bundle, with representation generators
     attached."""
     d, report = group_algebra(model, table)
-    reps = group_representations(table)
     els = table.elements
     n = len(els)
     inv_index = [els.index(table.inverse(g)) for g in els]
-    plain_monad = induced_monad(model, n, d.mult, d.unit, "probe")
-
-    algebras = []
-    for rep in reps.values():
-        alg = algebra_from_rep(model, table, rep)
-        validate_algebra(plain_monad, alg)
-        algebras.append(alg)
+    algebras = []  # filled once the bundle they are validated by is built
 
     def algebra_source(A):
         return [alg for alg in algebras if alg.carrier == A]
@@ -450,6 +443,10 @@ def group_hopf_bundle(model, table: GroupTable, name=None
         avg = [[scale * v for v in row] for row in total]
         return model.morphism(src.carrier, tgt.carrier, avg)
 
-    return report, induced_hopf_monad(
+    bundle = induced_hopf_monad(
         model, d, name=name or f"group_algebra[{n}]",
         algebra_source=algebra_source, algmor_sampler=algmor_sampler)
+    for rep in group_representations(table).values():
+        algebras.append(validate_algebra(
+            bundle, algebra_from_rep(model, table, rep)))
+    return report, bundle

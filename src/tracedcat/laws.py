@@ -105,14 +105,13 @@ class Recorder:
         """Compare two sides, keeping a failure when they differ.
 
         Counts one case unless ``count`` is false (a second equation of a
-        case already counted).  ``inputs`` may be a function that builds
-        the instantiation; it is called only on failure.
+        case already counted).
         """
         if count:
             self.cases += 1
         if self.model.mor_eq(lhs, rhs):
             return True
-        self.fail(law, inputs() if callable(inputs) else inputs, lhs, rhs)
+        self.fail(law, inputs, lhs, rhs)
         return False
 
     def check_hom(self, equations, n) -> bool:
@@ -129,7 +128,7 @@ class Recorder:
         """
         model, found = self.model, []
         for j, (law, inputs, lhs, rhs) in enumerate(equations):
-            model._check_hom(lhs, rhs)
+            model._check_args(lhs, rhs)
             _check_parallel(lhs, rhs)
             for side in (lhs, rhs):
                 if side.__class__ is HomSet and len(side) != n:
@@ -140,7 +139,6 @@ class Recorder:
                                                    _payloads(rhs)) if a != b)
         for k, j in sorted(found):
             law, inputs, lhs, rhs = equations[j]
-            inputs = inputs() if callable(inputs) else inputs
             self.fail(law, {name: _at(value, k)
                             for name, value in inputs.items()},
                       _at(lhs, k), _at(rhs, k))

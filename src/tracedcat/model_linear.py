@@ -70,16 +70,6 @@ def dense_rows(m) -> tuple:
     return tuple(out)
 
 
-def entry(m, i, j):
-    sm = m.payload if isinstance(m, Morphism) else m
-    for col, v in sm.data[i]:
-        if col == j:
-            return v
-        if col > j:
-            break
-    return 0
-
-
 @lru_cache(maxsize=None)
 def identity_smat(n) -> SparseMat:
     return SparseMat(n, n, tuple(((i, 1),) for i in range(n)))

@@ -370,15 +370,11 @@ class _PosetModel(Model):
         return Morphism(self.name, f.dom, g.cod, tuple(gt[v] for v in ft))
 
     def _tensor(self, f, g):
-        nb = g.dom.size
         mb = g.cod.size
-        images = []
-        for i in range(f.dom.size):
-            fi = f.payload[i]
-            for j in range(nb):
-                images.append(fi * mb + g.payload[j])
         return Morphism(self.name, poset_product(f.dom, g.dom),
-                        poset_product(f.cod, g.cod), tuple(images))
+                        poset_product(f.cod, g.cod),
+                        tuple([fi * mb + gj for fi in f.payload
+                               for gj in g.payload]))
 
     def _sym(self, A, B):
         na, nb = A.size, B.size
@@ -398,12 +394,7 @@ class _PosetModel(Model):
 
     def pair(self, f, g):
         """``<f, g>``; a HomSet argument gives a HomSet, as ``compose``."""
-        hom = f.__class__ is HomSet or g.__class__ is HomSet
-        if hom:
-            self._check_hom(f, g)
-        else:
-            self.check_mor(f)
-            self.check_mor(g)
+        hom = self._check_args(f, g)
         if f.dom != g.dom:
             raise BoundaryError("pairing needs a shared domain")
         cod = poset_product(f.cod, g.cod)
@@ -432,11 +423,7 @@ class _PosetModel(Model):
     def fix(self, X, A, f):
         """The parametrized fixed point ``A -> X`` of ``f : A x X -> X``; a
         HomSet ``f`` is checked once and gives the HomSet of fixed points."""
-        hom = f.__class__ is HomSet
-        if hom:
-            self._check_hom(f)
-        else:
-            self.check_mor(f)
+        hom = self._check_args(f)
         if f.dom != poset_product(A, X) or f.cod != X:
             raise BoundaryError(f"fix needs f : A x X -> X, got "
                                 f"{f.dom!r} -> {f.cod!r}")
@@ -512,15 +499,13 @@ class _PosetModel(Model):
         order, covers = _topo_covers(A)
         for _ in range(32):
             images = {}
-            dead = False
             for i in order:
                 opts = [v for v in range(B.size)
                         if all(B.leq(images[j], v) for j in covers[i])]
                 if not opts:
-                    dead = True
                     break
                 images[i] = rng.choice(opts)
-            if not dead:
+            else:
                 return Morphism(self.name, A, B,
                                 tuple(images[i] for i in range(A.size)))
         # fallback: the constant map to the start element always works

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tracedcat.cli import (SCENARIOS, RunConfig, format_report, load_group,
-                           load_poset, main, run_scenario, serialize_report)
+                           main, run_scenario, serialize_report)
 from tracedcat.core import UsageError
 from tracedcat.hopf_monoid import group_algebra, group_representations
 from tracedcat.laws import CaseBudget, check_trace_axioms
@@ -185,40 +185,25 @@ def test_expected_failure_scenarios_report_cleanly():
     assert payload["expected_match"] is True
 
 
-def test_load_poset(tmp_path):
-    path = tmp_path / "sig.poset"
-    path.write_text("# the two-point lattice\n"
-                    "elements: bot top\n"
-                    "le: bot top\n")
-    poset = load_poset(str(path))
-    assert poset.elements == ("bot", "top")
-    assert poset.bottom == 0 and poset.top == 1
-
-    bad = tmp_path / "bad.poset"
-    bad.write_text("elements: a b\nle: a b\nle: b a\n")
-    with pytest.raises(UsageError, match="antisymmetry"):
-        load_poset(str(bad))
-
-    junk = tmp_path / "junk.poset"
-    junk.write_text("elements: a\nleq a a\n")
-    with pytest.raises(UsageError, match="junk.poset:2"):
-        load_poset(str(junk))
-
-    # a second 'elements:' line is an error, repeated 'le:' lines are not
-    twice = tmp_path / "twice.poset"
-    twice.write_text("elements: a b\nle: a b\nle: a b\nelements: a\n")
-    with pytest.raises(UsageError, match=r"twice.poset:4: second 'elements:' "
-                                         r"line \(the first is line 1\)"):
-        load_poset(str(twice))
-
-
 def test_load_group(tmp_path):
     path = tmp_path / "c2.group"
-    path.write_text("elements: e s\n"
-                    "mul: e e e\nmul: e s s\nmul: s e s\nmul: s s e\n")
+    path.write_text("elements: e s  # the group of order two\n"
+                    "mul: e e e\nmul: e s s\nmul: s e s\nmul: s s e  # s*s\n")
     table = load_group(str(path))
     assert table.identity_label == "e"
     assert table.inverse("s") == "s"
+
+    junk = tmp_path / "junk.group"
+    for text, error in (
+            (b"elements: e\nmull e e e\n", "junk.group:2: unrecognized line"),
+            (b"elements: e\nmul: e e\n", "junk.group:2: 'mul:' wants 3"),
+            (b"# no elements\nmul: e e e\n", "junk.group: missing"),
+            (b"elements: \xff\n", "junk.group: not UTF-8 text")):
+        junk.write_bytes(text)
+        with pytest.raises(UsageError, match=error):
+            load_group(str(junk))
+    with pytest.raises(UsageError, match="absent.group: cannot read"):
+        load_group(str(tmp_path / "absent.group"))
 
     bad = tmp_path / "noassoc.group"
     els = "eabcd"
@@ -306,11 +291,6 @@ def test_group_files_of_small_groups(tmp_path, group, labels):
 
 def test_shipped_sample_inputs_and_scripts(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    diamond = load_poset("scripts/sample_inputs/diamond.poset")
-    assert diamond.elements == ("bot", "left", "right", "top")
-    assert diamond.bottom == 0 and diamond.top == 3
-    assert not diamond.leq(1, 2) and not diamond.leq(2, 1)
-
     cfg = RunConfig(seed=0, cases=20, max_size=2)
     payload = run_scenario("group-algebra:scripts/sample_inputs/c2.group", cfg)
     assert payload["expected_match"] is True

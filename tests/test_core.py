@@ -245,18 +245,24 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
         assert (len(out), out.dom, out.cod) == (0, *boundary)
 
     foreign = HomSet("foreign", AX, AX, fs.payloads)
+    stranger = Morphism("foreign", AX, AX, k.payload)  # beside a HomSet
     for call in (lambda: model.compose(foreign, k),
                  lambda: model.compose(k, foreign),
                  lambda: model.tensor(g, foreign),
-                 lambda: model.trace(X, A, A, foreign)):
+                 lambda: model.trace(X, A, A, foreign),
+                 lambda: model.compose(fs, stranger),
+                 lambda: model.compose(stranger, fs),
+                 lambda: model.tensor(stranger, fs)):
         with pytest.raises(ModelMismatchError):
             call()
     for call in (lambda: model.compose(gs, k), lambda: model.compose(k, gs),
                  lambda: model.trace(X, A, A, gs)):
         with pytest.raises(BoundaryError):
             call()
-    with pytest.raises(UsageError):
-        model.compose(fs, fs[1:])
+    for call in (lambda: model.compose(fs, fs[1:]),
+                 lambda: model.tensor(fs, fs[1:])):
+        with pytest.raises(UsageError):
+            call()
     if model.has_conway:
         with pytest.raises(ModelMismatchError):
             model.fix(X, A, HomSet("foreign", AX, X, ()))
@@ -268,8 +274,11 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
                              pairs).payloads == fs.payloads
         assert list(model.compose(model.proj1(AX, X), pairs)) == [h] * len(fs)
         assert len(model.pair(fs[:0], h)) == 0
-        with pytest.raises(ModelMismatchError):
-            model.pair(foreign, h)
+        for call in (lambda: model.pair(foreign, h),
+                     lambda: model.pair(fs, Morphism("foreign", AX, X,
+                                                     h.payload))):
+            with pytest.raises(ModelMismatchError):
+                call()
         with pytest.raises(BoundaryError):
             model.pair(gs, fs[:len(gs)])
         with pytest.raises(UsageError):

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used, every parameter of
-a module-level library function is used, failures are built in one place,
+a module-level library function is used, every default of a library
+function is overridden by some call, failures are built in one place,
 and the package's top-level imports form no cycle, with an import inside a
 function only where one at the top would close a cycle.
 
@@ -165,3 +166,91 @@ def test_function_level_imports_only_break_cycles():
                           if module not in reachable(graph, x)]
                  for module, found in nested.items()}
     assert {m: found for m, found in hoistable.items() if found} == {}
+
+
+def defaulted_parameters(source):
+    """``(function, parameter, position)`` for each parameter with a
+    default of each function of ``source``.  ``position`` counts the
+    arguments a call passes before it, a method's ``self`` excluded, and is
+    None for a keyword-only one; an ``__init__`` goes by its class's name,
+    as its class is what a call names."""
+    out = []
+
+    def scan(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if isinstance(node, ast.ClassDef) else 0
+                name = node.name if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                out.extend((name, a.arg, k - skip)
+                           for k, a in enumerate(positional) if k >= first)
+                out.extend((name, a.arg, None)
+                           for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None)
+            scan(child)
+
+    scan(ast.parse(source))
+    return out
+
+
+def call_arguments(source):
+    """``{name: [(positional, keywords), ...]}`` over every call in
+    ``source`` of a name or an attribute ``name``: how many arguments it
+    passes by position and the names it passes by keyword.  A ``*args``
+    counts as every position, a ``**kwargs`` as every keyword (None)."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                         None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        calls.setdefault(name, []).append(
+            (float("inf") if starred else len(node.args),
+             {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def unset_defaults(library, sources):
+    """``(module, function, parameter)`` for each defaulted parameter of a
+    function in the ``library`` files that no call in the ``sources``
+    files sets, by position or by keyword.  Calls are matched to functions
+    by name alone."""
+    calls = {}
+    for path in sources:
+        for name, found in call_arguments(
+                path.read_text(encoding="utf-8")).items():
+            calls.setdefault(name, []).extend(found)
+    return [(path.stem, name, param)
+            for path in library
+            for name, param, position in defaulted_parameters(
+                path.read_text(encoding="utf-8"))
+            if not any(param in keywords or None in keywords
+                       or (position is not None and positional > position)
+                       for positional, keywords in calls.get(name, ()))]
+
+
+def test_unset_default_scan(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def f(a, b=1, *, c=2, d):\n    pass\n"
+                   "class K:\n    def __init__(self, x=0):\n        pass\n"
+                   "    def m(self, y=0, z=0):\n        pass\n")
+    assert defaulted_parameters(lib.read_text()) == [
+        ("f", "b", 1), ("f", "c", None), ("K", "x", 0), ("m", "y", 0),
+        ("m", "z", 1)]
+    use = tmp_path / "use.py"
+    use.write_text("f(0, d=1)\nK(1)\nk.m(**opts)\n")
+    assert unset_defaults([lib], [use]) == [("lib", "f", "b"),
+                                            ("lib", "f", "c")]
+    use.write_text("f(*xs, c=3)\nk.m(1)\n")
+    assert unset_defaults([lib], [use]) == [("lib", "K", "x"),
+                                            ("lib", "m", "z")]
+
+
+def test_every_default_is_set_by_some_call():
+    # a defaulted parameter that no call sets is a setting nobody uses
+    sources = [path for directory in ("src", "tests", "scripts")
+               for path in sorted((ROOT / directory).rglob("*.py"))]
+    assert unset_defaults(sorted(SRC.glob("*.py")), sources) == []

@@ -9,8 +9,8 @@ from tracedcat.eilenberg_moore import (TAlgebra, is_algebra_morphism,
                                        unit_algebra)
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
-from tracedcat.model_linear import (dense_rows, dual_algebra, entry,
-                                    mat_model, smat, smat_inverse)
+from tracedcat.model_linear import (dense_rows, dual_algebra, mat_model,
+                                    smat, smat_inverse)
 
 
 def _mat_of(model, rows):
@@ -62,13 +62,12 @@ def test_kron_row_major_convention(data):
     model = mat_model()
     f = _mat_of(model, data.draw(matrices(2, 2)))
     g = _mat_of(model, data.draw(matrices(3, 2)))
-    fg = model.tensor(f, g)
+    fg, fd, gd = dense_rows(model.tensor(f, g)), dense_rows(f), dense_rows(g)
     for i in range(2):
         for j in range(2):
             for k in range(3):
                 for l in range(2):
-                    assert entry(fg, i * 3 + k, j * 2 + l) == \
-                        entry(f, i, j) * entry(g, k, l)
+                    assert fg[i * 3 + k][j * 2 + l] == fd[i][j] * gd[k][l]
 
 
 def test_crosscheck_flag_validates_every_trace():

@@ -3,11 +3,10 @@ import dataclasses
 import itertools
 import pickle
 import random
-from pathlib import Path
 
 import pytest
 
-from tracedcat.cli import RunConfig, load_poset, run_scenario
+from tracedcat.cli import RunConfig, run_scenario
 from tracedcat.core import (BoundaryError, EmptyHomError, HomSet,
                             ModelMismatchError, UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
@@ -48,7 +47,7 @@ def test_n_monad_values(zle, nbundle):
 
 
 def test_poset_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="antisymmetry"):
         poset_from_pairs(("a", "b"), [("a", "b"), ("b", "a")])
     with pytest.raises(UsageError):
         poset_from_pairs(("a", "a"), [])
@@ -58,12 +57,13 @@ def test_poset_validation():
 
 
 def test_posets_are_interned(fincppo, two_traces):
-    diamond = load_poset(Path(__file__).resolve().parent.parent / "scripts"
-                         / "sample_inputs" / "diamond.poset")
+    elements = ("bot", "left", "right", "top")
     pairs = [("bot", "left"), ("bot", "right"), ("left", "top"),
              ("right", "top")]
-    assert diamond is poset_from_pairs(("bot", "left", "right", "top"), pairs)
+    diamond = poset_from_pairs(elements, pairs)
+    assert diamond is poset_from_pairs(elements, pairs[::-1])
     assert diamond is FinPoset(diamond.elements, set(diamond.le))
+    assert not diamond.leq(1, 2) and not diamond.leq(2, 1)
     sig = sierpinski()
     assert sig is poset_from_pairs(["bot", "top"], [("bot", "top")])
     square = poset_product(sig, sig)
