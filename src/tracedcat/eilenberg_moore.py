@@ -345,12 +345,13 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
 
     rec = Recorder(model)
     pool = algebra_pool(b, budget)
+    tensor = functools.cache(functools.partial(algebra_tensor, b))
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
         algs = [pool[rng.randrange(len(pool))] for _ in range(3)]
         algX, algA, algB = algs
-        src = algebra_tensor(b, algA, algX)
-        tgt = algebra_tensor(b, algB, algX)
+        src = tensor(algA, algX)
+        tgt = tensor(algB, algX)
         for f in sample_algebra_morphisms(b, rng, src, tgt):
             # one case: the premise, then the conclusion it licenses
             witness = _witness(algs, f)

@@ -19,6 +19,7 @@ averaging (Reynolds) sampler for equivariant maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,17 +188,19 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
     def hl_inv(A, B):
         return sweedler_fusion_inverse(model, d, A, B)
 
+    # probed through the bundle, whose memo keeps each inverse for its runs
+    hopf = HopfBundle(**vars(bimonad), hl_inv=hl_inv)
     probe = model.enumerate_objects(2)
     for A, B in itertools.product(probe, repeat=2):
-        hl = fusion_left(bimonad, A, B)
-        inv = hl_inv(A, B)
+        hl = fusion_left(hopf, A, B)
+        inv = hopf.hl_inv(A, B)
         if not (model.mor_eq(model.compose(hl, inv), model.identity(hl.cod))
                 and model.mor_eq(model.compose(inv, hl),
                                  model.identity(hl.dom))):
             raise UsageError(
                 f"fusion inverse transcription fails round-trip at "
                 f"({A!r}, {B!r}) for {name}")
-    return HopfBundle(**vars(bimonad), hl_inv=hl_inv)
+    return hopf
 
 
 # ------------------------------------------------- representable coherence
@@ -216,12 +219,13 @@ def verify_representable_coherence(bundle: HopfBundle,
 
     # direct module-trace spot check; modules are algebras of H (x) -
     objs = _size_sorted_objects(model, budget)
+    tensor = functools.cache(functools.partial(algebra_tensor, bundle))
     for case in range(max(10, budget.cases // 2)):
         rng = _rng(budget, "module_trace", case)
         A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
         mA, mB, mX = (free_algebra(bundle, o) for o in (A, B, X))
-        src = algebra_tensor(bundle, mA, mX)
-        tgt = algebra_tensor(bundle, mB, mX)
+        src = tensor(mA, mX)
+        tgt = tensor(mB, mX)
         for f in sample_algebra_morphisms(bundle, rng, src, tgt):
             # one case: the premise, then the conclusion it licenses
             inputs = {"A": A, "B": B, "X": X, "f": f}

@@ -39,7 +39,12 @@ claims no more than it evaluated.  A law on a model whose hom-sets do not
 enumerate is sampled instead; an object tuple with a hom-set that
 ``enumerate_hom`` declines is skipped and counted in
 ``findings["skipped_object_tuples"]``.  Either way the verdict is
-``inconclusive`` unless a failure is found.
+``inconclusive`` unless a failure is found.  A run remembers its dead
+boundaries in two sets.  A tuple that meets ``declined`` (``enumerate_hom``
+gave None) is counted before any of its hom-sets is looked up, so none
+beside it is enumerated again.  One that meets ``empty`` is passed over
+once its hom-sets are looked up, without testing their payloads: a
+declined hom-set beside an empty one still counts the tuple as skipped.
 """
 
 from __future__ import annotations
@@ -241,17 +246,27 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     hom_of = _HomSets(model).__getitem__
     homs_ok = exhaustive and _homs_enumerable(model, hom_of)
     rec, skipped, covered = Recorder(model), 0, True
+    declined, empty = set(), set()   # the run's dead boundaries
     for spec in specs:
         wanted = exhaustive and spec.exhaustive
         if wanted and (homs_ok or spec.homs is None):
             for objects in itertools.product(objs, repeat=spec.arity):
-                homs = list(map(hom_of, spec.homs(*objects))) \
-                    if spec.homs else []
-                if None in homs:
+                bounds = spec.homs(*objects) if spec.homs else ()
+                if not declined.isdisjoint(bounds):
                     skipped += 1  # hom-set beyond the enumeration cap
                     continue
-                if not all([hom.payloads for hom in homs]):
+                homs = list(map(hom_of, bounds))
+                if None in homs:
+                    declined.update(bound for bound, hom in zip(bounds, homs)
+                                    if hom is None)
+                    skipped += 1
+                    continue
+                if not empty.isdisjoint(bounds):
                     continue  # an empty hom-set: no instantiation
+                if not all([hom.payloads for hom in homs]):
+                    empty.update(bound for bound, hom in zip(bounds, homs)
+                                 if not hom.payloads)
+                    continue
                 if not homs or len(homs[-1].payloads) == 1:
                     for morphisms in itertools.product(*homs):
                         for equation in spec.sides(*objects, *morphisms):

@@ -10,6 +10,10 @@ Matrices are stored in a canonical sparse row form (zero entries omitted,
 columns sorted), so equality stays exact and structural while composites of
 the permutation-like coherence maps scale with the number of nonzeros, not
 with the ambient dimension.  ``dense_rows`` recovers the familiar row lists.
+Two paths do no arithmetic: ``smat_kron`` with an identity factor (``I_n (x)
+b`` or ``a (x) I_n``) only shifts the other factor's column indices, and
+``smat_mul`` copies row ``t`` of ``b`` for each row of ``a`` that is
+``((t, 1),)``, as every row of a permutation is.
 
 Duals use the self-dual convention n* = n with the identity pairing: the
 cup is the row vector picking out the indices (i, i) and the cap is its
@@ -31,7 +35,8 @@ from .eilenberg_moore import TAlgebra, validate_algebra
 
 
 def _norm(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # a class test: Fraction's ABC metaclass makes isinstance a Python call
+    if x.__class__ is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -85,6 +90,9 @@ def smat_mul(a: SparseMat, b: SparseMat) -> SparseMat:
     data = []
     bdata = b.data
     for arow in a.data:
+        if len(arow) == 1 and arow[0][1] == 1:  # a permutation-like row
+            data.append(bdata[arow[0][0]])
+            continue
         acc = {}
         for t, x in arow:
             for j, y in bdata[t]:
@@ -99,8 +107,20 @@ def smat_kron(a: SparseMat, b: SparseMat) -> SparseMat:
         return b
     if b is identity_smat(1):
         return a
-    if a is identity_smat(a.rows) and b is identity_smat(b.rows):
+    a_id, b_id = a is identity_smat(a.rows), b is identity_smat(b.rows)
+    if a_id and b_id:
         return identity_smat(a.rows * b.rows)
+    # an identity factor only moves the other factor's entries
+    if a_id:
+        m = b.cols
+        data = [tuple((i * m + l, y) for l, y in brow)
+                for i in range(a.rows) for brow in b.data]
+        return SparseMat(a.rows * b.rows, a.rows * m, tuple(data))
+    if b_id:
+        n = b.rows
+        data = [tuple((j * n + k, x) for j, x in arow)
+                for arow in a.data for k in range(n)]
+        return SparseMat(a.rows * n, a.cols * n, tuple(data))
     data = []
     for arow in a.data:
         for brow in b.data:

@@ -138,6 +138,29 @@ def _topo_covers(P: FinPoset):
     return order, covers
 
 
+class _SetBits(dict):
+    """Memo of a poset's bitmasks: mask to its set bits, lowest first."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask):
+        bits = self[mask] = [v for v in range(mask.bit_length())
+                             if mask >> v & 1]
+        return bits
+
+
+@lru_cache(maxsize=None)
+def _upsets(Q: FinPoset):
+    """``(upmask, bits)``: for each index u of Q the bitmask of its up-set
+    ``{v : u <= v}``, and the memo of the set bits of each mask over Q,
+    lowest first.  The candidate images of a point of a monotone map are
+    the bits of the intersected up-sets of its lower covers' images."""
+    nq = Q.size
+    upmask = tuple(sum(1 << v for v in range(nq) if Q.leq(u, v))
+                   for u in range(nq))
+    return upmask, _SetBits()
+
+
 def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
                               narrow=None) -> list:
     """Odometer enumeration of the monotone maps P -> Q, as a list of index
@@ -158,13 +181,10 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
     if n == 0:
         return [()]
     order, covers = _topo_covers(P)
-    nq = Q.size
-    upmask = [sum(1 << v for v in range(nq) if Q.leq(u, v))
-              for u in range(nq)]
-    steps = [(i, (1 << nq) - 1 if fixed is None else fixed[i],
+    upmask, bits_of = _upsets(Q)
+    steps = [(i, (1 << Q.size) - 1 if fixed is None else fixed[i],
               [(upmask, j) for j in covers[i]] + (narrow[i] if narrow else []))
              for i in order]
-    bits_of = {}   # mask -> its set bits, lowest first
     out = []
     append = out.append
     vals = [0] * n
@@ -178,10 +198,7 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
         for bits, j in cons:
             mask &= bits[vals[j]]
         if pos == last:
-            vs = bits_of.get(mask)
-            if vs is None:
-                vs = bits_of[mask] = [v for v in range(nq) if mask >> v & 1]
-            for v in vs:
+            for v in bits_of[mask]:
                 vals[i] = v
                 append(tuple(vals))
             pos -= 1
@@ -497,17 +514,20 @@ class _PosetModel(Model):
         self.check_obj(A)
         self.check_obj(B)
         order, covers = _topo_covers(A)
+        upmask, bits = _upsets(B)
+        everything = (1 << B.size) - 1
         for _ in range(32):
-            images = {}
+            images = [0] * A.size
             for i in order:
-                opts = [v for v in range(B.size)
-                        if all(B.leq(images[j], v) for j in covers[i])]
+                mask = everything
+                for j in covers[i]:
+                    mask &= upmask[images[j]]
+                opts = bits[mask]
                 if not opts:
                     break
                 images[i] = rng.choice(opts)
             else:
-                return Morphism(self.name, A, B,
-                                tuple(images[i] for i in range(A.size)))
+                return Morphism(self.name, A, B, tuple(images))
         # fallback: the constant map to the start element always works
         v = self._start_index(B)
         return Morphism(self.name, A, B, (v,) * A.size)

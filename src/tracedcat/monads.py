@@ -13,6 +13,11 @@ A richer bundle is built from a poorer one as
 ``BimonadBundle(**vars(monad), m=..., m_unit=...)`` and one field is changed
 with :func:`dataclasses.replace`.
 
+A bundle memoises its structure maps ``mu``, ``eta``, ``m`` and ``hl_inv``
+on their objects, as a model memoises its ``_structural`` maps: each is
+computed once per object (tuple) for as long as the bundle lives.  A bundle
+built from another keeps the memos of the maps it takes over.
+
 The monad and Hopf suites are :class:`~tracedcat.laws.LawSpec` tables run by
 the law driver: their object laws on every object, the fusion laws on every
 object pair, and naturality on sampled composable pairs.  The other
@@ -38,6 +43,31 @@ from .laws import (CaseBudget, CheckReport, LawSpec, Recorder, _objects,
                    _run_specs, _size_sorted_objects)
 
 
+def _objectwise(fn):
+    """``fn`` memoised on its objects, for as long as the returned function
+    lives.  The key holds each object and its type, as ``core._structural``'s
+    does: ``True == 1``, but it is no object of most models.  A call with an
+    unhashable object is not kept, nor is one that raises, and a function
+    that is wrapped already comes back as it is."""
+    if hasattr(fn, "memo"):
+        return fn
+    memo = {}
+
+    def memoised(*objs):
+        key = (*objs, *map(type, objs))
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable object
+            return fn(*objs)
+        out = memo[key] = fn(*objs)
+        return out
+
+    memoised.memo = memo
+    return memoised
+
+
 @dataclass(frozen=True)
 class MonadBundle:
     model: Model
@@ -51,6 +81,13 @@ class MonadBundle:
     algebra_source: Any = None
     algmor_sampler: Any = None
     algmor_enumerator: Any = None
+
+    def __post_init__(self):
+        # the structure maps, each memoised on its objects
+        for name in ("mu", "eta", "m", "hl_inv"):
+            if hasattr(self, name):
+                object.__setattr__(self, name,
+                                   _objectwise(getattr(self, name)))
 
 
 @dataclass(frozen=True, kw_only=True)

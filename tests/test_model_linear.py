@@ -9,8 +9,9 @@ from tracedcat.eilenberg_moore import (TAlgebra, is_algebra_morphism,
                                        unit_algebra)
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
-from tracedcat.model_linear import (dense_rows, dual_algebra, mat_model,
-                                    smat, smat_inverse)
+from tracedcat.model_linear import (dense_rows, dual_algebra, identity_smat,
+                                    mat_model, smat, smat_inverse, smat_kron,
+                                    smat_mul)
 
 
 def _mat_of(model, rows):
@@ -68,6 +69,86 @@ def test_kron_row_major_convention(data):
             for k in range(3):
                 for l in range(2):
                     assert fg[i * 3 + k][j * 2 + l] == fd[i][j] * gd[k][l]
+
+
+# entries whose products and sums can become integral Fractions
+kernel_entries = st.one_of(
+    st.just(0), st.just(1), st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def sparse_mats(draw, rows, cols):
+    """A canonical SparseMat: the cached identity, a permutation, rows of
+    at most one entry, or any rows."""
+    kind = draw(st.sampled_from(
+        ["identity", "permutation", "single", "any"] if rows == cols
+        else ["single", "any"]))
+    if kind == "identity":
+        return identity_smat(rows)
+    if kind == "permutation":
+        perm = draw(st.permutations(range(cols)))
+        return smat(rows, cols, [[int(j == perm[i]) for j in range(cols)]
+                                 for i in range(rows)])
+    if kind == "single":
+        dense = []
+        for _ in range(rows):
+            row = [0] * cols
+            if cols:
+                row[draw(st.integers(0, cols - 1))] = draw(kernel_entries)
+            dense.append(row)
+        return smat(rows, cols, dense)
+    return smat(rows, cols, [[draw(kernel_entries) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+def _assert_canonical(m):
+    assert len(m.data) == m.rows
+    for row in m.data:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        for _, v in row:
+            assert v != 0
+            assert type(v) is int or (type(v) is Fraction
+                                      and v.denominator != 1)
+
+
+def _dense_mul(a, b, n, k, m):
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), 0)
+                       for j in range(m)) for i in range(n))
+
+
+def _dense_kron(a, b, n, k, p, q):
+    return tuple(tuple(a[i // p][j // q] * b[i % p][j % q]
+                       for j in range(k * q)) for i in range(n * p))
+
+
+dims = st.integers(0, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smat_mul_matches_dense_product(data):
+    n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
+    a = data.draw(sparse_mats(n, k))
+    b = data.draw(sparse_mats(k, m))
+    out = smat_mul(a, b)
+    assert (out.rows, out.cols) == (n, m)
+    assert dense_rows(out) == _dense_mul(dense_rows(a), dense_rows(b), n, k, m)
+    _assert_canonical(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_smat_kron_matches_dense_kronecker(data):
+    n, k, p, q = (data.draw(dims) for _ in range(4))
+    a = data.draw(sparse_mats(n, k))
+    b = data.draw(sparse_mats(p, q))
+    out = smat_kron(a, b)
+    assert (out.rows, out.cols) == (n * p, k * q)
+    assert dense_rows(out) == _dense_kron(dense_rows(a), dense_rows(b),
+                                          n, k, p, q)
+    _assert_canonical(out)
 
 
 def test_crosscheck_flag_validates_every_trace():

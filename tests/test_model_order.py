@@ -129,6 +129,35 @@ def test_sample_hom_is_monotone(fincppo):
             assert Q.leq(f.payload[i], f.payload[j])
 
 
+def _reference_sample_hom(model, rng, A, B):
+    """The poset sampler as a list comprehension over ``B.leq``: each point,
+    in topological order, draws among the images above its lower covers'."""
+    order, covers = _topo_covers(A)
+    for _ in range(32):
+        images = {}
+        for i in order:
+            opts = [v for v in range(B.size)
+                    if all(B.leq(images[j], v) for j in covers[i])]
+            if not opts:
+                break
+            images[i] = rng.choice(opts)
+        else:
+            return tuple(images[i] for i in range(A.size))
+    return (model._start_index(B),) * A.size
+
+
+def test_sample_hom_draws_as_the_reference(fincppo, two_traces):
+    for model in (fincppo, two_traces.lfp, two_traces.gfp):
+        objs = model.enumerate_objects(3)
+        for A, B in itertools.product(objs, repeat=2):
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert (model.sample_hom(rng, A, B).payload
+                            == _reference_sample_hom(model, ref, A, B))
+                assert rng.getstate() == ref.getstate()
+
+
 def test_canonical_bimonad_matches_diagonal_built_one(fincppo):
     # the comonoidal map through projections coincides with the one built
     # from the forced comultiplication, as the uniqueness statement demands

@@ -1,9 +1,15 @@
 import dataclasses
 
-from tracedcat.eilenberg_moore import free_algebra
+import pytest
+
+from tracedcat import cli
+from tracedcat.core import ModelMismatchError
+from tracedcat.eilenberg_moore import crosscheck_main_theorem, free_algebra
 from tracedcat.laws import CaseBudget
+from tracedcat.model_iter import exception_bimonad, label_set, pfn_model
 from tracedcat.model_linear import dense_rows
-from tracedcat.model_order import fincppo_model, int_poset_model
+from tracedcat.model_order import (fincppo_model, int_poset_model,
+                                   sigma_join_bimonad, sigma_meet_bimonad)
 from tracedcat.monads import (BimonadBundle, HopfBundle, MonadBundle,
                               check_bimonad_laws, check_hopf,
                               check_monad_laws, fusion_left, fusion_right,
@@ -214,3 +220,68 @@ def test_idempotence_criterion_disagreement_has_no_sides():
     (failure,) = report.failures
     assert failure.law == "hopf_idempotence_criterion"
     assert (failure.lhs, failure.rhs) == (None, None)
+
+
+def _memo_bundles():
+    yield from (make() for make in cli._BUNDLES.values())
+    yield sigma_meet_bimonad(fincppo_model())
+    yield sigma_join_bimonad(fincppo_model())
+    yield exception_bimonad(pfn_model(), label_set("err"))
+
+
+def test_bundle_memoises_its_structure_maps():
+    for bundle in _memo_bundles():
+        A, B = bundle.model.enumerate_objects(2)[-2:]
+        maps = [("mu", (A,)), ("eta", (A,)), ("m", (A, B)), ("hl_inv", (A, B))]
+        for name, objs in maps:
+            if hasattr(bundle, name):
+                fn = getattr(bundle, name)
+                assert fn(*objs) is fn(*objs), (bundle.name, name)
+
+
+def test_bundle_memo_keys_hold_types(qc2):
+    qc2.mu(1)
+    with pytest.raises(ModelMismatchError):
+        qc2.mu(True)
+
+
+def test_bundle_memo_keeps_no_raise():
+    model = int_poset_model()
+    calls = []
+
+    def mu(A):
+        calls.append(A)
+        raise ModelMismatchError(f"no mu at {A!r}")
+
+    bundle = MonadBundle(model, "raising", lambda A: A, lambda f: f, mu,
+                         model.identity)
+    for _ in range(2):
+        with pytest.raises(ModelMismatchError):
+            bundle.mu(0)
+    assert calls == [0, 0]
+
+
+def test_replaced_map_is_used_and_memoised_anew(mat, qc2):
+    def bad(A, B):
+        good = qc2.hl_inv(A, B)
+        rows = [list(r) for r in dense_rows(good)]
+        if rows and rows[0]:
+            rows[0][0] += 1
+        return mat.morphism(good.dom, good.cod, rows)
+
+    good = qc2.hl_inv(1, 2)   # memoised in qc2 first
+    broken = dataclasses.replace(qc2, hl_inv=bad)
+    assert broken.mu is qc2.mu and broken.m is qc2.m
+    assert not mat.mor_eq(broken.hl_inv(1, 2), good)
+    assert qc2.hl_inv(1, 2) is good
+    report = crosscheck_main_theorem(broken, SMALL)
+    assert report.findings["traced_side"] == "fail"
+    assert report.findings["coherent_side"] == "fail"
+
+
+def test_fresh_bundles_share_no_memo():
+    first, second = (identity_hopf_bundle(int_poset_model()) for _ in range(2))
+    first.mu(1)
+    first.hl_inv(1, 2)
+    assert first.mu.memo and first.hl_inv.memo
+    assert not second.mu.memo and not second.hl_inv.memo
