@@ -157,6 +157,23 @@ def _payloads(x):
     return itertools.repeat(x.payload)
 
 
+def _mapped(op, x, *args):
+    """``op(payload, *args)`` over a HomSet in C; a Morphism's, repeated."""
+    if x.__class__ is HomSet:
+        return map(op, x.payloads, *map(itertools.repeat, args))
+    return itertools.repeat(op(x.payload, *args))
+
+
+def _once_each(op, x):
+    """``op(payload)`` for each element of a HomSet, computed once per
+    distinct payload (the tables of a zipped HomSet repeat); a Morphism's,
+    repeated."""
+    if x.__class__ is HomSet:
+        memo = {p: op(p) for p in dict.fromkeys(x.payloads)}
+        return map(memo.__getitem__, x.payloads)
+    return itertools.repeat(op(x.payload))
+
+
 def _check_parallel(f, g) -> None:
     """Two sides of an equation must share their domain and codomain."""
     if f.dom != g.dom or f.cod != g.cod:
@@ -206,16 +223,18 @@ class Model:
 
     ``compose``, ``tensor`` and ``trace`` (and ``fix`` and ``pair`` where a
     model has them) also take a :class:`HomSet` in any morphism argument,
-    as the exhaustive law driver hands them the innermost hom-set of a law.
-    They check its owner and boundary once and return the HomSet of the
-    element-wise results; two HomSet arguments are zipped, since they index
-    the same innermost element, and a Morphism argument is used for every
-    element.  A HomSet's payloads are trusted as the model's own:
-    ``check_mor`` runs on none of them.  The work is done by a payload
-    kernel, ``_compose_hom``, ``_tensor_hom`` or ``_trace_hom``, which maps
-    the per-morphism primitive here and which a model may replace with a
-    loop over raw payloads.  An empty HomSet builds no morphism.  The law
-    driver checks its objects once per run and reuses its hom-sets.
+    as the exhaustive law driver hands them a batch of a law's
+    instantiations.  They check its owner and boundary once and return the
+    HomSet of the element-wise results; two HomSet arguments are zipped,
+    since they index the same instantiation, and a Morphism argument is
+    used for every element.  A HomSet's payloads are trusted as the model's
+    own: ``check_mor`` runs on none of them, and one that comes from outside
+    is checked with ``check_payload`` where it comes in.  The work is done
+    by a payload kernel, ``_compose_hom``, ``_tensor_hom`` or
+    ``_trace_hom``, which maps the per-morphism primitive here and which a
+    model may replace with a loop over raw payloads.  An empty HomSet
+    builds no morphism.  The law driver checks its objects once per run
+    and reuses its hom-sets.
 
     One memo per model instance, ``_memo``, holds what depends on objects
     alone: ``identity``, ``sym``, the associators and unitors (and what else
@@ -268,6 +287,12 @@ class Model:
         if not isinstance(f, Morphism) or f.model != self.name:
             raise ModelMismatchError(
                 f"morphism {f!r} does not belong to model {self.name!r}")
+
+    def check_payload(self, dom, cod, payload) -> None:
+        """Check that ``payload`` fits ``dom -> cod``.  The primitives trust
+        their own payloads and no kernel calls this; a model whose
+        ``check_mor`` tests payloads does it here, for payloads that come
+        from outside (an ``algmor_enumerator`` hook's)."""
 
     @_structural
     def identity(self, A) -> Morphism:

@@ -146,6 +146,10 @@ def enumerate_algebra_morphisms(monad: MonadBundle, src: TAlgebra,
             if out.dom != src.carrier or out.cod != tgt.carrier:
                 raise BoundaryError(f"algmor_enumerator of {monad.name!r} gave"
                                     f" a HomSet {out.dom!r} -> {out.cod!r}")
+            # the primitives trust a HomSet's payloads: check them once here
+            check = monad.model.check_payload
+            for payload in out.payloads:
+                check(out.dom, out.cod, payload)
             return out
     homs = monad.model.enumerate_hom(src.carrier, tgt.carrier)
     if homs is None:

@@ -120,15 +120,17 @@ class Recorder:
         return False
 
     def check_hom(self, equations, n) -> bool:
-        """Check the equations of one instantiation whose innermost
-        morphism is a HomSet of ``n`` elements.
+        """Check the equations of one batch of ``n`` instantiations, whose
+        morphism arguments are HomSets of ``n`` elements zipped (or
+        Morphisms used for all of them).
 
         Each side is a HomSet of ``n`` elements or a Morphism used for all
         of them; each element of each equation is one case.  The sides are
         checked for ownership and parallelism once, as ``mor_eq`` does, and
-        then compared payload by payload.  A mismatch at element ``k`` is
-        kept as the failure of ``lhs[k]`` and ``rhs[k]``, with every HomSet
-        of ``inputs`` read at ``k``: failures come in element order, then
+        compared as whole payload tuples; only sides that differ are
+        searched element by element.  A mismatch at element ``k`` is kept
+        as the failure of ``lhs[k]`` and ``rhs[k]``, with every HomSet of
+        ``inputs`` read at ``k``: failures come in element order, then
         equation order, as if each element had been checked alone.
         """
         model, found = self.model, []
@@ -140,8 +142,9 @@ class Recorder:
                     raise UsageError(f"{law}: a side holds {len(side)} "
                                      f"elements, not {n}")
             self.cases += n
-            found.extend((k, j) for k, a, b in zip(range(n), _payloads(lhs),
-                                                   _payloads(rhs)) if a != b)
+            if not _agree(lhs, rhs, n):
+                found.extend((k, j) for k, a, b in zip(
+                    range(n), _payloads(lhs), _payloads(rhs)) if a != b)
         for k, j in sorted(found):
             law, inputs, lhs, rhs = equations[j]
             self.fail(law, {name: _at(value, k)
@@ -163,6 +166,19 @@ class Recorder:
 def _at(value, k):
     """The k-th element of a HomSet; any other value as it is."""
     return value[k] if value.__class__ is HomSet else value
+
+
+def _agree(lhs, rhs, n) -> bool:
+    """Whether two sides of ``n`` elements agree at every element, decided
+    in C: two HomSets by their payload tuples, a HomSet and a Morphism by
+    counting the Morphism's payload."""
+    if lhs.__class__ is HomSet:
+        if rhs.__class__ is HomSet:
+            return lhs.payloads == rhs.payloads
+        return lhs.payloads.count(rhs.payload) == n
+    if rhs.__class__ is HomSet:
+        return rhs.payloads.count(lhs.payload) == n
+    return lhs.payload == rhs.payload
 
 
 def _rng(budget: CaseBudget, tag: str, i: int) -> random.Random:
@@ -194,15 +210,19 @@ HOM_SLICE = 4096
 class _HomSets(dict):
     """One run's memo of ``enumerate_hom``: ``(dom, cod)`` to its HomSet or
     None.  One of more than ``HOM_SLICE`` elements is not kept, so a run
-    holds at most one at a time."""
+    holds at most one at a time.  ``ones`` keeps the Morphism of each
+    one-element hom-set, by its ``(dom, cod)``."""
 
     def __init__(self, model):
         self.model = model
+        self.ones = {}
 
     def __missing__(self, boundary):
         hom = self.model.enumerate_hom(*boundary)
         if hom is None or len(hom) <= HOM_SLICE:
             self[boundary] = hom
+            if hom is not None and len(hom) == 1:
+                self.ones[boundary] = hom[0]
         return hom
 
 
@@ -243,7 +263,8 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
         objs = _objects(model, budget)
     for ob in objs:
         model.check_obj(ob)
-    hom_of = _HomSets(model).__getitem__
+    hom_sets = _HomSets(model)
+    hom_of, one_of = hom_sets.__getitem__, hom_sets.ones.__getitem__
     homs_ok = exhaustive and _homs_enumerable(model, hom_of)
     rec, skipped, covered = Recorder(model), 0, True
     declined, empty = set(), set()   # the run's dead boundaries
@@ -267,17 +288,36 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                     empty.update(bound for bound, hom in zip(bounds, homs)
                                  if not hom.payloads)
                     continue
-                if not homs or len(homs[-1].payloads) == 1:
-                    for morphisms in itertools.product(*homs):
-                        for equation in spec.sides(*objects, *morphisms):
-                            rec.check(*equation)
+                # the batch: the innermost hom-set, and before it the
+                # longest run whose product has at most HOM_SLICE elements
+                split, n = len(homs), 1
+                while split and (n == 1 or n * len(homs[split - 1].payloads)
+                                 <= HOM_SLICE):
+                    split -= 1
+                    n *= len(homs[split].payloads)
+                if n == 1:  # every hom-set has one element
+                    for equation in spec.sides(*objects,
+                                               *map(one_of, bounds)):
+                        rec.check(*equation)
                     continue
-                inner = homs.pop()
-                slices = [inner[k:k + HOM_SLICE]
-                          for k in range(0, len(inner), HOM_SLICE)]
-                for morphisms in itertools.product(*homs, slices):
-                    rec.check_hom(spec.sides(*objects, *morphisms),
-                                  len(morphisms[-1]))
+                inner = list(zip(bounds[split:], homs[split:]))
+                columns = [hom.payloads for _, hom in inner
+                           if len(hom.payloads) > 1]
+                if len(columns) > 1:  # the batch's product, one column each
+                    columns = list(zip(*itertools.product(*columns)))
+                batches = []
+                for k in range(0, n, HOM_SLICE):
+                    column = iter(columns)
+                    batches.append(([HomSet(model.name, *bound,
+                                            next(column)[k:k + HOM_SLICE])
+                                     if len(hom.payloads) > 1
+                                     else one_of(bound)
+                                     for bound, hom in inner],
+                                    min(n - k, HOM_SLICE)))
+                for morphisms in itertools.product(*homs[:split]):
+                    for batch, size in batches:
+                        rec.check_hom(spec.sides(*objects, *morphisms,
+                                                 *batch), size)
             continue
         if wanted:
             covered = False  # hom-sets do not enumerate

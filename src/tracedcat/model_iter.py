@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add, itemgetter
 
 from .core import (UNDEF, BoundaryError, HomSet, Model, ModelMismatchError,
-                   Morphism, UsageError, _payloads, _structural,
+                   Morphism, UsageError, _mapped, _payloads, _structural,
                    check_labels)
 from .monads import BimonadBundle
 
@@ -79,13 +79,6 @@ def _shift(n: int) -> bytes:
     return IDENT[n:UNDEF] + _UNDEFS[:n + 1]
 
 
-def _mapped(op, x, *args):
-    """``op(payload, *args)`` over a HomSet in C; a Morphism's, repeated."""
-    if x.__class__ is HomSet:
-        return map(op, x.payloads, *map(itertools.repeat, args))
-    return itertools.repeat(op(x.payload, *args))
-
-
 def _resolved(parts, nb, nx):
     """For each feedback part fb = table[|A|:] of an ``A (+) X -> B (+) X``
     table, the 256-byte table taking its outputs to the trace's.  A step
@@ -98,6 +91,13 @@ def _resolved(parts, nb, nx):
         r = list(map(bytes.translate, r, steps))
     return map(bytes.join, map(bytes.translate, r, repeat(kill)),
                repeat((lo, kill[nb + nx:])))
+
+
+def _relabels(x):
+    """Whether ``x`` is a Morphism whose table is the identity's between
+    sets of one size, so that composing with it changes no table."""
+    return (x.__class__ is Morphism and x.dom.size == x.cod.size
+            and x.payload == IDENT[:x.dom.size])
 
 
 class PfnModel(Model):
@@ -169,6 +169,11 @@ class PfnModel(Model):
 
     # the HomSet kernels map the formula of their primitive in C
     def _compose_hom(self, g, f):
+        # an identity, associator or unitor factor leaves the other as it is
+        if _relabels(g):
+            return HomSet(self.name, f.dom, g.cod, f.payloads)
+        if _relabels(f):
+            return HomSet(self.name, f.dom, g.cod, g.payloads)
         return HomSet(self.name, f.dom, g.cod, map(
             bytes.translate, _payloads(f),
             _mapped(add, g, IDENT[g.dom.size:])))

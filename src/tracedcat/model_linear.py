@@ -194,10 +194,13 @@ class MatModel(Model):
     # morphisms
     def check_mor(self, f):
         super().check_mor(f)
-        if not isinstance(f.payload, SparseMat) \
-                or f.payload.rows != f.cod or f.payload.cols != f.dom:
+        self.check_payload(f.dom, f.cod, f.payload)
+
+    def check_payload(self, dom, cod, payload):
+        if not isinstance(payload, SparseMat) \
+                or payload.rows != cod or payload.cols != dom:
             raise ModelMismatchError(
-                f"matrix payload does not match boundaries {f.cod}x{f.dom}")
+                f"matrix payload does not match boundaries {cod}x{dom}")
 
     def morphism(self, dom, cod, rows) -> Morphism:
         return Morphism(self.name, dom, cod, smat(cod, dom, rows))

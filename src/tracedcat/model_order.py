@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, itemgetter
+from functools import cached_property, lru_cache
+from operator import add, itemgetter, mul
 
 from .core import (BoundaryError, CapabilityError, EmptyHomError, HomSet,
                    Model, ModelMismatchError, Morphism, UsageError,
-                   _payloads, _structural, check_labels)
+                   _mapped, _once_each, _payloads, _structural, check_labels)
 from .hopf_monoid import induced_monad
 from .laws import CaseBudget, CheckReport, Recorder, _rng
 from .monads import BimonadBundle, MonadBundle
@@ -218,6 +218,20 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
 # --------------------------------------------------------- the integer poset
 
 
+class _Arrows(dict):
+    """The one arrow ``n -> m`` of a thin model, per ``(n, m)``, built on
+    first use and kept for the life of the model."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __missing__(self, key):
+        arrow = self[key] = Morphism(self.name, *key, "le")
+        return arrow
+
+
 class IntPosetModel(Model):
     """Integers ordered by <=; tensor is addition, duals are negation."""
 
@@ -243,21 +257,25 @@ class IntPosetModel(Model):
         self.check_obj(m)
         if n > m:
             raise BoundaryError(f"no arrow {n} -> {m} in the integer poset")
-        return Morphism(self.name, n, m, "le")
+        return self._arrows[n, m]
 
-    # the primitives build their arrows directly: their objects are checked
-    # already, and n <= m holds by construction
+    # the primitives return the model's one arrow of their boundary: their
+    # objects are checked already, and n <= m holds by construction
+    @cached_property
+    def _arrows(self) -> _Arrows:
+        return _Arrows(self.name)
+
     def _identity(self, A):
-        return Morphism(self.name, A, A, "le")
+        return self._arrows[A, A]
 
     def _compose(self, g, f):
-        return Morphism(self.name, f.dom, g.cod, "le")
+        return self._arrows[f.dom, g.cod]
 
     def _tensor(self, f, g):
-        return Morphism(self.name, f.dom + g.dom, f.cod + g.cod, "le")
+        return self._arrows[f.dom + g.dom, f.cod + g.cod]
 
     def _sym(self, A, B):
-        return Morphism(self.name, A + B, B + A, "le")
+        return self._arrows[A + B, B + A]
 
     def dual_obj(self, A):
         self.check_obj(A)
@@ -271,7 +289,7 @@ class IntPosetModel(Model):
 
     def _trace(self, X, A, B, f):
         # a + x <= b + x already forces a <= b
-        return Morphism(self.name, A, B, "le")
+        return self._arrows[A, B]
 
     def enumerate_objects(self, max_size):
         return list(range(-max_size, max_size + 1))
@@ -393,6 +411,22 @@ class _PosetModel(Model):
                         tuple([fi * mb + gj for fi in f.payload
                                for gj in g.payload]))
 
+    # the HomSet kernels map the formula of their primitive in C: a
+    # composite reads f's table through g's, and the table of f (x) g at
+    # (i, j) is f[i] * |cod g| + g[j], f's part spread once per distinct f
+    def _compose_hom(self, g, f):
+        return HomSet(self.name, f.dom, g.cod, map(
+            tuple, map(map, _mapped(getattr, g, "__getitem__"), _payloads(f))))
+
+    def _tensor_hom(self, f, g):
+        mb, ng = g.cod.size, range(g.dom.size)
+        spread = _once_each(
+            lambda ft: tuple([v * mb for v in ft for _ in ng]), f)
+        return HomSet(self.name, poset_product(f.dom, g.dom),
+                      poset_product(f.cod, g.cod),
+                      map(tuple, map(map, itertools.repeat(add), spread,
+                                     _mapped(mul, g, f.dom.size))))
+
     def _sym(self, A, B):
         na, nb = A.size, B.size
         return Morphism(self.name, poset_product(A, B), poset_product(B, A),
@@ -419,12 +453,7 @@ class _PosetModel(Model):
         if not hom:
             return Morphism(self.name, f.dom, cod, tuple(
                 map(add, map(scale, f.payload), g.payload)))
-        if f.__class__ is HomSet:  # its tables may repeat: scale each once
-            scaled = {fp: tuple(map(scale, fp))
-                      for fp in dict.fromkeys(f.payloads)}
-            fps = map(scaled.__getitem__, f.payloads)
-        else:
-            fps = itertools.repeat(tuple(map(scale, f.payload)))
+        fps = _once_each(lambda fp: tuple(map(scale, fp)), f)
         return HomSet(self.name, f.dom, cod,
                       map(tuple, map(map, itertools.repeat(add), fps,
                                      _payloads(g))))

@@ -202,6 +202,12 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
     g = gs[len(gs) // 2]
     k = model.tensor(g, model.identity(X))
     AAX = model.tensor_obj(A, AX)
+    I, P = model.unit_obj(), model.enumerate_objects(1)[-1]
+    PP, AXAX = model.tensor_obj(P, P), model.tensor_obj(AX, AX)
+    ps = model.enumerate_hom(P, AX)
+    twice_gs = HomSet(model.name, A, A, [p for p in gs.payloads
+                                         for _ in (0, 1)])
+    rev_twice_gs = HomSet(model.name, A, A, twice_gs.payloads[::-1])
     cases = [  # (result, its boundary, the per-element results)
         (model.compose(fs, k), (AX, AX), [model.compose(f, k) for f in fs]),
         (model.compose(k, fs), (AX, AX), [model.compose(k, f) for f in fs]),
@@ -214,7 +220,28 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
          [model.tensor(r, h) for r, h in zip(rev_gs, gs)]),
         (model.trace(X, A, A, fs), (A, A),
          [model.trace(X, A, A, f) for f in fs]),
+        # a factor with the identity's table: pfn hands the other one back
+        (model.compose(model.identity(AX), fs), (AX, AX), list(fs)),
+        (model.compose(fs, model.identity(AX)), (AX, AX), list(fs)),
+        (model.compose(model.runit_inv(AX), fs), (AX, model.tensor_obj(AX, I)),
+         [model.compose(model.runit_inv(AX), f) for f in fs]),
+        (model.compose(fs, model.runit(AX)), (model.tensor_obj(AX, I), AX),
+         [model.compose(f, model.runit(AX)) for f in fs]),
+        # repeated tables, zipped
+        (model.tensor(twice_gs, rev_twice_gs), (AX, AX),
+         [model.tensor(r, h) for r, h in zip(twice_gs, rev_twice_gs)]),
+        # a one-point domain
+        (model.compose(k, ps), (P, AX), [model.compose(k, p) for p in ps]),
+        (model.compose(fs[:len(ps)], ps), (P, AX),
+         [model.compose(f, p) for f, p in zip(fs, ps)]),
+        (model.tensor(ps, ps[::-1]), (PP, AXAX),
+         [model.tensor(p, r) for p, r in zip(ps, ps[::-1])]),
+        (model.tensor(g, ps), (model.tensor_obj(A, P), AAX),
+         [model.tensor(g, p) for p in ps]),
     ]
+    if model.cocartesian:  # the identity's table, but into a larger set
+        cases.append((model.compose(fs, model.inj0(A, X)), (A, AX),
+                      [model.compose(f, model.inj0(A, X)) for f in fs]))
     if model.has_conway:
         hs = model.enumerate_hom(AX, X)
         cases.append((model.fix(X, A, hs), (A, X),
@@ -240,7 +267,12 @@ def test_primitives_on_a_hom_set_equal_their_elements(name, request):
     for out, boundary in ((model.compose(empty, k), (AX, AX)),
                           (model.compose(k, empty), (AX, AX)),
                           (model.compose(empty, fs[:0]), (AX, AX)),
+                          (model.compose(model.identity(AX), empty), (AX, AX)),
+                          (model.compose(empty, model.identity(AX)), (AX, AX)),
                           (model.tensor(g, empty), (AAX, AAX)),
+                          (model.tensor(empty, g), (model.tensor_obj(AX, A),
+                                                    model.tensor_obj(AX, A))),
+                          (model.tensor(empty, fs[:0]), (AXAX, AXAX)),
                           (model.trace(X, A, A, empty), (A, A))):
         assert (len(out), out.dom, out.cod) == (0, *boundary)
 

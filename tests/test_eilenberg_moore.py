@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from tracedcat.core import CapabilityError, HomSet, Model
+from tracedcat.core import (CapabilityError, HomSet, Model,
+                            ModelMismatchError)
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
@@ -413,6 +414,25 @@ def test_skipped_coherence_leaves_callers_inconclusive(capped_pfn):
     assert (corollary.verdict, corollary.failures) == ("inconclusive", [])
     assert corollary.findings["idempotent"] is True
     assert corollary.findings["corollary_agrees"] is None
+
+
+def test_algebra_morphism_hook_payloads_are_checked(mat, qc2):
+    # the primitives trust a HomSet's payloads, so a hook's are checked as
+    # they come in: a 3x3 matrix on a 2-dimensional carrier is refused
+    alg = free_algebra(qc2, 1)
+    n = alg.carrier
+
+    def hooked(payload):
+        return dataclasses.replace(
+            qc2, algmor_enumerator=lambda src, tgt: HomSet(
+                mat.name, src.carrier, tgt.carrier, [payload]))
+
+    fits = enumerate_algebra_morphisms(hooked(mat.identity(n).payload),
+                                       alg, alg)
+    assert list(fits) == [mat.identity(n)]
+    with pytest.raises(ModelMismatchError):
+        enumerate_algebra_morphisms(hooked(mat.identity(n + 1).payload),
+                                    alg, alg)
 
 
 def test_lifting_checkers_skip_declined_hom_sets(capped_pfn):

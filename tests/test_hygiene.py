@@ -2,7 +2,8 @@
 a module-level library function is used, every default of a library
 function is overridden by some call, failures are built in one place,
 and the package's top-level imports form no cycle, with an import inside a
-function only where one at the top would close a cycle.
+function only where one at the top would close a cycle.  Every law model
+whose hom-sets hold several morphisms has its own HomSet kernels.
 
 No linter ships with the project, so this scans each ``tracedcat`` module,
 test module and script with :mod:`ast`.  A name counts as used when the module loads it anywhere,
@@ -14,6 +15,9 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from tracedcat.cli import _LAW_MODELS
+from tracedcat.core import Model
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tracedcat"
@@ -254,3 +258,19 @@ def test_every_default_is_set_by_some_call():
     sources = [path for directory in ("src", "tests", "scripts")
                for path in sorted((ROOT / directory).rglob("*.py"))]
     assert unset_defaults(sorted(SRC.glob("*.py")), sources) == []
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_MODELS))
+def test_law_models_with_large_hom_sets_have_hom_set_kernels(name):
+    # the exhaustive driver hands such a model whole hom-sets; the base
+    # kernels would build one Morphism per element
+    model = _LAW_MODELS[name]()
+    objs = model.enumerate_objects(2)
+    if all(len(model.enumerate_hom(A, B) or ()) <= 1
+           for A in objs for B in objs):
+        return
+    kernels = ["_compose_hom", "_tensor_hom"]
+    if model.traced:
+        kernels.append("_trace_hom")
+    assert [k for k in kernels
+            if getattr(type(model), k) is getattr(Model, k)] == []

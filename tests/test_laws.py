@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from tracedcat import laws
-from tracedcat.core import (CapabilityError, HomSet, ModelMismatchError,
-                            Morphism)
+from tracedcat.core import (UNDEF, CapabilityError, HomSet,
+                            ModelMismatchError, Morphism, _payloads)
 from tracedcat.laws import (CaseBudget, LawSpec, Recorder, _run_specs,
                             check_conway_axioms, check_conway_trace_roundtrip,
                             check_monoidal_laws, check_snake,
@@ -13,7 +13,8 @@ from tracedcat.laws import (CaseBudget, LawSpec, Recorder, _run_specs,
 from tracedcat.eilenberg_moore import check_trace_coherence
 from tracedcat.model_iter import PfnModel, label_set
 from tracedcat.model_linear import MatModel
-from tracedcat.model_order import bounded_poset_two_traces, sierpinski
+from tracedcat.model_order import (bounded_poset_two_traces, fincppo_model,
+                                   sierpinski)
 from tracedcat.monads import identity_hopf_bundle
 
 
@@ -202,11 +203,49 @@ class _MutantPfn(PfnModel):
                        for f, p in zip(hom.payloads, out.payloads)])
 
 
+class _BifunctorMutantPfn(PfnModel):
+    """A tensor wrong at one point: the nowhere-defined map ``1 -> 1``
+    tensored with itself is defined at its second entry.  No structural
+    map is nowhere defined, so of the exhaustive monoidal laws only
+    ``tensor_bifunctorial`` sees it."""
+
+    NOWHERE, WRONG = bytes([UNDEF]), bytes([UNDEF, 1])
+
+    def _hit(self, f, g, fp, gp):
+        return (f.cod.size, g.cod.size, fp, gp) == (1, 1, self.NOWHERE,
+                                                   self.NOWHERE)
+
+    def _tensor(self, f, g):
+        out = super()._tensor(f, g)
+        if self._hit(f, g, f.payload, g.payload):
+            return Morphism(self.name, out.dom, out.cod, self.WRONG)
+        return out
+
+    def _tensor_hom(self, f, g):
+        out = super()._tensor_hom(f, g)
+        return HomSet(self.name, out.dom, out.cod,
+                      [self.WRONG if self._hit(f, g, fp, gp) else p
+                       for fp, gp, p in zip(_payloads(f), _payloads(g),
+                                            out.payloads)])
+
+
 def test_hom_set_driver_matches_a_morphism_by_morphism_run(monkeypatch):
-    # the exhaustive driver hands the innermost hom-set over in slices;
-    # the reference evaluates every spec on one Morphism at a time
-    model, budget = _MutantPfn(), CaseBudget(seed=0, cases=60,
-                                             max_object_size=2)
+    # the exhaustive driver hands the innermost run of hom-sets over at
+    # once, zipped, in batches of at most HOM_SLICE; the reference
+    # evaluates every exhaustive spec on one Morphism at a time, and
+    # samples the others as the driver does
+    runs = [  # (model, suite, HOM_SLICE, the laws that fail)
+        (_MutantPfn(), check_trace_axioms, laws.HOM_SLICE,
+         {"tightening_left", "tightening_right", "sliding",
+          "vanishing_tensor", "superposing"}),
+        # batches end mid-product, and Hom(2, 2)'s nine maps come in two
+        # slices
+        (_BifunctorMutantPfn(), check_monoidal_laws, 5,
+         {"tensor_bifunctorial"}),
+        (fincppo_model(), check_trace_axioms, laws.HOM_SLICE, set()),
+        (fincppo_model(), check_monoidal_laws, laws.HOM_SLICE, set()),
+    ]
+    budget = CaseBudget(seed=0, cases=60, max_object_size=2)
     specs = []
 
     def capture(model, budget, suite, run, exhaustive=False, objs=None):
@@ -214,22 +253,28 @@ def test_hom_set_driver_matches_a_morphism_by_morphism_run(monkeypatch):
         return _run_specs(model, budget, suite, run, exhaustive, objs)
 
     monkeypatch.setattr(laws, "_run_specs", capture)
-    report = check_trace_axioms(model, budget, exhaustive=True)
-    reference = Recorder(model)
-    objs = model.enumerate_objects(budget.max_object_size)
-    for spec in specs:
-        for objects in itertools.product(objs, repeat=spec.arity):
-            homs = [model.enumerate_hom(dom, cod)
-                    for dom, cod in (spec.homs(*objects) if spec.homs
-                                     else ())]
-            if None in homs:
+    for model, check, hom_slice, failing in runs:
+        specs.clear()
+        monkeypatch.setattr(laws, "HOM_SLICE", hom_slice)
+        report = check(model, budget, exhaustive=True)
+        reference = Recorder(model)
+        objs = model.enumerate_objects(budget.max_object_size)
+        for spec in specs:
+            if not spec.exhaustive:
+                sampled = _run_specs(model, budget, spec.name, (spec,))
+                reference.cases += sampled.cases_run
+                reference.failures += sampled.failures
                 continue
-            for morphisms in itertools.product(*map(list, homs)):
-                for equation in spec.sides(*objects, *morphisms):
-                    reference.check(*equation)
-    assert report.verdict == "fail"
-    assert report.cases_run == reference.cases
-    assert report.failures == reference.failures
-    assert {f.law for f in report.failures} == {
-        "tightening_left", "tightening_right", "sliding", "vanishing_tensor",
-        "superposing"}
+            for objects in itertools.product(objs, repeat=spec.arity):
+                homs = [model.enumerate_hom(dom, cod)
+                        for dom, cod in (spec.homs(*objects) if spec.homs
+                                         else ())]
+                if None in homs:
+                    continue
+                for morphisms in itertools.product(*map(list, homs)):
+                    for equation in spec.sides(*objects, *morphisms):
+                        reference.check(*equation)
+        assert report.cases_run == reference.cases
+        assert report.failures == reference.failures
+        assert {f.law for f in report.failures} == failing
+        assert (report.verdict == "fail") == bool(failing)
