@@ -35,30 +35,35 @@ from .monads import BimonadBundle, MonadBundle
 _POSETS = {}
 
 
+def _bits(mask):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FinPoset:
-    """Finite poset: distinct element labels, ``le`` the index pairs (i, j)
-    with elements[i] <= elements[j], ``bottom`` and ``top`` the indices of
-    the least and greatest element or None.  Interned, as ``FinLabelSet``.
+    """Finite poset: distinct element labels, ``up[i]`` the bitmask of the
+    indices j with elements[i] <= elements[j], ``bottom`` and ``top`` the
+    indices of the least and greatest element or None.  Built from the
+    index pairs (i, j) of the order, which ``le`` lists again on request.
+    Interned on ``(elements, up)``, as ``FinLabelSet``.
     """
 
-    __slots__ = ("elements", "le", "size", "bottom", "top")
+    __slots__ = ("elements", "up", "size", "bottom", "top")
 
     def __new__(cls, elements, le):
-        elements, le = tuple(elements), frozenset(le)
+        elements = tuple(elements)
         check_labels(elements)
-        key = (elements, le)
-        self = _POSETS.get(key)
-        if self is None:
-            self = _POSETS[key] = object.__new__(cls)
-            n, fill = len(elements), object.__setattr__
-            fill(self, "elements", elements)
-            fill(self, "le", le)
-            fill(self, "size", n)
-            fill(self, "bottom", next((i for i in range(n) if all(
-                (i, j) in le for j in range(n))), None))
-            fill(self, "top", next((i for i in range(n) if all(
-                (j, i) in le for j in range(n))), None))
-        return self
+        n = len(elements)
+        up, indices = [0] * n, range(n)
+        for i, j in le:
+            if i not in indices or j not in indices:
+                raise UsageError(f"order pair ({i!r}, {j!r}) names an index "
+                                 f"outside range({n})")
+            up[i] |= 1 << j
+        return _poset(elements, tuple(up))
 
     def __setattr__(self, name, value):
         raise AttributeError("a FinPoset is immutable")
@@ -66,24 +71,49 @@ class FinPoset:
     def __reduce__(self):  # copies and unpickled posets are re-interned
         return FinPoset, (self.elements, self.le)
 
+    @property
+    def le(self) -> frozenset:
+        """The order as the index pairs (i, j) with elements[i] <=
+        elements[j], built on each read."""
+        return frozenset((i, j) for i, mask in enumerate(self.up)
+                         for j in _bits(mask))
+
     def leq(self, i, j) -> bool:
-        return (i, j) in self.le
+        return bool(self.up[i] >> j & 1)
 
     def __repr__(self):
         covers = sorted((i, j) for (i, j) in self.le if i != j)
         return f"FinPoset({self.elements!r}, le={covers})"
 
 
-def _transitive_closure(pairs) -> frozenset:
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j), (k, l) in itertools.product(tuple(rel), repeat=2):
-            if j == k and (i, l) not in rel:
-                rel.add((i, l))
-                changed = True
-    return frozenset(rel)
+def _poset(elements: tuple, up: tuple) -> FinPoset:
+    """The interned poset of checked labels and their up-set masks."""
+    key = (elements, up)
+    self = _POSETS.get(key)
+    if self is None:
+        self = _POSETS[key] = object.__new__(FinPoset)
+        n, fill = len(elements), object.__setattr__
+        everything = common = (1 << n) - 1
+        for mask in up:
+            common &= mask
+        fill(self, "elements", elements)
+        fill(self, "up", up)
+        fill(self, "size", n)
+        fill(self, "bottom", next((i for i in range(n)
+                                   if up[i] == everything), None))
+        fill(self, "top", next(_bits(common), None))
+    return self
+
+
+def _closure(up: list) -> tuple:
+    """Transitive closure of a relation given as masks (Warshall's
+    algorithm, one row of bits at a time)."""
+    for k in range(len(up)):
+        bit = 1 << k
+        for i, mask in enumerate(up):
+            if mask & bit:
+                up[i] = mask | up[k]
+    return tuple(up)
 
 
 def poset_from_pairs(elements, pairs) -> FinPoset:
@@ -91,28 +121,30 @@ def poset_from_pairs(elements, pairs) -> FinPoset:
     elements = tuple(elements)
     check_labels(elements)
     index = {x: i for i, x in enumerate(elements)}
-    n = len(elements)
-    rel = {(i, i) for i in range(n)}
+    up = [1 << i for i in range(len(elements))]
     for x, y in pairs:
         if x not in index or y not in index:
             raise UsageError(f"relation mentions unknown element {x!r} or {y!r}")
-        rel.add((index[x], index[y]))
-    rel = _transitive_closure(rel)
-    for i, j in rel:
-        if i != j and (j, i) in rel:
-            raise UsageError(
-                f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} "
-                f"are mutually related")
-    return FinPoset(elements, rel)
+        up[index[x]] |= 1 << index[y]
+    up = _closure(up)
+    for i, mask in enumerate(up):
+        for j in _bits(mask & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise UsageError(
+                    f"antisymmetry fails: {elements[i]!r} and {elements[j]!r} "
+                    f"are mutually related")
+    return _poset(elements, up)
 
 
 @lru_cache(maxsize=None)
 def poset_product(P: FinPoset, Q: FinPoset) -> FinPoset:
+    # (p, q) <= (p', q') iff p <= p' and q <= q': the up-set of (i, j) is
+    # Q's up-set of j shifted into the block of every p' above i, and
+    # multiplying by the sum of those blocks' unit bits does the shifting
     elements = tuple((p, q) for p in P.elements for q in Q.elements)
     nq = Q.size
-    le = frozenset((i1 * nq + j1, i2 * nq + j2)
-                   for (i1, i2) in P.le for (j1, j2) in Q.le)
-    return FinPoset(elements, le)
+    spread = [sum(1 << p * nq for p in _bits(mask)) for mask in P.up]
+    return _poset(elements, tuple(s * m for s in spread for m in Q.up))
 
 
 def sierpinski() -> FinPoset:
@@ -128,37 +160,31 @@ def _topo_covers(P: FinPoset):
     after all its predecessors, and for each index the elements it covers
     (its lower covers in the Hasse diagram).  A map that is monotone along
     every cover is monotone."""
-    n = P.size
-    below = [[j for j in range(n) if j != i and P.leq(j, i)]
-             for i in range(n)]
-    order = tuple(sorted(range(n), key=lambda i: (len(below[i]), i)))
-    covers = tuple(tuple(j for j in below[i]
-                         if not any(P.leq(j, k) for k in below[i] if k != j))
+    n, up = P.size, P.up
+    below = [0] * n   # below[i]: the mask of j != i with j <= i
+    for j, mask in enumerate(up):
+        for i in _bits(mask & ~(1 << j)):
+            below[i] |= 1 << j
+    order = tuple(sorted(range(n), key=lambda i: (below[i].bit_count(), i)))
+    covers = tuple(tuple(j for j in _bits(below[i])
+                         if not up[j] & below[i] & ~(1 << j))
                    for i in range(n))
     return order, covers
 
 
 class _SetBits(dict):
-    """Memo of a poset's bitmasks: mask to its set bits, lowest first."""
+    """Memo of bitmasks: mask to its set bits, lowest first."""
 
     __slots__ = ()
 
     def __missing__(self, mask):
-        bits = self[mask] = [v for v in range(mask.bit_length())
-                             if mask >> v & 1]
+        bits = self[mask] = list(_bits(mask))
         return bits
 
 
-@lru_cache(maxsize=None)
-def _upsets(Q: FinPoset):
-    """``(upmask, bits)``: for each index u of Q the bitmask of its up-set
-    ``{v : u <= v}``, and the memo of the set bits of each mask over Q,
-    lowest first.  The candidate images of a point of a monotone map are
-    the bits of the intersected up-sets of its lower covers' images."""
-    nq = Q.size
-    upmask = tuple(sum(1 << v for v in range(nq) if Q.leq(u, v))
-                   for u in range(nq))
-    return upmask, _SetBits()
+# the candidate images of a point of a monotone map are the bits of the
+# intersected up-sets of its lower covers' images
+_SET_BITS = _SetBits()
 
 
 def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
@@ -170,18 +196,18 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
     predecessor of a position is placed before it.  Candidate images are
     bitmasks over Q: index i starts from ``fixed[i]`` (or all of Q), and
     each constraint ``(bits, j)`` of i keeps ``bits[f(j)]`` of them; one per
-    lower cover j of i, with the up-sets of Q as bits, makes f monotone, and
-    ``narrow[i]`` adds more.  ``steps[pos]`` holds the index, start and
-    constraints of a position, and ``masks[pos]`` the candidates it has
-    still to try; the last position runs through the bits of its mask,
-    listed once per mask.  Tables come out in lexicographic order along the
-    topological order.
+    lower cover j of i, with the up-sets ``Q.up`` as bits, makes f
+    monotone, and ``narrow[i]`` adds more.  ``steps[pos]`` holds the index,
+    start and constraints of a position, and ``masks[pos]`` the candidates
+    it has still to try; the last position runs through the bits of its
+    mask, listed once per mask.  Tables come out in lexicographic order
+    along the topological order.
     """
     n = P.size
     if n == 0:
         return [()]
     order, covers = _topo_covers(P)
-    upmask, bits_of = _upsets(Q)
+    upmask, bits_of = Q.up, _SET_BITS
     steps = [(i, (1 << Q.size) - 1 if fixed is None else fixed[i],
               [(upmask, j) for j in covers[i]] + (narrow[i] if narrow else []))
              for i in order]
@@ -391,10 +417,12 @@ class _PosetModel(Model):
         if len(images) != dom.size or any(not (0 <= v < cod.size)
                                           for v in images):
             raise ModelMismatchError("map table does not fit its boundaries")
-        for (i, j) in dom.le:
-            if not cod.leq(images[i], images[j]):
-                raise ModelMismatchError(
-                    f"table is not monotone at pair ({i}, {j})")
+        for i, mask in enumerate(dom.up):
+            above = cod.up[images[i]]
+            for j in _bits(mask):
+                if not above >> images[j] & 1:
+                    raise ModelMismatchError(
+                        f"table is not monotone at pair ({i}, {j})")
         return Morphism(self.name, dom, cod, images)
 
     def _identity(self, A):
@@ -518,17 +546,19 @@ class _PosetModel(Model):
         out = {}  # interned, so the keys drop repeated closures in order
         for n in range(1, max_size + 1):
             middle = list(itertools.combinations(range(n), 2))
-            required = self._required_pairs(n)
-            diagonal = {(i, i) for i in range(n)}
+            required = self._required_up(n)
             for subset in itertools.product((False, True), repeat=len(middle)):
-                pairs = diagonal | required
-                pairs.update(p for p, keep in zip(middle, subset) if keep)
-                out[FinPoset(range(n), _transitive_closure(pairs))] = None
+                up = list(required)
+                for (i, j), keep in zip(middle, subset):
+                    if keep:
+                        up[i] |= 1 << j
+                out[_poset(tuple(range(n)), _closure(up))] = None
         return list(out)
 
-    def _required_pairs(self, n):
-        """Order pairs every enumerated poset on 0..n-1 contains; they give
-        it the bottom (and top) that ``check_obj`` demands."""
+    def _required_up(self, n):
+        """Up-set masks every enumerated poset on 0..n-1 contains: each
+        index is above itself and the bottom (and top) that ``check_obj``
+        demands are in place."""
         raise NotImplementedError
 
     def enumerate_hom(self, A, B):
@@ -543,7 +573,7 @@ class _PosetModel(Model):
         self.check_obj(A)
         self.check_obj(B)
         order, covers = _topo_covers(A)
-        upmask, bits = _upsets(B)
+        upmask, bits = B.up, _SET_BITS
         everything = (1 << B.size) - 1
         for _ in range(32):
             images = [0] * A.size
@@ -568,8 +598,9 @@ class _PosetModel(Model):
         inv = [0] * f.cod.size
         for i, v in enumerate(f.payload):
             inv[v] = i
-        for (i, j) in f.cod.le:
-            if not f.dom.leq(inv[i], inv[j]):
+        for i, mask in enumerate(f.cod.up):
+            above = f.dom.up[inv[i]]
+            if any(not above >> inv[j] & 1 for j in _bits(mask)):
                 return None
         return Morphism(self.name, f.cod, f.dom, tuple(inv))
 
@@ -583,8 +614,8 @@ class FinCppoModel(_PosetModel):
         if A.bottom is None:
             raise ModelMismatchError(f"poset has no bottom element: {A!r}")
 
-    def _required_pairs(self, n):
-        return {(0, k) for k in range(1, n)}
+    def _required_up(self, n):
+        return [(1 << n) - 1] + [1 << k for k in range(1, n)]
 
     def _start_index(self, X):
         return X.bottom
@@ -610,10 +641,8 @@ class BoundedPosetModel(_PosetModel):
         if A.bottom is None or A.top is None:
             raise ModelMismatchError(f"poset is not bounded: {A!r}")
 
-    def _required_pairs(self, n):
-        req = {(0, k) for k in range(1, n)}
-        req.update((k, n - 1) for k in range(n - 1))
-        return req
+    def _required_up(self, n):
+        return [(1 << n) - 1] + [1 << k | 1 << n - 1 for k in range(1, n)]
 
     def _start_index(self, X):
         return X.bottom if self.flavor == "lfp" else X.top

@@ -1,12 +1,17 @@
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tracedcat.cli import RunConfig, run_scenario
+import tracedcat
+from tracedcat.cli import RunConfig, run_scenario, serialize_value
 from tracedcat.core import (BoundaryError, EmptyHomError, HomSet,
                             ModelMismatchError, UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
@@ -85,6 +90,95 @@ def test_unhashable_element_is_a_usage_error():
         poset_from_pairs([[1]], [])
     with pytest.raises(UsageError, match=r"label \[1\] is not hashable"):
         FinPoset(([1],), frozenset())
+
+
+def test_order_pair_outside_the_elements_is_a_usage_error():
+    for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(UsageError, match=r"outside range\(2\)"):
+            FinPoset((0, 1), {(0, 0), (1, 1), pair})
+
+
+def _reference_orders(required, max_size):
+    """The orders a poset model enumerates on 0..n-1 for n <= max_size, as
+    sets of index pairs closed by the pair loop, in enumeration order."""
+    out = []
+    for n in range(1, max_size + 1):
+        middle = list(itertools.combinations(range(n), 2))
+        for subset in itertools.product((False, True), repeat=len(middle)):
+            rel = {(i, i) for i in range(n)} | required(n)
+            rel.update(p for p, keep in zip(middle, subset) if keep)
+            while True:
+                new = {(i, l) for (i, j) in rel for (k, l) in rel
+                       if j == k} - rel
+                if not new:
+                    break
+                rel |= new
+            if rel not in out:
+                out.append(rel)
+    return out
+
+
+def _reference_structure(n, rel):
+    """``(bottom, top, _topo_covers)`` of an order given as index pairs."""
+    bottom = next((i for i in range(n)
+                   if all((i, j) in rel for j in range(n))), None)
+    top = next((i for i in range(n)
+                if all((j, i) in rel for j in range(n))), None)
+    below = [[j for j in range(n) if j != i and (j, i) in rel]
+             for i in range(n)]
+    order = tuple(sorted(range(n), key=lambda i: (len(below[i]), i)))
+    covers = tuple(tuple(j for j in below[i]
+                         if not any((j, k) in rel for k in below[i] if k != j))
+                   for i in range(n))
+    return bottom, top, (order, covers)
+
+
+def test_order_masks_match_the_pair_reference(fincppo, two_traces):
+    def pointed(n):
+        return {(0, k) for k in range(1, n)}
+
+    def bounded(n):
+        return pointed(n) | {(k, n - 1) for k in range(n - 1)}
+
+    orders = {}  # poset -> its order as a plain set of index pairs
+    for model, required in ((fincppo, pointed), (two_traces.lfp, bounded),
+                            (two_traces.gfp, bounded)):
+        objs, rels = model.enumerate_objects(3), _reference_orders(required, 3)
+        assert [P.le for P in objs] == rels
+        orders.update(zip(objs, rels))
+    for P, Q in list(itertools.product(orders, repeat=2)):
+        nq = Q.size
+        orders[poset_product(P, Q)] = {
+            (i1 * nq + j1, i2 * nq + j2)
+            for (i1, i2) in orders[P] for (j1, j2) in orders[Q]}
+    assert len(orders) == 4 + 4 ** 2
+    for P, rel in orders.items():
+        n = P.size
+        assert FinPoset(P.elements, P.le) is P
+        assert FinPoset(P.elements, rel) is P and P.le == rel
+        assert all(P.leq(i, j) == ((i, j) in rel)
+                   for i in range(n) for j in range(n))
+        assert (P.bottom, P.top, _topo_covers(P)) == _reference_structure(n,
+                                                                          rel)
+    assert serialize_value(poset_product(sierpinski(), sierpinski())) == {
+        "elements": ["('bot', 'bot')", "('bot', 'top')", "('top', 'bot')",
+                     "('top', 'top')"],
+        "le": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]}
+
+
+def test_laws_fincppo_traced_memory_peak():
+    # in a fresh process: poset_product's cache is process-wide, and the
+    # tests before this one have filled it
+    script = ("import tracemalloc\n"
+              "from tracedcat.cli import RunConfig, run_scenario\n"
+              "tracemalloc.start()\n"
+              "run_scenario('laws:fincppo', RunConfig(0, 60, 3))\n"
+              "print(tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(tracedcat.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert int(done.stdout) < 3 * 2 ** 20
 
 
 def test_poset_product_row_major():
