@@ -187,15 +187,19 @@ def _witness(algs, f):
     return inputs
 
 
-def _first_failure(b, algA, algB, images):
+def _first_failure(b, algA, algB, images, decided):
     """The first distinct image, in first-seen order, that is no algebra
-    morphism ``algA -> algB``, with both sides, or None."""
+    morphism ``algA -> algB``, with both sides, or None.  ``decided``, the
+    memo of ``(algA, algB)``, maps an image already decided to None or to
+    ``(g, lhs, rhs)``; only the sides of an image it lacks are evaluated."""
     model = b.model
     for g in dict.fromkeys(images.payloads):
-        lhs, rhs = algebra_morphism_sides(
-            b, algA, algB, Morphism(images.model, images.dom, images.cod, g))
-        if not model.mor_eq(lhs, rhs):
-            return g, lhs, rhs
+        if g not in decided:
+            lhs, rhs = algebra_morphism_sides(b, algA, algB, Morphism(
+                images.model, images.dom, images.cod, g))
+            decided[g] = None if model.mor_eq(lhs, rhs) else (g, lhs, rhs)
+        if decided[g] is not None:
+            return decided[g]
     return None
 
 
@@ -209,8 +213,11 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     algebra morphism ``f : A (x) X -> tgt`` is sent at once to the HomSet
     ``op(fs)`` of the images ``A -> B``, in order, and each must be an
     algebra morphism again.  Each ``f`` is one case, but the conclusion
-    only sees its image, so each distinct image is decided once, in
-    first-seen order.  The run stops at the first failure, which the size
+    only sees its image, so each distinct image is decided once per pair
+    ``(A, B)``, in first-seen order, by a memo that both paths share and
+    that lives until the call returns; it is keyed by the identity of the
+    pool's algebras, which is cheaper than hashing them.  The run stops
+    at the first failure, which the size
     order makes minimal: its hom-set counts the cases up to the first
     ``f`` with the failing image, and that ``f`` is the witness, as if
     each ``f`` had been checked alone; a witness that is not an algebra
@@ -229,17 +236,19 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     rec, skipped = Recorder(model), 0
     pool = algebra_pool(b, budget)
     tensor = functools.cache(functools.partial(algebra_tensor, b))
+    memos = {}
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
         src = tensor(algA, algX)
         algB, tgt, op = lift(tensor, *algs)
-        decided = components and components(src, tgt, *algs)
-        if decided:
-            n, images = decided
+        decided = memos.setdefault((id(algA), id(algB)), {})
+        by_component = components and components(src, tgt, *algs)
+        if by_component:
+            n, images = by_component
             if images is None:
                 skipped += 1  # a component hom-set beyond the cap
                 continue
-            if _first_failure(b, algA, algB, images) is None:
+            if _first_failure(b, algA, algB, images, decided) is None:
                 rec.cases += n
                 continue
         fs = enumerate_algebra_morphisms(b, src, tgt)
@@ -247,7 +256,7 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
             skipped += 1  # hom-set beyond the enumeration cap
             continue
         images = op(fs)
-        failure = _first_failure(b, algA, algB, images)
+        failure = _first_failure(b, algA, algB, images, decided)
         if failure is None:
             rec.cases += len(fs)
             continue

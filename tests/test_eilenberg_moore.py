@@ -4,14 +4,15 @@ import itertools
 import pytest
 
 from tracedcat.core import (CapabilityError, HomSet, Model,
-                            ModelMismatchError)
+                            ModelMismatchError, Morphism)
 from tracedcat.hopf_monoid import (algebra_from_rep, group_representations,
                                    group_table_c2)
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel, pfn_model
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import (BoundedPosetModel, FinCppoModel,
-                                   fincppo_model, sierpinski,
+                                   fincppo_model, poset_from_pairs,
+                                   poset_product, sierpinski,
                                    sigma_join_bimonad, sigma_meet_bimonad)
 from tracedcat import eilenberg_moore
 from tracedcat.monads import identity_hopf_bundle
@@ -231,6 +232,37 @@ def test_lifting_loop_matches_a_morphism_by_morphism_run(fincppo, size):
             assert (failure.lhs, failure.rhs) == (lhs, rhs)
             positions.append(k)
     assert positions == [0, 0, 3, 1]
+
+
+def test_each_lifting_conclusion_is_decided_once(fincppo, monkeypatch):
+    # sigma_meet's 1,905,592 cases give only 419 distinct (A, B, image)
+    # triples, and the conclusion of each is evaluated once
+    calls = []
+    sides = eilenberg_moore.algebra_morphism_sides
+
+    def counted(*args):
+        calls.append(args)
+        return sides(*args)
+
+    monkeypatch.setattr(eilenberg_moore, "algebra_morphism_sides", counted)
+    rep = check_traced_monad(sigma_meet_bimonad(fincppo), CaseBudget(0, 60, 3))
+    assert (rep.verdict, rep.cases_run, len(calls)) == ("pass", 1_905_592,
+                                                        419)
+
+
+def test_sierpinski_join_keeps_its_traced_monad_witness(fincppo):
+    rep = check_traced_monad(sigma_join_bimonad(fincppo), CaseBudget(0, 60, 3))
+    [failure] = rep.failures
+    point = poset_from_pairs((0,), [])
+    chain = poset_from_pairs((0, 1), [(0, 1)])
+    assert (rep.verdict, rep.cases_run, failure.law) == (
+        "fail", 4969, "traced_monad_conclusion")
+    assert failure.inputs["f"] == Morphism(
+        "fin_cppo", poset_product(point, chain), poset_product(chain, chain),
+        (0, 3))
+    lhs_and_rhs = [Morphism("fin_cppo", poset_product(sierpinski(), point),
+                            chain, image) for image in ((0, 0), (0, 1))]
+    assert [failure.lhs, failure.rhs] == lhs_and_rhs
 
 
 def test_lifting_failures_check_their_premise(fincppo):

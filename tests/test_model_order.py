@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import os
 import pickle
@@ -13,10 +14,11 @@ import pytest
 import tracedcat
 from tracedcat.cli import RunConfig, run_scenario, serialize_value
 from tracedcat.core import (BoundaryError, EmptyHomError, HomSet,
-                            ModelMismatchError, UsageError)
+                            ModelMismatchError, Morphism, UsageError)
 from tracedcat.hopf_monoid import induced_bimonad
-from tracedcat.laws import CaseBudget
+from tracedcat.laws import CaseBudget, Recorder
 from tracedcat.model_order import (FinCppoModel, FinPoset, PairOb,
+                                   _equivariance_masks,
                                    _module_morphism_enumerator, _topo_covers,
                                    diagonal_preservation_check,
                                    enumerate_monotone_tables,
@@ -279,7 +281,9 @@ def test_equivariant_enumerator_agrees_with_filtering(fincppo):
         pool = algebra_pool(b, CaseBudget(seed=0, cases=20, max_object_size=2))
         tensors = [algebra_tensor(b, L, R) for L in pool for R in pool]
         for src, tgt in itertools.product(tensors, repeat=2):
-            fast = _module_morphism_enumerator(fincppo, sig.size, src, tgt)
+            fast = _module_morphism_enumerator(
+                fincppo, functools.partial(_equivariance_masks, sig.size),
+                src, tgt)
             slow = [f for f in fincppo.enumerate_hom(src.carrier, tgt.carrier)
                     if is_algebra_morphism(b, src, tgt, f)]
             assert list(fast) == slow
@@ -420,6 +424,71 @@ def test_strictness_counts_declined_hom_sets():
     assert report.findings == {"checked_object_tuples": 10,
                                "skipped_object_tuples": 54,
                                "total_object_tuples": 64}
+
+
+class _WrongFixFinCppo(FinCppoModel):
+    """Pointed posets whose fixed points ``A -> X`` over the one-point A and
+    the two-point chain X are always X's top: one wrong boundary, for a
+    Morphism and a HomSet argument alike."""
+
+    def fix(self, X, A, f):
+        out = super().fix(X, A, f)
+        if (A.size, X.size) != (1, 2):
+            return out
+        if isinstance(out, HomSet):
+            return HomSet(self.name, A, X, [(1,)] * len(out))
+        return Morphism(self.name, A, X, (1,))
+
+
+def _strictness_case_by_case(model, budget):
+    """``strictness_property`` with each (h, f, g) decided alone, on
+    Morphisms: its cases, in order, and its stop after the object triple
+    that passes 4000 cases."""
+    rec = Recorder(model)
+    checked = skipped = 0
+    objs = model.enumerate_objects(min(3, budget.max_object_size))
+    for A, X, Y in itertools.product(objs, repeat=3):
+        hs = model.enumerate_hom(X, Y)
+        fs = model.enumerate_hom(poset_product(A, X), X)
+        gs = model.enumerate_hom(poset_product(A, Y), Y)
+        if hs is None or fs is None or gs is None:
+            skipped += 1
+            continue
+        checked += 1
+        for h in hs:
+            if h.payload[X.bottom] != Y.bottom:
+                continue
+            one_h = model.tensor(model.identity(A), h)
+            for f, g in itertools.product(fs, gs):
+                if model.mor_eq(model.compose(g, one_h), model.compose(h, f)):
+                    rec.check("strict_fixed_point_transfer",
+                              {"A": A, "X": X, "Y": Y, "h": h, "f": f,
+                               "g": g},
+                              model.fix(Y, A, g),
+                              model.compose(h, model.fix(X, A, f)))
+        if rec.cases > 4000:
+            break
+    return rec.finish("strict_fixed_point_transfer",
+                      exhaustive_ok=not skipped,
+                      findings={"checked_object_tuples": checked,
+                                "skipped_object_tuples": skipped,
+                                "total_object_tuples": len(objs) ** 3})
+
+
+def test_batched_strictness_matches_a_case_by_case_run():
+    model, budget = _WrongFixFinCppo(), CaseBudget(0, 60, 3)
+    batched = strictness_property(model, budget)
+    alone = _strictness_case_by_case(model, budget)
+    assert (batched.verdict, batched.cases_run, batched.findings) == (
+        alone.verdict, alone.cases_run, alone.findings)
+    assert [(fl.law, fl.inputs, fl.lhs, fl.rhs) for fl in batched.failures] \
+        == [(fl.law, fl.inputs, fl.lhs, fl.rhs) for fl in alone.failures]
+    # the failures span several triples, and several cases of one triple,
+    # so a reordering or a dropped case shows
+    triples = [(fl.inputs["A"], fl.inputs["X"], fl.inputs["Y"])
+               for fl in alone.failures]
+    assert alone.verdict == "fail" and len(set(triples)) > 1
+    assert len(triples) > len(set(triples))
 
 
 def test_sierpinski_join_results():
