@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from functools import cached_property, partial, wraps
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class ModelError(Exception):
@@ -253,6 +253,7 @@ class Model:
     ``pair``, ``terminal_map``; ``has_conway``:
     ``fix(X, A, f)``, the parametrized fixed point of ``f : A x X -> X``;
     ``cocartesian``: ``inj0``, ``inj1``, ``copair``, ``initial_map``.
+    ``stream_hom``, a large hom-set one payload at a time, is optional too.
     """
 
     name = "abstract"
@@ -442,6 +443,11 @@ class Model:
 
     def enumerate_hom(self, A, B) -> Optional[HomSet]:
         """The full hom-set as a HomSet, or None when not (feasibly) finite."""
+        return None
+
+    def stream_hom(self, A, B, above) -> Optional[Iterator]:
+        """Hom(A, B)'s payloads, lazily, in ``enumerate_hom``'s order, if
+        known unenumerated to be over ``above`` and not declined; else None."""
         return None
 
     def sample_hom(self, rng, A, B) -> Morphism:

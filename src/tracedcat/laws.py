@@ -31,8 +31,9 @@ once per morphism; a one-element hom-set goes in as its Morphism.
 the failures as if each element had been checked on its own.
 
 A run checks each object of its pool once, so the law tables build
-boundaries with the unchecked ``_tensor_obj``; ``_HomSets`` keeps each
-hom-set of at most ``HOM_SLICE`` elements for the rest of the run.
+boundaries with the unchecked ``_tensor_obj``.  It keeps each hom-set of
+at most ``HOM_SLICE`` elements and reads a larger one in slices, afresh for
+each morphism tuple before it, never whole if ``Model.stream_hom`` has it.
 
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
@@ -201,29 +202,46 @@ def _homs_enumerable(model, hom_of=None):
 
 # ---------------------------------------------------------------- law driver
 
-# The most elements of an innermost hom-set one call of an evaluator gets:
-# the whole of a 117,649-map hom-set at once doubled the peak memory of an
-# exhaustive pfn run.
+# The most elements of a hom-set a run keeps (pfn's Hom(6, 6) has 117,649)
+# and of one slice of a larger one; _HomSets gives STREAMED for one streamed.
 HOM_SLICE = 4096
+STREAMED = "streamed"
 
 
 class _HomSets(dict):
-    """One run's memo of ``enumerate_hom``: ``(dom, cod)`` to its HomSet or
-    None.  One of more than ``HOM_SLICE`` elements is not kept, so a run
-    holds at most one at a time.  ``ones`` keeps the Morphism of each
-    one-element hom-set, by its ``(dom, cod)``."""
+    """One run's memo of ``enumerate_hom``: ``(dom, cod)`` to its HomSet,
+    None, or ``STREAMED``; none of more than ``HOM_SLICE`` elements is kept,
+    nor built where its model streams it.  ``ones`` keeps the Morphism of
+    each one-element hom-set, by its ``(dom, cod)``."""
 
     def __init__(self, model):
         self.model = model
         self.ones = {}
 
     def __missing__(self, boundary):
+        if self.model.stream_hom(*boundary, HOM_SLICE) is not None:
+            return self.setdefault(boundary, STREAMED)
         hom = self.model.enumerate_hom(*boundary)
         if hom is None or len(hom) <= HOM_SLICE:
             self[boundary] = hom
             if hom is not None and len(hom) == 1:
                 self.ones[boundary] = hom[0]
         return hom
+
+    def slices(self, bound, hom):
+        """Hom(bound) read afresh, in HomSets of at most ``HOM_SLICE``."""
+        payloads = iter(self.model.stream_hom(*bound, HOM_SLICE)
+                        if hom is STREAMED else hom.payloads)
+        while chunk := tuple(itertools.islice(payloads, HOM_SLICE)):
+            yield HomSet(self.model.name, *bound, chunk)
+
+    def tuples(self, bounds, homs):
+        """The morphism tuples of ``homs`` in ``itertools.product`` order,
+        reading each again for every prefix: a streamed one is not held."""
+        if not homs:
+            return [()]
+        return ((f, *rest) for batch in self.slices(bounds[0], homs[0])
+                for f in batch for rest in self.tuples(bounds[1:], homs[1:]))
 
 
 @dataclass(frozen=True)
@@ -284,40 +302,41 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                     continue
                 if not empty.isdisjoint(bounds):
                     continue  # an empty hom-set: no instantiation
-                if not all([hom.payloads for hom in homs]):
-                    empty.update(bound for bound, hom in zip(bounds, homs)
-                                 if not hom.payloads)
+                sizes = [HOM_SLICE + 1 if hom is STREAMED else len(hom)
+                         for hom in homs]
+                if not all(sizes):
+                    empty.update(bound for bound, size in zip(bounds, sizes)
+                                 if not size)
                     continue
                 # the batch: the innermost hom-set, and before it the
                 # longest run whose product has at most HOM_SLICE elements
                 split, n = len(homs), 1
-                while split and (n == 1 or n * len(homs[split - 1].payloads)
+                while split and (n == 1 or n * sizes[split - 1]
                                  <= HOM_SLICE):
                     split -= 1
-                    n *= len(homs[split].payloads)
+                    n *= sizes[split]
                 if n == 1:  # every hom-set has one element
                     for equation in spec.sides(*objects,
                                                *map(one_of, bounds)):
                         rec.check(*equation)
                     continue
-                inner = list(zip(bounds[split:], homs[split:]))
-                columns = [hom.payloads for _, hom in inner
-                           if len(hom.payloads) > 1]
+                inner = list(zip(bounds[split:], homs[split:], sizes[split:]))
+                columns = [(bound, hom) for bound, hom, size in inner
+                           if size > 1]
                 if len(columns) > 1:  # the batch's product, one column each
-                    columns = list(zip(*itertools.product(*columns)))
-                batches = []
-                for k in range(0, n, HOM_SLICE):
-                    column = iter(columns)
-                    batches.append(([HomSet(model.name, *bound,
-                                            next(column)[k:k + HOM_SLICE])
-                                     if len(hom.payloads) > 1
-                                     else one_of(bound)
-                                     for bound, hom in inner],
-                                    min(n - k, HOM_SLICE)))
-                for morphisms in itertools.product(*homs[:split]):
-                    for batch, size in batches:
-                        rec.check_hom(spec.sides(*objects, *morphisms,
-                                                 *batch), size)
+                    product = itertools.product(*[hom.payloads
+                                                  for _, hom in columns])
+                    columns = [(bound, HomSet(model.name, *bound, payloads))
+                               for (bound, _), payloads in zip(columns,
+                                                               zip(*product))]
+                for morphisms in hom_sets.tuples(bounds[:split], homs[:split]):
+                    for batch in zip(*[hom_sets.slices(*c) for c in columns]):
+                        column = iter(batch)
+                        rec.check_hom(spec.sides(
+                            *objects, *morphisms,
+                            *[next(column) if size > 1 else one_of(bound)
+                              for bound, _, size in inner]), len(batch[0]))
+                        del batch, column  # freed before the next is read
             continue
         if wanted:
             covered = False  # hom-sets do not enumerate

@@ -203,12 +203,17 @@ class PfnModel(Model):
         return [FinLabelSet(tuple(range(k))) for k in range(max_size + 1)]
 
     def enumerate_hom(self, A, B):
+        # this class's stream at any size: a subclass may stream nothing
+        tables = PfnModel.stream_hom(self, A, B, -1)
+        return None if tables is None else HomSet(self.name, A, B, tables)
+
+    def stream_hom(self, A, B, above):
         self.check_obj(A)
         self.check_obj(B)
-        if (B.size + 1) ** A.size > self.hom_cap:
+        if not above < (B.size + 1) ** A.size <= self.hom_cap:
             return None
-        return HomSet(self.name, A, B, map(bytes, itertools.product(
-            [UNDEF, *range(B.size)], repeat=A.size)))
+        return map(bytes, itertools.product([UNDEF, *range(B.size)],
+                                            repeat=A.size))
 
     def sample_hom(self, rng, A, B):
         opts = [UNDEF, *range(B.size)]   # the order enumerate_hom uses

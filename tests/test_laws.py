@@ -1,8 +1,13 @@
 import collections
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracedcat
 from tracedcat import laws
 from tracedcat.core import (UNDEF, CapabilityError, HomSet,
                             ModelMismatchError, Morphism, _payloads)
@@ -227,6 +232,62 @@ class _BifunctorMutantPfn(PfnModel):
                       [self.WRONG if self._hit(f, g, fp, gp) else p
                        for fp, gp, p in zip(_payloads(f), _payloads(g),
                                             out.payloads)])
+
+
+class _UnstreamedPfn(PfnModel):
+    """Partial functions whose hom-sets the driver builds whole."""
+
+    def stream_hom(self, A, B, above):
+        return None
+
+
+class _UnstreamedMutantPfn(_MutantPfn, _UnstreamedPfn):
+    pass
+
+
+@pytest.mark.parametrize("streamed, built", [
+    (PfnModel, _UnstreamedPfn), (_MutantPfn, _UnstreamedMutantPfn)])
+def test_streamed_hom_sets_give_the_built_report(monkeypatch, streamed,
+                                                 built):
+    # with 7-map slices every pfn hom-set of more than 7 maps streams, and
+    # _MutantPfn fails inside Hom(3, 3), whose 64 maps come in nine slices
+    # of 7 and a last one of 1
+    monkeypatch.setattr(laws, "HOM_SLICE", 7)
+    sizes, check_hom = [], Recorder.check_hom
+
+    def counted(self, equations, n):
+        sizes.append(n)
+        return check_hom(self, equations, n)
+
+    monkeypatch.setattr(Recorder, "check_hom", counted)
+    budget = CaseBudget(0, 10, 2)
+    reports = [check_trace_axioms(model(), budget, exhaustive=True)
+               for model in (streamed, built)]
+    assert {1, 7} <= set(sizes)
+    (got, want) = reports
+    assert (got.verdict, got.cases_run, got.findings) == (
+        want.verdict, want.cases_run, want.findings)
+    assert [(f.law, f.inputs, f.lhs, f.rhs) for f in got.failures] == [
+        (f.law, f.inputs, f.lhs, f.rhs) for f in want.failures]
+    assert bool(got.failures) == (streamed is _MutantPfn)
+
+
+def test_exhaustive_pfn_trace_memory_peak():
+    # in a fresh process: no hom-set of more than HOM_SLICE maps is built
+    # whole, so the peak is the kept hom-sets and one slice's work (8.6 MiB
+    # when Hom(6, 6)'s 117,649 maps were built at once)
+    script = ("import tracemalloc\n"
+              "from tracedcat.laws import CaseBudget, check_trace_axioms\n"
+              "from tracedcat.model_iter import pfn_model\n"
+              "tracemalloc.start()\n"
+              "check_trace_axioms(pfn_model(), CaseBudget(0, 60, 2),\n"
+              "                   exhaustive=True)\n"
+              "print(tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(tracedcat.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert int(done.stdout) < 4 * 2 ** 20
 
 
 def test_hom_set_driver_matches_a_morphism_by_morphism_run(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracedcat.core import UsageError
+from tracedcat.core import Model, UsageError
 from tracedcat.laws import CaseBudget, check_trace_axioms
 from tracedcat.model_iter import (UNDEF, FinLabelSet, _tagged_union,
                                   exception_bimonad, label_set)
@@ -66,6 +66,28 @@ def test_initial_map_unique(pfn):
     A = label_set("a")
     assert pfn.initial_map(A).payload == b""
     assert list(pfn.enumerate_hom(pfn.unit_obj(), A)) == [pfn.initial_map(A)]
+
+
+def test_stream_hom_agrees_with_enumerate_hom(pfn, capped_pfn):
+    # a stream answers exactly when the hom-set has more than ``above``
+    # maps and enumerate_hom keeps it, and then gives its tables in order
+    objs = pfn.enumerate_objects(3)
+    for A, B in itertools.product(objs, repeat=2):
+        count = len(pfn.enumerate_hom(A, B))
+        for model in (pfn, capped_pfn):
+            hom = model.enumerate_hom(A, B)
+            assert (hom is None) == (count > model.hom_cap)
+            for above in (0, 1, count - 1, count):
+                stream = model.stream_hom(A, B, above)
+                assert (stream is not None) == (above < count
+                                                <= model.hom_cap)
+                if stream is not None:
+                    assert tuple(stream) == hom.payloads
+    # Hom(3, 3) has 64 maps: capped_pfn declines it and streams none of it
+    three = objs[3]
+    assert capped_pfn.enumerate_hom(three, three) is None
+    assert capped_pfn.stream_hom(three, three, 0) is None
+    assert Model().stream_hom(three, three, 0) is None
 
 
 def test_iteration_axioms_exhaustive_tiny(pfn):
