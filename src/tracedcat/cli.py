@@ -274,9 +274,10 @@ def _run_group_algebra(config: RunConfig, group_name):
         ("monad_laws", check_monad_laws(bundle, budget)),
         ("bimonad_laws", check_bimonad_laws(bundle, budget)),
         ("hopf_laws", check_hopf(bundle, budget)),
-        ("trace_coherence", check_trace_coherence(bundle, budget)),
-        ("traced_monad", check_traced_monad(bundle, budget)),
-        ("module_traces", verify_representable_coherence(bundle, budget)),
+        ("trace_coherence", coh := check_trace_coherence(bundle, budget)),
+        ("traced_monad", traced := check_traced_monad(bundle, budget)),
+        ("module_traces",
+         verify_representable_coherence(bundle, budget, coh, traced)),
     ]
     return suites, {}, f"group of order {len(table.elements)}"
 

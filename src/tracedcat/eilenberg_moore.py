@@ -187,6 +187,21 @@ def _witness(algs, f):
     return inputs
 
 
+def _sample_lifting(b, rec, rng, tensor, algX, algA, algB, law, witness):
+    """One sampled draw of a lifting statement: each sampled algebra
+    morphism ``f : A (x) X -> B (x) X`` is one case, its premise checked
+    before the conclusion ``law`` (its trace is an algebra morphism ``A ->
+    B``); a failure keeps ``witness(f)`` as its inputs."""
+    src, tgt = tensor(algA, algX), tensor(algB, algX)
+    for f in sample_algebra_morphisms(b, rng, src, tgt):
+        inputs = witness(f)
+        if rec.check("algebra_morphism_premise", inputs,
+                     *algebra_morphism_sides(b, src, tgt, f)):
+            trf = b.model.trace(algX.carrier, algA.carrier, algB.carrier, f)
+            rec.check(law, inputs, *algebra_morphism_sides(b, algA, algB, trf),
+                      count=False)
+
+
 def _first_failure(b, algA, algB, images, decided):
     """The first distinct image, in first-seen order, that is no algebra
     morphism ``algA -> algB``, with both sides, or None.  ``decided``, the
@@ -362,19 +377,8 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
         algs = [pool[rng.randrange(len(pool))] for _ in range(3)]
-        algX, algA, algB = algs
-        src = tensor(algA, algX)
-        tgt = tensor(algB, algX)
-        for f in sample_algebra_morphisms(b, rng, src, tgt):
-            # one case: the premise, then the conclusion it licenses
-            witness = _witness(algs, f)
-            if not rec.check("algebra_morphism_premise", witness,
-                             *algebra_morphism_sides(b, src, tgt, f)):
-                continue
-            trf = model.trace(algX.carrier, algA.carrier, algB.carrier, f)
-            rec.check("traced_monad_conclusion", witness,
-                      *algebra_morphism_sides(b, algA, algB, trf),
-                      count=False)
+        _sample_lifting(b, rec, rng, tensor, *algs, "traced_monad_conclusion",
+                        functools.partial(_witness, algs))
     return rec.finish(suite,
                       findings={"quantification": "sampled_refutation_only"})
 

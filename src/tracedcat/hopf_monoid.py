@@ -25,10 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CapabilityError, Model, Morphism, UsageError
-from .eilenberg_moore import (TAlgebra, algebra_morphism_sides,
-                              algebra_tensor, check_trace_coherence,
-                              check_traced_monad, free_algebra,
-                              sample_algebra_morphisms, validate_algebra)
+from .eilenberg_moore import (TAlgebra, _sample_lifting, algebra_tensor,
+                              free_algebra, validate_algebra)
 from .laws import (CaseBudget, CheckReport, Recorder, _rng,
                    _size_sorted_objects)
 from .model_linear import dense_mul, dense_rows
@@ -206,16 +204,18 @@ def induced_hopf_monad(model: Model, d: HopfMonoidData, name=None,
 # ------------------------------------------------- representable coherence
 
 
-def verify_representable_coherence(bundle: HopfBundle,
-                                   budget: CaseBudget) -> CheckReport:
+def verify_representable_coherence(bundle: HopfBundle, budget: CaseBudget,
+                                   coherence: CheckReport,
+                                   traced: CheckReport) -> CheckReport:
     """The induced bundle lifts the trace: coherence, traced-monad property,
     and the direct module statement (traces of module morphisms between
-    module tensors are module morphisms)."""
+    module tensors are module morphisms).  ``coherence`` and ``traced`` are
+    the bundle's ``check_trace_coherence`` and ``check_traced_monad``
+    reports at ``budget``: their cases and failures come first, their
+    verdicts are the findings, and only the module statement runs here."""
     model = bundle.model
-    coh = check_trace_coherence(bundle, budget)
-    traced = check_traced_monad(bundle, budget)
-    rec = Recorder(model, coh.cases_run + traced.cases_run,
-                   coh.failures + traced.failures)
+    rec = Recorder(model, coherence.cases_run + traced.cases_run,
+                   coherence.failures + traced.failures)
 
     # direct module-trace spot check; modules are algebras of H (x) -
     objs = _size_sorted_objects(model, budget)
@@ -224,19 +224,11 @@ def verify_representable_coherence(bundle: HopfBundle,
         rng = _rng(budget, "module_trace", case)
         A, B, X = (objs[rng.randrange(len(objs))] for _ in range(3))
         mA, mB, mX = (free_algebra(bundle, o) for o in (A, B, X))
-        src = tensor(mA, mX)
-        tgt = tensor(mB, mX)
-        for f in sample_algebra_morphisms(bundle, rng, src, tgt):
-            # one case: the premise, then the conclusion it licenses
-            inputs = {"A": A, "B": B, "X": X, "f": f}
-            if not rec.check("algebra_morphism_premise", inputs,
-                             *algebra_morphism_sides(bundle, src, tgt, f)):
-                continue
-            tr = model.trace(mX.carrier, mA.carrier, mB.carrier, f)
-            rec.check("module_trace_morphism", inputs,
-                      *algebra_morphism_sides(bundle, mA, mB, tr),
-                      count=False)
-    findings = {"trace_coherence": coh.verdict, "traced_monad": traced.verdict}
+        _sample_lifting(bundle, rec, rng, tensor, mX, mA, mB,
+                        "module_trace_morphism",
+                        lambda f: {"A": A, "B": B, "X": X, "f": f})
+    findings = {"trace_coherence": coherence.verdict,
+                "traced_monad": traced.verdict}
     return rec.finish("representable_coherence",
                       exhaustive_ok="inconclusive" not in findings.values(),
                       findings=findings)

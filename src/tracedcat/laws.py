@@ -32,8 +32,9 @@ the failures as if each element had been checked on its own.
 
 A run checks each object of its pool once, so the law tables build
 boundaries with the unchecked ``_tensor_obj``.  It keeps each hom-set of
-at most ``HOM_SLICE`` elements and reads a larger one in slices, afresh for
-each morphism tuple before it, never whole if ``Model.stream_hom`` has it.
+at most ``HOM_SLICE`` elements and hands it to the evaluator as it is; it
+reads a larger one in slices, afresh for each morphism tuple before it,
+never whole if ``Model.stream_hom`` has it.
 
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
@@ -211,8 +212,9 @@ STREAMED = "streamed"
 class _HomSets(dict):
     """One run's memo of ``enumerate_hom``: ``(dom, cod)`` to its HomSet,
     None, or ``STREAMED``; none of more than ``HOM_SLICE`` elements is kept,
-    nor built where its model streams it.  ``ones`` keeps the Morphism of
-    each one-element hom-set, by its ``(dom, cod)``."""
+    nor built where its model streams it; a kept one is its own batch.
+    ``ones`` keeps the Morphism of each one-element hom-set, by its
+    ``(dom, cod)``."""
 
     def __init__(self, model):
         self.model = model
@@ -229,7 +231,11 @@ class _HomSets(dict):
         return hom
 
     def slices(self, bound, hom):
-        """Hom(bound) read afresh, in HomSets of at most ``HOM_SLICE``."""
+        """Hom(bound) in HomSets of at most ``HOM_SLICE``: a kept one as
+        one batch, itself; a larger or streamed one read afresh."""
+        if hom is not STREAMED and len(hom) <= HOM_SLICE:
+            yield hom
+            return
         payloads = iter(self.model.stream_hom(*bound, HOM_SLICE)
                         if hom is STREAMED else hom.payloads)
         while chunk := tuple(itertools.islice(payloads, HOM_SLICE)):

@@ -186,9 +186,8 @@ class PfnModel(Model):
 
     # iteration trace: a HomSet resolves each distinct feedback part once
     def _trace(self, X, A, B, f):
-        table, na = f.payload, A.size
-        resolve, = _resolved((table[na:],), B.size, X.size)
-        return Morphism(self.name, A, B, table[:na].translate(resolve))
+        return self._trace_hom(X, A, B, HomSet(self.name, f.dom, f.cod,
+                                               (f.payload,)))[0]
 
     def _trace_hom(self, X, A, B, hom):
         feedback = list(map(itemgetter(slice(A.size, None)), hom.payloads))

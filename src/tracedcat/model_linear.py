@@ -276,9 +276,6 @@ class MatModel(Model):
     def enumerate_objects(self, max_size):
         return list(range(0, max_size + 1))
 
-    def enumerate_hom(self, A, B):
-        return None  # hom-sets are infinite
-
     def sample_hom(self, rng, A, B):
         rows = [[rng.randint(-3, 3) for _ in range(A)] for _ in range(B)]
         return self.morphism(A, B, rows)

@@ -172,21 +172,6 @@ def _topo_covers(P: FinPoset):
     return order, covers
 
 
-class _SetBits(dict):
-    """Memo of bitmasks: mask to its set bits, lowest first."""
-
-    __slots__ = ()
-
-    def __missing__(self, mask):
-        bits = self[mask] = list(_bits(mask))
-        return bits
-
-
-# the candidate images of a point of a monotone map are the bits of the
-# intersected up-sets of its lower covers' images
-_SET_BITS = _SetBits()
-
-
 def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
                               narrow=None) -> list:
     """Odometer enumeration of the monotone maps P -> Q, as a list of index
@@ -200,16 +185,15 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
     monotone, and ``narrow[i]`` adds more.  ``steps[pos]`` holds the index,
     start and constraints of a position, and ``masks[pos]`` the candidates
     it has still to try; the last position runs through the bits of its
-    mask, listed once per mask.  Tables come out in lexicographic order
-    along the topological order.
+    mask.  Tables come out in lexicographic order along the topological
+    order.
     """
     n = P.size
     if n == 0:
         return [()]
     order, covers = _topo_covers(P)
-    upmask, bits_of = Q.up, _SET_BITS
     steps = [(i, (1 << Q.size) - 1 if fixed is None else fixed[i],
-              [(upmask, j) for j in covers[i]] + (narrow[i] if narrow else []))
+              [(Q.up, j) for j in covers[i]] + (narrow[i] if narrow else []))
              for i in order]
     out = []
     append = out.append
@@ -224,7 +208,7 @@ def enumerate_monotone_tables(P: FinPoset, Q: FinPoset, fixed=None,
         for bits, j in cons:
             mask &= bits[vals[j]]
         if pos == last:
-            for v in bits_of[mask]:
+            for v in _bits(mask):
                 vals[i] = v
                 append(tuple(vals))
             pos -= 1
@@ -340,10 +324,9 @@ def int_poset_model() -> IntPosetModel:
     return IntPosetModel()
 
 
-def n_monad(model: IntPosetModel = None) -> BimonadBundle:
+def n_monad() -> BimonadBundle:
     """Truncation to the nonnegative part, as a symmetric bimonad."""
-    if model is None:
-        model = int_poset_model()
+    model = int_poset_model()
 
     def N(n):
         return max(0, n)
@@ -573,7 +556,7 @@ class _PosetModel(Model):
         self.check_obj(A)
         self.check_obj(B)
         order, covers = _topo_covers(A)
-        upmask, bits = B.up, _SET_BITS
+        upmask = B.up
         everything = (1 << B.size) - 1
         for _ in range(32):
             images = [0] * A.size
@@ -581,7 +564,7 @@ class _PosetModel(Model):
                 mask = everything
                 for j in covers[i]:
                     mask &= upmask[images[j]]
-                opts = bits[mask]
+                opts = list(_bits(mask))
                 if not opts:
                     break
                 images[i] = rng.choice(opts)
@@ -734,9 +717,6 @@ class PairModel(Model):
         lefts = self.first.enumerate_objects(max_size)
         rights = self.second.enumerate_objects(max_size)
         return [PairOb(l, r) for l, r in itertools.product(lefts, rights)]
-
-    def enumerate_hom(self, A, B):
-        return None
 
     def sample_hom(self, rng, A, B):
         return self.pair_mor(self.first.sample_hom(rng, A.left, B.left),

@@ -54,6 +54,6 @@ def qs3(mat):
 
 
 @pytest.fixture(scope="session")
-def nbundle(zle):
-    return n_monad(zle)
+def nbundle():
+    return n_monad()
 

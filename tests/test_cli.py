@@ -3,6 +3,8 @@ import itertools
 import json
 import operator
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,21 @@ def test_scenario_table_reproduces_at_size_one(monkeypatch, capsys):
                           RunConfig(seed=5, cases=5, max_size=size))
              ["suites"][0]["cases_run"] for size in (1, 2, 3)]
     assert cases == [56, 112, 112]
+
+
+def test_ab_passes_compares_the_repo_with_itself():
+    # one round of the smallest workload: both sides give the same records
+    # (the script asserts it) and one JSON line with each side's numbers
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_passes.py"), str(ROOT),
+         str(ROOT), "poset-exhaustive", "1"], capture_output=True, text=True,
+        check=True, timeout=300)
+    summary = json.loads(done.stdout)
+    assert (summary["workload"], summary["rounds"]) == ("poset-exhaustive", 1)
+    for side in ("parent", "change"):
+        assert len(summary[side]["cpu_s"]) == 1
+        assert summary[side]["median_cpu_s"] > 0
+    assert summary["parent"]["won"] + summary["change"]["won"] <= 1
 
 
 @pytest.mark.parametrize("verdict, facts", [("fail", {"answer": 42}),

@@ -34,7 +34,7 @@ BUDGET = CaseBudget(seed=13, cases=30, max_object_size=3)
 SMALL = CaseBudget(seed=13, cases=15, max_object_size=2)
 
 
-def test_free_algebra_examples(mat, zle, qc2, nbundle):
+def test_free_algebra_examples(mat, qc2, nbundle):
     ident = identity_hopf_bundle(mat)
     fa = free_algebra(ident, 3)
     assert fa.carrier == 3 and mat.mor_eq(fa.action, mat.identity(3))
@@ -44,7 +44,7 @@ def test_free_algebra_examples(mat, zle, qc2, nbundle):
     assert dense_rows(fq.action) == ((1, 0, 0, 1), (0, 1, 1, 0))
 
     fn = free_algebra(nbundle, -3)
-    assert fn.carrier == 0 and fn.action == zle.arrow(0, 0)
+    assert fn.carrier == 0 and fn.action == nbundle.model.arrow(0, 0)
 
 
 def test_algebra_validation(mat, qc2):
@@ -73,18 +73,18 @@ def test_unit_algebra(mat, qc2):
     unit_algebra(qc2)  # validates on construction
 
 
-def test_enumerate_algebras_on_truncation(zle, nbundle):
+def test_enumerate_algebras_on_truncation(nbundle):
     assert len(enumerate_algebras(nbundle, 5)) == 1
     (alg,) = enumerate_algebras(nbundle, 5)
-    assert alg.action == zle.arrow(5, 5)
+    assert alg.action == nbundle.model.arrow(5, 5)
     assert enumerate_algebras(nbundle, -5) == []
 
 
-def test_idempotent_algebra_uniqueness(zle, nbundle):
+def test_idempotent_algebra_uniqueness(nbundle):
     # at most one structure per carrier; exactly one iff the unit inverts
     for n in range(-6, 7):
         algs = enumerate_algebras(nbundle, n)
-        eta_invertible = zle.invert(nbundle.eta(n)) is not None
+        eta_invertible = nbundle.model.invert(nbundle.eta(n)) is not None
         assert len(algs) <= 1
         assert (len(algs) == 1) == eta_invertible
 

@@ -1,14 +1,16 @@
+import collections
 import dataclasses
 
 import pytest
 
-from tracedcat import hopf_monoid
+from tracedcat import cli, hopf_monoid
 from tracedcat.core import UsageError
 from tracedcat.laws import CaseBudget
 from tracedcat.model_iter import PfnModel
 from tracedcat.model_linear import dense_rows
 from tracedcat.model_order import poset_product, sierpinski
 from tracedcat.eilenberg_moore import (TAlgebra, algebra_tensor,
+                                       check_trace_coherence,
                                        check_traced_monad,
                                        free_algebra, is_algebra,
                                        is_algebra_morphism, unit_algebra)
@@ -22,6 +24,12 @@ from tracedcat.hopf_monoid import (GroupTable, HopfMonoidData,
 from tracedcat.monads import identity_hopf_bundle
 
 BUDGET = CaseBudget(seed=17, cases=25, max_object_size=2)
+
+
+def representable_coherence(bundle, budget):
+    return verify_representable_coherence(
+        bundle, budget, check_trace_coherence(bundle, budget),
+        check_traced_monad(bundle, budget))
 
 
 def test_group_algebra_structure(mat):
@@ -89,7 +97,7 @@ def test_trivial_hopf_monoid_on_unit(mat, fincppo):
                          lambda rng, src, tgt:
                              mat.sample_hom(rng, src.carrier, tgt.carrier)}
         bundle = induced_hopf_monad(model, d, name="trivial", **hooks)
-        report = verify_representable_coherence(bundle, BUDGET)
+        report = representable_coherence(bundle, BUDGET)
         assert report.passed
 
 
@@ -164,8 +172,8 @@ def test_noncocommutative_comultiplication_breaks_symmetry(mat):
 
 
 def test_representable_coherence_for_groups(qc2, qs3):
-    assert verify_representable_coherence(qc2, BUDGET).passed
-    assert verify_representable_coherence(qs3, BUDGET).passed
+    assert representable_coherence(qc2, BUDGET).passed
+    assert representable_coherence(qs3, BUDGET).passed
 
 
 def test_module_premise_witness_replays(mat, qc2):
@@ -173,7 +181,7 @@ def test_module_premise_witness_replays(mat, qc2):
     raw = dataclasses.replace(
         qc2, algmor_sampler=lambda rng, src, tgt:
             mat.sample_hom(rng, src.carrier, tgt.carrier))
-    report = verify_representable_coherence(raw, BUDGET)
+    report = representable_coherence(raw, BUDGET)
     premise = [fl for fl in report.failures
                if fl.law == "algebra_morphism_premise"]
     assert premise
@@ -193,18 +201,31 @@ def test_sampled_traced_monad_checks_its_premise(mat, qc2):
     assert all(not mat.mor_eq(fl.lhs, fl.rhs) for fl in report.failures)
 
 
-def test_representable_coherence_passes_traced_skips_through(capped_pfn,
-                                                             monkeypatch):
+def test_representable_coherence_passes_traced_skips_through(capped_pfn):
     # coherence runs on an uncapped model and passes, so only the
     # traced-monad side skips hom-sets above the 50-map cap
-    check_trace_coherence = hopf_monoid.check_trace_coherence
-    monkeypatch.setattr(hopf_monoid, "check_trace_coherence",
-                        lambda bundle, budget: check_trace_coherence(
-                            identity_hopf_bundle(PfnModel()), budget))
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+    bundle = identity_hopf_bundle(capped_pfn)
     report = verify_representable_coherence(
-        identity_hopf_bundle(capped_pfn),
-        CaseBudget(seed=0, cases=20, max_object_size=2))
+        bundle, budget,
+        check_trace_coherence(identity_hopf_bundle(PfnModel()), budget),
+        check_traced_monad(bundle, budget))
     assert (report.verdict, report.cases_run) == ("inconclusive", 1571)
     assert not report.failures
     assert report.findings == {"trace_coherence": "pass",
                                "traced_monad": "inconclusive"}
+
+
+def test_group_algebra_runs_each_lifting_check_once(monkeypatch):
+    # module_traces takes its row's coherence and traced-monad reports
+    # instead of running both checkers again
+    calls = collections.Counter()
+    for module in (cli, hopf_monoid):
+        for name in ("check_trace_coherence", "check_traced_monad"):
+            if hasattr(module, name):
+                def counted(*args, _check=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _check(*args)
+                monkeypatch.setattr(module, name, counted)
+    cli.run_scenario("group-algebra:c2", cli.RunConfig(0, 20, 2))
+    assert calls == {"check_trace_coherence": 1, "check_traced_monad": 1}

@@ -19,7 +19,7 @@ from tracedcat.eilenberg_moore import check_trace_coherence
 from tracedcat.model_iter import PfnModel, label_set
 from tracedcat.model_linear import MatModel
 from tracedcat.model_order import (bounded_poset_two_traces, fincppo_model,
-                                   sierpinski)
+                                   poset_product, sierpinski)
 from tracedcat.monads import identity_hopf_bundle
 
 
@@ -126,6 +126,21 @@ def test_driver_checks_objects_then_enumerates_each_hom_set_once(
     with pytest.raises(ModelMismatchError, match="not a finite label set"):
         _run_specs(model, budget, "objects", (LawSpec("any", 1, no_case),),
                    exhaustive=True, objs=[label_set(0), 3])
+
+
+def test_a_kept_hom_set_is_its_own_batch(monkeypatch, fincppo):
+    # a hom-set the run keeps goes to the evaluator as itself, not a copy;
+    # one of more than HOM_SLICE elements is still read afresh in slices
+    hom_sets, P = laws._HomSets(fincppo), poset_product(sierpinski(),
+                                                        sierpinski())
+    kept = hom_sets[P, P]
+    assert kept is hom_sets[P, P] and len(kept) > 1
+    (batch,) = hom_sets.slices((P, P), kept)
+    assert batch is kept
+    monkeypatch.setattr(laws, "HOM_SLICE", 4)
+    slices = list(laws._HomSets(fincppo).slices((P, P), kept))
+    assert [len(s) for s in slices][:-1] == [4] * (len(slices) - 1)
+    assert [f for s in slices for f in s] == list(kept)
 
 
 class _BrokenTrace(MatModel):
