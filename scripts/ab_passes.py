@@ -9,14 +9,21 @@ Each round starts one fresh process per checkout, in alternating order
 process imports that checkout's ``src/`` and its ``perfbench/workloads.py``
 (read-only), runs ``PASSES`` passes of the workload at seed ``SEED`` and
 reports the median CPU time (``time.process_time``) of its passes and the
-records of its last pass.  The script fails unless every process of both
-sides returns the same records.
+records of its last pass.  After the timed passes it runs one more under
+:mod:`cProfile` and reports that pass's total function calls, which do not
+vary with the machine's load, so an effect too small for the timings to
+resolve still shows as a change in work done.  The calls are summed over
+the profiler's own entries, one per function: :mod:`pstats` keeps one of
+two functions that share a file, line and name (two comprehensions on one
+line), and which one depends on memory layout.  The script fails unless
+every process of both sides returns the same records.
 
 Prints one JSON line: per side, its per-round medians, their median and
-quartiles and the number of rounds it won (ties count for neither); the
-change's median relative to the parent's; and the median over rounds of
-the change's time relative to the parent's in the same round, which a
-slow stretch of a shared machine moves less.
+quartiles, the number of rounds it won (ties count for neither) and its
+median call count; the change's median relative to the parent's; the
+median over rounds of the change's time relative to the parent's in the
+same round, which a slow stretch of a shared machine moves less; and the
+change's call count relative to the parent's.
 """
 
 import json
@@ -29,7 +36,7 @@ PASSES = 5
 SEED = 0
 
 CHILD = """
-import json, statistics, sys, time
+import cProfile, json, statistics, sys, time
 root, workload, passes, seed = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 import workloads
@@ -38,7 +45,10 @@ for _ in range(passes):
     start = time.process_time()
     records = workloads.run_pass(workload, seed)
     cpu.append(time.process_time() - start)
-print(json.dumps({"cpu_s": statistics.median(cpu), "records": records}))
+profile = cProfile.Profile()
+profile.runcall(workloads.run_pass, workload, seed)
+print(json.dumps({"cpu_s": statistics.median(cpu), "records": records,
+                  "calls": sum(f.callcount for f in profile.getstats())}))
 """
 
 
@@ -63,6 +73,7 @@ def main(argv):
     parent, change = (Path(p).resolve() for p in argv[:2])
     workload, rounds = argv[2], int(argv[3])
     times = {"parent": [], "change": []}
+    calls = {"parent": [], "change": []}
     reference = None
     for r in range(rounds):
         order = [("parent", parent), ("change", change)]
@@ -74,6 +85,7 @@ def main(argv):
                 sys.exit(f"round {r}: the {side} records differ from the "
                          f"first process's")
             times[side].append(res["cpu_s"])
+            calls[side].append(res["calls"])
     wins = {"parent": 0, "change": 0}
     for p, c in zip(times["parent"], times["change"]):
         if p != c:
@@ -85,12 +97,15 @@ def main(argv):
         summary[side] = {"median_cpu_s": round(statistics.median(xs), 4),
                          "q1": round(q1, 4), "q3": round(q3, 4),
                          "won": wins[side],
+                         "calls": statistics.median_low(calls[side]),
                          "cpu_s": [round(x, 4) for x in xs]}
     summary["change_vs_parent"] = round(
         summary["change"]["median_cpu_s"] / summary["parent"]["median_cpu_s"]
         - 1, 4)
     summary["paired_change_vs_parent"] = round(statistics.median(
         c / p for p, c in zip(times["parent"], times["change"])) - 1, 4)
+    summary["calls_change_vs_parent"] = round(
+        summary["change"]["calls"] / summary["parent"]["calls"] - 1, 6)
     print(json.dumps(summary))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import Morphism, UsageError
-from .laws import (CaseBudget, CheckReport, check_conway_axioms,
+from .laws import (CaseBudget, CheckReport, Failure, check_conway_axioms,
                    check_conway_trace_roundtrip, check_monoidal_laws,
                    check_snake, check_trace_axioms)
 from .model_iter import (UNDEF, FinLabelSet, exception_bimonad, label_set,
@@ -48,8 +48,8 @@ class RunConfig:
     max_size: int = 3
 
     def budget(self, max_size=None):
-        return CaseBudget(seed=self.seed, cases=self.cases,
-                          max_object_size=max_size or self.max_size)
+        return CaseBudget(self.seed, self.cases,
+                          self.max_size if max_size is None else max_size)
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,9 @@ def serialize_value(v):
         return {str(k): serialize_value(x) for k, x in v.items()}
     if isinstance(v, (int, str, bool)) or v is None:
         return v
+    if isinstance(v, Failure):
+        return {"law": v.law, "witness": serialize_value(v.inputs),
+                "lhs": serialize_value(v.lhs), "rhs": serialize_value(v.rhs)}
     return repr(v)
 
 
@@ -110,11 +113,7 @@ def serialize_report(report: CheckReport):
         "model": report.model,
         "verdict": report.verdict,
         "cases_run": report.cases_run,
-        "failures": [{"law": fl.law,
-                      "witness": serialize_value(fl.inputs),
-                      "lhs": serialize_value(fl.lhs),
-                      "rhs": serialize_value(fl.rhs)}
-                     for fl in report.failures[:5]],
+        "failures": serialize_value(report.failures[:5]),
         "findings": serialize_value(report.findings),
     }
 

@@ -237,8 +237,8 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     ``f`` with the failing image, and that ``f`` is the witness, as if
     each ``f`` had been checked alone; a witness that is not an algebra
     morphism is kept as an ``algebra_morphism_premise`` failure.  A tuple
-    whose hom-set cannot be enumerated is skipped and counted, and makes
-    the verdict ``inconclusive`` unless a failure is found.
+    whose hom-set cannot be enumerated is skipped, and counted in the
+    :class:`~tracedcat.laws.Recorder`.
 
     ``components(src, tgt, X, A, ...)``, where given, may decide a tuple
     without its joint hom-set: it returns None to leave the tuple to the
@@ -248,7 +248,7 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     on its joint hom-set, so its count and witness are the joint path's.
     """
     model = b.model
-    rec, skipped = Recorder(model), 0
+    rec = Recorder(model)
     pool = algebra_pool(b, budget)
     tensor = functools.cache(functools.partial(algebra_tensor, b))
     memos = {}
@@ -261,14 +261,14 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
         if by_component:
             n, images = by_component
             if images is None:
-                skipped += 1  # a component hom-set beyond the cap
+                rec.skipped += 1  # a component hom-set beyond the cap
                 continue
             if _first_failure(b, algA, algB, images, decided) is None:
                 rec.cases += n
                 continue
         fs = enumerate_algebra_morphisms(b, src, tgt)
         if fs is None:
-            skipped += 1  # hom-set beyond the enumeration cap
+            rec.skipped += 1  # hom-set beyond the enumeration cap
             continue
         images = op(fs)
         failure = _first_failure(b, algA, algB, images, decided)
@@ -285,10 +285,8 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
                      count=False):
             rec.fail(law, witness, lhs, rhs)
         break
-    findings = ({"quantification": "exhaustive_with_skips",
-                 "skipped_object_tuples": skipped} if skipped
-                else {"quantification": "exhaustive"})
-    return rec.finish(suite, exhaustive_ok=not skipped, findings=findings)
+    return rec.finish(suite, {"quantification": "exhaustive_with_skips"
+                              if rec.skipped else "exhaustive"})
 
 
 def _product_components(b):
@@ -431,13 +429,6 @@ def check_trace_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
     return report
 
 
-def _agree(a, b):
-    """Whether two verdicts agree; None when either is inconclusive."""
-    if "inconclusive" in (a, b):
-        return None
-    return a == b
-
-
 def crosscheck_main_theorem(hopf: HopfBundle,
                             budget: CaseBudget) -> CheckReport:
     """Verdicts of the two characterisations must agree on Hopf bundles.
@@ -453,16 +444,14 @@ def crosscheck_main_theorem(hopf: HopfBundle,
     coherent = check_trace_coherence(hopf, budget)
     traced_side = traced.verdict if gate.passed else "fail"
     coherent_side = coherent.verdict if gate.passed else "fail"
-    agree = _agree(traced_side, coherent_side)
     rec = Recorder(model,
                    gate.cases_run + traced.cases_run + coherent.cases_run)
-    if agree is False:
-        rec.fail("main_theorem_crosscheck_disagreement",
-                 {"traced_side": traced_side, "coherent_side": coherent_side,
-                  "traced_failures": traced.failures[:1],
-                  "coherence_failures": coherent.failures[:1]})
+    agree = rec.agree(
+        "main_theorem_crosscheck_disagreement", traced_side, coherent_side,
+        {"traced_side": traced_side, "coherent_side": coherent_side,
+         "traced_failures": traced.failures[:1],
+         "coherence_failures": coherent.failures[:1]})
     return rec.finish(f"mainthm_crosscheck[{hopf.name}]",
-                      exhaustive_ok=agree is not None,
                       findings={"hopf_gate": gate.verdict,
                                 "traced_monad": traced.verdict,
                                 "trace_coherence": coherent.verdict,
@@ -486,11 +475,8 @@ def fix_coherence_sides(hopf: HopfBundle, A, X, f):
 
 
 def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
-    """Fixed-point form of coherence; verdict must match the trace form.
-
-    When either form is inconclusive the two are not compared and a passing
-    report becomes inconclusive.
-    """
+    """Fixed-point form of coherence; its verdict must match the trace
+    form's, as :meth:`~tracedcat.laws.Recorder.agree` compares them."""
     model = hopf.model
     if not (model.cartesian and model.has_conway and model.traced):
         raise CapabilityError("check_fix_coherence needs a traced cartesian "
@@ -506,16 +492,13 @@ def check_fix_coherence(hopf: HopfBundle, budget: CaseBudget) -> CheckReport:
                         (spec,), _homs_enumerable(model),
                         _size_sorted_objects(model, budget))
     other = check_trace_coherence(hopf, budget)
-    matches = _agree(report.verdict, other.verdict)
-    rec = Recorder(model, report.cases_run, report.failures)
-    if matches is False:
-        rec.fail("fix_vs_trace_coherence_disagreement",
-                 {"fix": report.verdict, "trace": other.verdict})
-    # a pass is inconclusive when the trace form skipped hom-sets
-    return rec.finish(report.suite,
-                      exhaustive_ok=report.passed and matches is not None,
-                      findings=dict(report.findings,
-                                    matches_trace_coherence=matches))
+    rec = Recorder(model)
+    rec.fold(report)
+    matches = rec.agree("fix_vs_trace_coherence_disagreement",
+                        report.verdict, other.verdict,
+                        {"fix": report.verdict, "trace": other.verdict})
+    return rec.finish(report.suite, dict(report.findings,
+                                         matches_trace_coherence=matches))
 
 
 def check_traced_via_fix(b, budget: CaseBudget) -> CheckReport:
@@ -555,30 +538,25 @@ def cocartesian_corollary_check(bundle, budget: CaseBudget) -> CheckReport:
     idem = idempotence_suite(bundle, budget)
     rec.cases += idem.cases_run
     findings["idempotent"] = idem.findings.get("idempotent")
-    coherent = None
     if isinstance(bundle, HopfBundle):
         hv = check_hopf(bundle, budget)
         rec.cases += hv.cases_run
         co = check_trace_coherence(bundle, budget)
         rec.cases += co.cases_run
         coherent = co.verdict
+        rec.covered = coherent != "inconclusive"  # applicable or not
         findings["hopf_laws"] = hv.verdict
         findings["trace_coherence"] = coherent
         applicable = bi.passed and hv.passed
         findings["corollary_applicable"] = applicable
         if applicable:
-            agree = _agree(coherent,
-                           "pass" if findings["idempotent"] else "fail")
-            findings["corollary_agrees"] = agree
-            if agree is False:
-                rec.fail("cocartesian_corollary",
-                         {"coherent": coherent,
-                          "idempotent": findings["idempotent"]})
+            findings["corollary_agrees"] = rec.agree(
+                "cocartesian_corollary", coherent,
+                "pass" if findings["idempotent"] else "fail",
+                {"coherent": coherent, "idempotent": findings["idempotent"]})
     else:
         findings["corollary_applicable"] = False
-    return rec.finish(f"cocartesian_corollary[{bundle.name}]",
-                      exhaustive_ok=coherent != "inconclusive",
-                      findings=findings)
+    return rec.finish(f"cocartesian_corollary[{bundle.name}]", findings)
 
 
 # ------------------------------------------------------------- free algebras

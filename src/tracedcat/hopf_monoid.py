@@ -211,11 +211,13 @@ def verify_representable_coherence(bundle: HopfBundle, budget: CaseBudget,
     and the direct module statement (traces of module morphisms between
     module tensors are module morphisms).  ``coherence`` and ``traced`` are
     the bundle's ``check_trace_coherence`` and ``check_traced_monad``
-    reports at ``budget``: their cases and failures come first, their
-    verdicts are the findings, and only the module statement runs here."""
+    reports at ``budget``, folded into this one (their cases and failures
+    come first); their verdicts are the findings, and only the module
+    statement runs here."""
     model = bundle.model
-    rec = Recorder(model, coherence.cases_run + traced.cases_run,
-                   coherence.failures + traced.failures)
+    rec = Recorder(model)
+    rec.fold(coherence)
+    rec.fold(traced)
 
     # direct module-trace spot check; modules are algebras of H (x) -
     objs = _size_sorted_objects(model, budget)
@@ -227,11 +229,9 @@ def verify_representable_coherence(bundle: HopfBundle, budget: CaseBudget,
         _sample_lifting(bundle, rec, rng, tensor, mX, mA, mB,
                         "module_trace_morphism",
                         lambda f: {"A": A, "B": B, "X": X, "f": f})
-    findings = {"trace_coherence": coherence.verdict,
-                "traced_monad": traced.verdict}
     return rec.finish("representable_coherence",
-                      exhaustive_ok="inconclusive" not in findings.values(),
-                      findings=findings)
+                      {"trace_coherence": coherence.verdict,
+                       "traced_monad": traced.verdict})
 
 
 # ---------------------------------------------------------- group algebras

@@ -6,9 +6,10 @@ witness-carrying :class:`CheckReport`.  Runs are deterministic: the same
 
 Every checker counts and records through one :class:`Recorder`, which
 compares two sides with ``mor_eq`` and keeps a :class:`Failure` when they
-differ, so every reported failure replays to ``lhs != rhs``.  The only
-failures without sides (``None``) are the disagreements of two verdicts or
-determinations: ``main_theorem_crosscheck_disagreement``,
+differ, so every reported failure replays to ``lhs != rhs``, and which
+alone decides the verdict.  The only failures without sides (``None``) are
+the disagreements of two verdicts or determinations, kept by
+:meth:`Recorder.agree`: ``main_theorem_crosscheck_disagreement``,
 ``fix_vs_trace_coherence_disagreement``, ``cocartesian_corollary`` and
 ``hopf_idempotence_criterion``.
 
@@ -38,15 +39,14 @@ never whole if ``Model.stream_hom`` has it.
 
 Objects always enumerate, so only hom-sets limit an exhaustive run, and it
 claims no more than it evaluated.  A law on a model whose hom-sets do not
-enumerate is sampled instead; an object tuple with a hom-set that
-``enumerate_hom`` declines is skipped and counted in
-``findings["skipped_object_tuples"]``.  Either way the verdict is
-``inconclusive`` unless a failure is found.  A run remembers its dead
-boundaries in two sets.  A tuple that meets ``declined`` (``enumerate_hom``
-gave None) is counted before any of its hom-sets is looked up, so none
-beside it is enumerated again.  One that meets ``empty`` is passed over
-once its hom-sets are looked up, without testing their payloads: a
-declined hom-set beside an empty one still counts the tuple as skipped.
+enumerate is sampled instead, and an object tuple with a hom-set that
+``enumerate_hom`` declines is skipped; the :class:`Recorder` decides what
+either does to the verdict.  A run remembers its dead boundaries in two
+sets.  A tuple that meets ``declined`` (``enumerate_hom`` gave None) is
+counted before any of its hom-sets is looked up, so none beside it is
+enumerated again.  One that meets ``empty`` is passed over once its
+hom-sets are looked up, without testing their payloads: a declined hom-set
+beside an empty one still counts the tuple as skipped.
 """
 
 from __future__ import annotations
@@ -99,14 +99,23 @@ class CheckReport:
 
 @dataclass
 class Recorder:
-    """The cases and failures of one suite run on ``model``.
+    """The cases, failures and coverage of one suite run on ``model``: the
+    one place its verdict is decided.
 
     Every checker counts its cases and keeps its failures here; a count
     that is not one case per equation is added to ``cases`` directly.
+    ``skipped`` counts the object tuples left out at a declined hom-set;
+    ``covered`` turns false when a law the run meant to exhaust was
+    sampled, or a nested or compared verdict was inconclusive.  The report
+    is ``fail`` with a failure, else ``pass`` if nothing was skipped and
+    the run stayed covered, else ``inconclusive``; its findings end in
+    ``skipped_object_tuples`` after a skip, unless they hold it already.
     """
     model: Model
     cases: int = 0
     failures: list = field(default_factory=list)
+    skipped: int = 0
+    covered: bool = True
 
     def check(self, law, inputs, lhs, rhs, count=True) -> bool:
         """Compare two sides, keeping a failure when they differ.
@@ -158,11 +167,32 @@ class Recorder:
         """Keep a failure decided elsewhere; no case is counted."""
         self.failures.append(Failure(law, inputs, lhs, rhs))
 
-    def finish(self, suite, exhaustive_ok=True, findings=None) -> CheckReport:
-        verdict = ("fail" if self.failures else
-                   "pass" if exhaustive_ok else "inconclusive")
+    def fold(self, report: CheckReport):
+        """Add a nested report's cases, failures and inconclusiveness."""
+        self.cases += report.cases_run
+        self.failures += report.failures
+        if report.verdict == "inconclusive":
+            self.covered = False
+
+    def agree(self, law, a, b, inputs) -> Optional[bool]:
+        """Whether two verdicts (or determinations) agree; None, leaving the
+        run uncovered, if either is inconclusive.  A difference is kept as
+        a failure ``law`` without sides."""
+        if "inconclusive" in (a, b):
+            self.covered = False
+            return None
+        if a != b:
+            self.fail(law, inputs)
+        return a == b
+
+    def finish(self, suite, findings=None) -> CheckReport:
+        verdict = ("fail" if self.failures else "pass" if self.covered
+                   and not self.skipped else "inconclusive")
+        findings = findings or {}
+        if self.skipped and "skipped_object_tuples" not in findings:
+            findings = {**findings, "skipped_object_tuples": self.skipped}
         return CheckReport(suite, self.model.name, self.cases, verdict,
-                           self.failures, findings or {})
+                           self.failures, findings)
 
 
 def _at(value, k):
@@ -281,7 +311,7 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     most ``HOM_SLICE`` elements (as its Morphism when it has one element;
     an empty one makes no call).  Each equation of each element is one
     case.  An exhaustive run that has to sample a spec, or skips an object
-    tuple, is at best ``inconclusive``.  Each object is checked first.
+    tuple, says so to the :class:`Recorder`.  Each object is checked first.
     """
     if objs is None:
         objs = _objects(model, budget)
@@ -290,7 +320,7 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
     hom_sets = _HomSets(model)
     hom_of, one_of = hom_sets.__getitem__, hom_sets.ones.__getitem__
     homs_ok = exhaustive and _homs_enumerable(model, hom_of)
-    rec, skipped, covered = Recorder(model), 0, True
+    rec = Recorder(model)
     declined, empty = set(), set()   # the run's dead boundaries
     for spec in specs:
         wanted = exhaustive and spec.exhaustive
@@ -298,13 +328,13 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
             for objects in itertools.product(objs, repeat=spec.arity):
                 bounds = spec.homs(*objects) if spec.homs else ()
                 if not declined.isdisjoint(bounds):
-                    skipped += 1  # hom-set beyond the enumeration cap
+                    rec.skipped += 1  # hom-set beyond the enumeration cap
                     continue
                 homs = list(map(hom_of, bounds))
                 if None in homs:
                     declined.update(bound for bound, hom in zip(bounds, homs)
                                     if hom is None)
-                    skipped += 1
+                    rec.skipped += 1
                     continue
                 if not empty.isdisjoint(bounds):
                     continue  # an empty hom-set: no instantiation
@@ -345,7 +375,7 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                         del batch, column  # freed before the next is read
             continue
         if wanted:
-            covered = False  # hom-sets do not enumerate
+            rec.covered = False  # hom-sets do not enumerate
         for i in range(budget.cases):
             rng = _rng(budget, spec.name, i)
             objects = [rng.choice(objs) for _ in range(spec.arity)]
@@ -358,9 +388,7 @@ def _run_specs(model: Model, budget: CaseBudget, suite, specs,
                 continue  # subsingleton models: the drawn hom-set was empty
             for equation in equations:
                 rec.check(*equation)
-    return rec.finish(suite, exhaustive_ok=covered and not skipped,
-                      findings={"skipped_object_tuples": skipped} if skipped
-                      else None)
+    return rec.finish(suite)
 
 
 # ------------------------------------------------------------ monoidal suite

@@ -167,31 +167,30 @@ def hopf_from_bimonad(b: BimonadBundle, budget: CaseBudget):
 
     Returns ``(HopfBundle, None)`` when every checked pair inverts, else
     ``(None, witness)`` where the witness is the first (size-ordered) pair
-    whose fusion operator has no inverse.
+    whose fusion operator has no inverse.  The bundle's ``hl_inv`` inverts
+    or raises :class:`UsageError`, and its memo keeps what the search found.
     """
     model = b.model
+
+    def hl_inv(A, B):
+        inv = try_invert_fusion(b, A, B)
+        if inv is None:
+            raise UsageError(f"fusion operator not invertible at ({A!r}, {B!r})")
+        return inv
+
+    # b may be a Hopf bundle already, whose inverse is replaced
+    hopf = HopfBundle(**dict(vars(b), hl_inv=hl_inv))
     objs = _size_sorted_objects(model, budget)
-    table = {}
     for A, B in sorted(itertools.product(objs, repeat=2),
                        key=lambda p: (model.obj_size(p[0]) + model.obj_size(p[1]),
                                       repr(p))):
-        inv = try_invert_fusion(b, A, B)
-        if inv is None:
+        try:
+            hopf.hl_inv(A, B)
+        except UsageError:
             hl = fusion_left(b, A, B)
             return None, {"A": A, "B": B, "fusion_dom": hl.dom,
                           "fusion_cod": hl.cod}
-        table[(A, B)] = inv
-
-    def hl_inv(A, B):
-        if (A, B) not in table:
-            got = try_invert_fusion(b, A, B)
-            if got is None:
-                raise UsageError(f"fusion operator not invertible at ({A!r}, {B!r})")
-            table[(A, B)] = got
-        return table[(A, B)]
-
-    # b may be a Hopf bundle already, whose inverse is replaced
-    return HopfBundle(**dict(vars(b), hl_inv=hl_inv)), None
+    return hopf, None
 
 
 # ------------------------------------------------------------------ checkers
@@ -438,13 +437,10 @@ def idempotence_suite(bundle, budget: CaseBudget) -> CheckReport:
     findings["idempotent"] = mu_invertible and inv_is_eta
 
     if isinstance(bundle, HopfBundle):
-        agree = (mu_invertible == unit_iso)
-        findings["hopf_idempotence_criterion_agrees"] = agree
-        if not agree:  # two determinations disagree: no sides
-            rec.fail("hopf_idempotence_criterion",
-                     {"mu_invertible": mu_invertible, "unit_iso": unit_iso})
+        findings["hopf_idempotence_criterion_agrees"] = rec.agree(
+            "hopf_idempotence_criterion", mu_invertible, unit_iso,
+            {"mu_invertible": mu_invertible, "unit_iso": unit_iso})
 
-    exhaustive_ok = True
     if findings["idempotent"]:
         # eta at T(A) equals T of eta at A
         for A in objs:
@@ -453,12 +449,9 @@ def idempotence_suite(bundle, budget: CaseBudget) -> CheckReport:
         if model.traced:
             sub = check_traced_monad(bundle, budget)
             findings["traced_monad_verdict"] = sub.verdict
-            rec.cases += sub.cases_run
-            rec.failures += sub.failures
-            exhaustive_ok = sub.verdict != "inconclusive"
+            rec.fold(sub)
 
-    return rec.finish(f"idempotence[{bundle.name}]",
-                      exhaustive_ok=exhaustive_ok, findings=findings)
+    return rec.finish(f"idempotence[{bundle.name}]", findings)
 
 
 def trace_meta_check(bundle) -> CheckReport:

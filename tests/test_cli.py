@@ -9,12 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from tracedcat import eilenberg_moore
 from tracedcat.cli import (SCENARIOS, RunConfig, format_report, load_group,
-                           main, run_scenario, serialize_report)
+                           main, run_scenario, serialize_morphism,
+                           serialize_report)
 from tracedcat.core import UsageError
 from tracedcat.hopf_monoid import group_algebra, group_representations
-from tracedcat.laws import CaseBudget, check_trace_axioms
+from tracedcat.laws import (CaseBudget, CheckReport, Recorder,
+                            check_trace_axioms)
 from tracedcat.model_iter import pfn_model
+from tracedcat.monads import identity_hopf_bundle
 from tracedcat.model_linear import mat_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +110,42 @@ def test_reports_match_pinned_digests():
     assert digests == PINNED_REPORTS
 
 
+def test_a_nested_failure_serialises_as_a_failure(monkeypatch, fincppo):
+    # a cross-check disagreement keeps each side's first Failure in its
+    # witness; it serialises with the keys of a report's own failures
+    bundle = identity_hopf_bundle(fincppo)
+    A = fincppo.enumerate_objects(2)[-1]
+    hom = fincppo.enumerate_hom(A, A)
+    f, g = hom[0], hom[1]
+    rec = Recorder(fincppo)
+    assert not rec.check("trace_coherence", {"f": f}, f, g)
+
+    def failing(hopf, budget):
+        return CheckReport(f"trace_coherence[{hopf.name}]", fincppo.name, 1,
+                           "fail", rec.failures)
+
+    monkeypatch.setattr(eilenberg_moore, "check_trace_coherence", failing)
+    report = eilenberg_moore.crosscheck_main_theorem(bundle,
+                                                     CaseBudget(0, 10, 2))
+    assert report.verdict == "fail"
+    payload = json.loads(json.dumps(serialize_report(report)))
+    nested = payload["failures"][0]["witness"]["coherence_failures"][0]
+    assert nested == {"law": "trace_coherence",
+                      "witness": {"f": serialize_morphism(f)},
+                      "lhs": serialize_morphism(f),
+                      "rhs": serialize_morphism(g)}
+    assert set(payload["failures"][0]) == set(nested)
+
+
+def test_run_config_budget_rejects_size_zero():
+    # 0 is a size, not "none given": it fails as CaseBudget's does
+    with pytest.raises(ValueError):
+        CaseBudget(seed=0, max_object_size=0)
+    with pytest.raises(ValueError):
+        RunConfig().budget(max_size=0)
+    assert RunConfig().budget(max_size=2).max_object_size == 2
+
+
 def test_unknown_scenario_exit_code(tmp_path, capsys):
     assert main(["run", "does-not-exist"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
@@ -172,6 +212,9 @@ def test_ab_passes_compares_the_repo_with_itself():
         assert len(summary[side]["cpu_s"]) == 1
         assert summary[side]["median_cpu_s"] > 0
     assert summary["parent"]["won"] + summary["change"]["won"] <= 1
+    # one profiled pass per process: the same code makes the same calls
+    assert summary["parent"]["calls"] == summary["change"]["calls"] > 0
+    assert summary["calls_change_vs_parent"] == 0
 
 
 @pytest.mark.parametrize("verdict, facts", [("fail", {"answer": 42}),

@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used, every parameter of
 a module-level library function is used, every default of a library
-function is overridden by some call, failures are built in one place,
-and the package's top-level imports form no cycle, with an import inside a
-function only where one at the top would close a cycle.  Every law model
-whose hom-sets hold several morphisms has its own HomSet kernels.
+function is overridden by some call, failures are built and verdicts
+decided in one place, and the package's top-level imports form no cycle,
+with an import inside a function only where one at the top would close a
+cycle.  Every law model whose hom-sets hold several morphisms has its own
+HomSet kernels.
 
 No linter ships with the project, so this scans each ``tracedcat`` module,
 test module and script with :mod:`ast`.  A name counts as used when the module loads it anywhere,
@@ -77,6 +78,35 @@ def test_failures_built_only_by_the_recorder():
     # every module but laws.py counts and records through laws.Recorder
     calls = {path.name: failure_calls(path.read_text(encoding="utf-8"))
              for path in SRC.glob("*.py") if path.name != "laws.py"}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def finish_calls(source):
+    """The lines of ``source`` whose call of ``finish`` passes anything but
+    a suite and findings, so decides some of the verdict itself."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "finish" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))
+                  and (len(node.args) > 2
+                       or any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(kw.arg not in ("suite", "findings")
+                              for kw in node.keywords)))
+
+
+def test_finish_call_scan():
+    assert finish_calls("r.finish('s')\nr.finish('s', {})\n"
+                        "r.finish(suite='s', findings={})\n"
+                        "r.finish('s', True, {})\nr.finish('s', ok=1)\n"
+                        "finish(*a)\nr.finish('s', **kw)\n") == [4, 5, 6, 7]
+
+
+def test_only_the_recorder_decides_a_verdict():
+    # Recorder.finish takes a suite and findings; a checker reports what
+    # it skipped, sampled or compared through the Recorder instead
+    calls = {path.name: finish_calls(path.read_text(encoding="utf-8"))
+             for directory in ("src", "tests")
+             for path in sorted((ROOT / directory).rglob("*.py"))}
     assert {name: lines for name, lines in calls.items() if lines} == {}
 
 

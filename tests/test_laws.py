@@ -164,6 +164,62 @@ def test_failures_replay_soundly():
         assert not model.mor_eq(failure.lhs, failure.rhs)
 
 
+@pytest.mark.parametrize("failures, skipped, covered, verdict", [
+    (0, 0, True, "pass"), (0, 2, True, "inconclusive"),
+    (0, 0, False, "inconclusive"), (0, 2, False, "inconclusive"),
+    (1, 0, True, "fail"), (1, 2, False, "fail")])
+def test_recorder_decides_the_verdict(pfn, failures, skipped, covered,
+                                      verdict):
+    rec = Recorder(pfn, skipped=skipped, covered=covered)
+    for _ in range(failures):
+        rec.fail("law", {})
+    report = rec.finish("suite", {"kept": 1})
+    assert (report.suite, report.model, report.verdict) == (
+        "suite", "pfn", verdict)
+    # the skip count goes after the caller's findings
+    assert list(report.findings.items()) == [("kept", 1)] + (
+        [("skipped_object_tuples", skipped)] if skipped else [])
+
+
+def test_recorder_leaves_a_written_skip_count_in_place(pfn):
+    rec = Recorder(pfn, skipped=2)
+    findings = {"checked": 1, "skipped_object_tuples": 2, "total": 3}
+    assert list(rec.finish("suite", findings).findings) == list(findings)
+    # strictness_property writes it even when it is 0
+    report = Recorder(pfn).finish("suite", {"skipped_object_tuples": 0})
+    assert (report.verdict, report.findings) == (
+        "pass", {"skipped_object_tuples": 0})
+    assert Recorder(pfn).finish("suite").findings == {}
+
+
+def test_recorder_folds_a_nested_report(pfn):
+    failure = laws.Failure("inner_law", {}, None, None)
+    rec = Recorder(pfn, cases=1)
+    rec.fold(laws.CheckReport("inner", "pfn", 5, "pass"))
+    assert (rec.cases, rec.failures, rec.covered) == (6, [], True)
+    rec.fold(laws.CheckReport("inner", "pfn", 3, "inconclusive"))
+    assert (rec.cases, rec.covered) == (9, False)
+    assert rec.finish("outer").verdict == "inconclusive"
+    rec.fold(laws.CheckReport("inner", "pfn", 1, "fail", [failure]))
+    report = rec.finish("outer")
+    assert (report.cases_run, report.verdict, report.failures) == (
+        10, "fail", [failure])
+
+
+def test_recorder_compares_two_verdicts(pfn):
+    rec = Recorder(pfn)
+    assert rec.agree("differ", "pass", "pass", {}) is True
+    assert rec.agree("differ", False, False, {}) is True
+    assert (rec.failures, rec.covered) == ([], True)
+    assert rec.agree("differ", "pass", "fail", {"x": 1}) is False
+    assert rec.failures == [laws.Failure("differ", {"x": 1}, None, None)]
+    assert rec.covered
+    assert rec.agree("differ", "fail", "inconclusive", {}) is None
+    assert (len(rec.failures), rec.covered, rec.cases) == (1, False, 0)
+    rec.failures.clear()
+    assert rec.finish("suite").verdict == "inconclusive"
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         CaseBudget(seed=0, cases=0)

@@ -445,14 +445,14 @@ def _strictness_case_by_case(model, budget):
     Morphisms: its cases, in order, and its stop after the object triple
     that passes 4000 cases."""
     rec = Recorder(model)
-    checked = skipped = 0
+    checked = 0
     objs = model.enumerate_objects(min(3, budget.max_object_size))
     for A, X, Y in itertools.product(objs, repeat=3):
         hs = model.enumerate_hom(X, Y)
         fs = model.enumerate_hom(poset_product(A, X), X)
         gs = model.enumerate_hom(poset_product(A, Y), Y)
         if hs is None or fs is None or gs is None:
-            skipped += 1
+            rec.skipped += 1
             continue
         checked += 1
         for h in hs:
@@ -469,10 +469,9 @@ def _strictness_case_by_case(model, budget):
         if rec.cases > 4000:
             break
     return rec.finish("strict_fixed_point_transfer",
-                      exhaustive_ok=not skipped,
-                      findings={"checked_object_tuples": checked,
-                                "skipped_object_tuples": skipped,
-                                "total_object_tuples": len(objs) ** 3})
+                      {"checked_object_tuples": checked,
+                       "skipped_object_tuples": rec.skipped,
+                       "total_object_tuples": len(objs) ** 3})
 
 
 def test_batched_strictness_matches_a_case_by_case_run():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_hopf_bundle_is_a_bimonad_and_a_monad_bundle(mat, qc2):
     free = free_algebra(searched, 1)
     assert free.carrier == qc2.on_obj(1)
     assert mat.mor_eq(free.action, qc2.mu(1))
+
+
+def test_fusion_inverse_search_fills_the_bundle_memo(mat, qc2):
+    # the search goes through the bundle's hl_inv, so its memo keeps every
+    # inverse it found
+    searched, witness = hopf_from_bimonad(qc2, SMALL)
+    assert witness is None
+    pool = mat.enumerate_objects(SMALL.max_object_size)
+    assert {key[:2] for key in searched.hl_inv.memo} == set(
+        itertools.product(pool, repeat=2))
 
 
 def test_fusion_identity_monad_collapses(mat):
