@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (BoundaryError, CapabilityError, HomSet, ModelMismatchError,
                    Morphism)
@@ -218,6 +219,16 @@ def _first_failure(b, algA, algB, images, decided):
     return None
 
 
+def _by_identity(fn):
+    """``fn`` memoised on its arguments' identity; they must outlive it."""
+    memo = {}
+    def cached(*args):
+        key = tuple(map(id, args))
+        return memo[key] if key in memo else memo.setdefault(key, fn(*args))
+
+    return cached
+
+
 def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
                    components=None) -> CheckReport:
     """Exhaustive lifting loop of the traced and fixed-point checkers.
@@ -229,28 +240,27 @@ def _check_lifting(b, budget: CaseBudget, suite, law, arity, lift,
     ``op(fs)`` of the images ``A -> B``, in order, and each must be an
     algebra morphism again.  Each ``f`` is one case, but the conclusion
     only sees its image, so each distinct image is decided once per pair
-    ``(A, B)``, in first-seen order, by a memo that both paths share and
-    that lives until the call returns; it is keyed by the identity of the
-    pool's algebras, which is cheaper than hashing them.  The run stops
-    at the first failure, which the size
-    order makes minimal: its hom-set counts the cases up to the first
-    ``f`` with the failing image, and that ``f`` is the witness, as if
-    each ``f`` had been checked alone; a witness that is not an algebra
-    morphism is kept as an ``algebra_morphism_premise`` failure.  A tuple
-    whose hom-set cannot be enumerated is skipped, and counted in the
+    ``(A, B)``, in first-seen order, by a memo that both paths share, that
+    lives until the call returns and that is keyed, like ``tensor``, by the
+    identity of the pool's algebras.  The run stops at the first failure,
+    which the size order makes minimal: its hom-set counts the cases up to
+    the first ``f`` with the failing image, and that ``f`` is the witness,
+    as if each ``f`` had been checked alone; a witness that is not an
+    algebra morphism is kept as an ``algebra_morphism_premise`` failure.  A
+    tuple whose hom-set cannot be enumerated is skipped, and counted in the
     :class:`~tracedcat.laws.Recorder`.
 
     ``components(src, tgt, X, A, ...)``, where given, may decide a tuple
     without its joint hom-set: it returns None to leave the tuple to the
-    joint path, or ``(n, images)``, the number of cases and the HomSet of
-    every distinct image (None for a declined hom-set).  A tuple whose
+    joint path, or ``(n, images)``, the number of cases and a HomSet that
+    holds every distinct image (None for a declined hom-set).  A tuple whose
     images all pass adds ``n`` cases; one with a failing image is replayed
     on its joint hom-set, so its count and witness are the joint path's.
     """
     model = b.model
     rec = Recorder(model)
     pool = algebra_pool(b, budget)
-    tensor = functools.cache(functools.partial(algebra_tensor, b))
+    tensor = _by_identity(functools.partial(algebra_tensor, b))
     memos = {}
     for algs in itertools.product(pool, repeat=arity):
         algX, algA = algs[:2]
@@ -297,34 +307,37 @@ def _product_components(b):
     ``<a_B o T p_B, a_X o T p_X>``; a triple that fails it is left to the
     joint path.  Where it holds, the algebra morphisms ``f : A (x) X ->
     B (x) X`` are the pairs ``<f_B, f_X>`` of algebra morphisms into each
-    factor (as ``T`` preserves composition), and the trace of one is ``f_B o <1, fix f_X>`` (the trace of a
-    Conway operator), so it sees ``f_X`` only through its fixed point.
-    Every ``f_B`` is paired with one ``f_X`` per distinct fixed point, and
-    the model traces the pairs in one call: that gives every image of the
-    joint hom-set, whose ``|Alg(A (x) X, B)| * |Alg(A (x) X, X)|`` maps
-    are the cases.  A declined component hom-set skips the triple.  The
-    gate depends on ``(B, X)`` alone and the ``f_X`` side on ``(X, A)``, so
-    each is worked out once per pair.
+    factor (as ``T`` preserves composition), and the trace of one, ``f_B o
+    <1, fix f_X>`` (a Conway operator's), reads ``f_B`` only on the graph
+    ``a * |X| + fix f_X (a)`` of its table.  So one ``f_X`` per fixed point
+    is traced with one ``f_B`` per restriction to its graph, in one call:
+    that gives every image of the joint hom-set, whose ``|Alg(A (x) X, B)|
+    * |Alg(A (x) X, X)|`` maps are the cases.  A declined component hom-set
+    skips the triple.  The gate depends on ``(B, X)`` alone and the ``f_X``
+    side on ``(X, A)``, so each is worked out once per pair.
     """
     model = b.model
     if not (model.cartesian and model.has_conway):
         return None
 
-    @functools.cache
+    @_by_identity
     def is_product(tgt, algB, algX):
         B, X = algB.carrier, algX.carrier
         return tgt.action == model.pair(
             model.compose(algB.action, b.on_mor(model.proj0(B, X))),
             model.compose(algX.action, b.on_mor(model.proj1(B, X))))
 
-    @functools.cache
+    @_by_identity
     def by_fixed_point(src, algX, algA):
-        """``|Alg(A (x) X, X)|`` and one ``f_X`` per fixed point, or None."""
+        """``|Alg(A (x) X, X)|``, ``(graph, f_X)`` per fixed point, or None."""
         fxs = enumerate_algebra_morphisms(b, src, algX)
         if fxs is None:
             return None
-        fixes = model.fix(algX.carrier, algA.carrier, fxs)
-        return len(fxs), list(dict(zip(fixes.payloads, fxs.payloads)).values())
+        fixes = model.fix(algX.carrier, algA.carrier, fxs).payloads
+        nx = algX.carrier.size
+        return len(fxs), [
+            (itemgetter(*[a * nx + x for a, x in enumerate(phi)]), f_x)
+            for phi, f_x in dict(zip(fixes, fxs.payloads)).items()]
 
     def components(src, tgt, algX, algA, algB):
         if not is_product(tgt, algB, algX):
@@ -333,12 +346,14 @@ def _product_components(b):
         fbs = enumerate_algebra_morphisms(b, src, algB)
         if fixed is None or fbs is None:
             return 0, None
-        n_x, reps = fixed
-        pairs = model.pair(
-            HomSet(model.name, src.carrier, algB.carrier,
-                   [f for f in fbs.payloads for _ in reps]),
-            HomSet(model.name, src.carrier, algX.carrier, reps * len(fbs)))
-        return (len(fbs) * n_x,
+        f_bs, f_xs = [], []
+        for on_graph, f_x in fixed[1]:
+            kept = dict(zip(map(on_graph, fbs.payloads), fbs.payloads))
+            f_bs += kept.values()
+            f_xs += [f_x] * len(kept)
+        pairs = model.pair(HomSet(model.name, src.carrier, algB.carrier, f_bs),
+                           HomSet(model.name, src.carrier, algX.carrier, f_xs))
+        return (len(fbs) * fixed[0],
                 model.trace(algX.carrier, algA.carrier, algB.carrier, pairs))
 
     return components
@@ -371,7 +386,7 @@ def check_traced_monad(b, budget: CaseBudget) -> CheckReport:
 
     rec = Recorder(model)
     pool = algebra_pool(b, budget)
-    tensor = functools.cache(functools.partial(algebra_tensor, b))
+    tensor = _by_identity(functools.partial(algebra_tensor, b))
     for i in range(budget.cases):
         rng = _rng(budget, "traced_monad", i)
         algs = [pool[rng.randrange(len(pool))] for _ in range(3)]

@@ -217,6 +217,49 @@ def test_ab_passes_compares_the_repo_with_itself():
     assert summary["calls_change_vs_parent"] == 0
 
 
+_AB_METRICS = [{"name": "verdict_s", "better": "lower", "bound": 0.25},
+               {"name": "cases_per_s", "better": "higher", "bound": 0.25}]
+_AB_PARENT = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("verdict_s, claim", [
+    ([1.2] + [0.6 * t for t in _AB_PARENT[1:]], True),   # won 9 of 10
+    ([1.2, 1.2] + [0.6 * t for t in _AB_PARENT[2:]], False),  # won 8
+    ([t - 0.02 for t in _AB_PARENT], False),   # won 10, gain < IQR 0.03
+    ([t - 0.04 for t in _AB_PARENT], True)],
+    ids=["won-9", "won-8", "inside-iqr", "beyond-iqr"])
+def test_ab_bench_summary_applies_the_claim_rule(verdict_s, claim):
+    summarize = runpy.run_path(
+        str(ROOT / "scripts" / "ab_bench.py"))["summarize"]
+    parent = [{"verdict_s": t, "cases_per_s": 100.0} for t in _AB_PARENT]
+    change = [{"verdict_s": t, "cases_per_s": 100.0} for t in verdict_s]
+    s = summarize(parent, change, _AB_METRICS)["verdict_s"]
+    assert s["claim"] is claim and s["within_bound"]
+    assert (s["parent"]["median"], s["parent"]["q1"]) == (1.0, 0.985)
+    assert s["parent"]["won"] + s["change"]["won"] <= len(_AB_PARENT)
+    # cases_per_s tied in every pair: no win, no claim, no change
+    s = summarize(parent, change, _AB_METRICS)["cases_per_s"]
+    assert (s["parent"]["won"], s["change"]["won"], s["claim"],
+            s["change_vs_parent"], s["within_bound"]) == (0, 0, False, 0,
+                                                          True)
+
+
+@pytest.mark.parametrize("factor, within", [(1.24, True), (1.26, False)])
+def test_ab_bench_summary_applies_each_bound_in_its_direction(factor,
+                                                              within):
+    summarize = runpy.run_path(
+        str(ROOT / "scripts" / "ab_bench.py"))["summarize"]
+    parent = [{"verdict_s": 1.0, "cases_per_s": 100.0}] * 3
+    change = [{"verdict_s": factor, "cases_per_s": 100.0 * (2 - factor)}] * 3
+    out = summarize(parent, change, _AB_METRICS)
+    for name in ("verdict_s", "cases_per_s"):
+        assert out[name]["within_bound"] is within
+        assert (out[name]["parent"]["won"], out[name]["change"]["won"]) == (
+            3, 0)
+        assert not out[name]["claim"]
+    assert out["verdict_s"]["change_vs_parent"] == pytest.approx(factor - 1)
+
+
 @pytest.mark.parametrize("verdict, facts", [("fail", {"answer": 42}),
                                              ("pass", {"answer": 41})],
                          ids=["suite-verdict-differs", "fact-differs"])

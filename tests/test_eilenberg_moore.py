@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -148,8 +149,9 @@ def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
     # one public Model.trace call per algebra triple, on one HomSet: the
     # span perfbench's traced run requires on the exhaustive workload.  On
     # fin_cppo every triple takes the component path, whose HomSet pairs
-    # each f_B with one f_X per fixed point, while each f of the joint
-    # hom-set is still one case
+    # one f_X per fixed point with one f_B per distinct restriction to the
+    # graph of that fixed point, while each f of the joint hom-set is still
+    # one case
     calls = []
     trace = Model.trace
 
@@ -170,9 +172,12 @@ def test_exhaustive_traced_monad_traces_through_the_model(fincppo,
     for algX, algA, algB in itertools.product(pool, repeat=3):
         src = algebra_tensor(bundle, algA, algX)
         fxs = enumerate_algebra_morphisms(bundle, src, algX)
-        fixes = set(fincppo.fix(algX.carrier, algA.carrier, fxs).payloads)
-        traced += len(enumerate_algebra_morphisms(bundle, src, algB)) * len(
-            fixes)
+        fbs = enumerate_algebra_morphisms(bundle, src, algB)
+        nx = algX.carrier.size
+        for phi in set(fincppo.fix(algX.carrier, algA.carrier, fxs).payloads):
+            graph = [a * nx + x for a, x in enumerate(phi)]
+            traced += len({tuple(fb[i] for i in graph)
+                           for fb in fbs.payloads})
     assert sum(len(f) for f in calls) == traced
     assert rep.cases_run == _lifting_by_element(bundle, budget, 3)[0]
 
@@ -366,6 +371,34 @@ def test_component_path_matches_the_joint_path(name, size, verdict,
     assert by_components == joint
     assert by_components.verdict == verdict
     assert gated and all(gated)
+
+
+@pytest.mark.parametrize("make", [sigma_meet_bimonad, sigma_join_bimonad])
+def test_component_path_keeps_every_image(fincppo, make):
+    # tracing one f_B per restriction to the graph of each fixed point
+    # gives the images that tracing the joint hom-set one f at a time gives,
+    # on every triple (each passes the product gate), and the run keeps the
+    # count and first failure of a morphism-by-morphism run
+    b = make(fincppo)
+    budget = CaseBudget(seed=0, cases=20, max_object_size=2)
+    pool = algebra_pool(b, budget)
+    components = eilenberg_moore._product_components(b)
+    # the components' memos are keyed by identity: keep every tensor alive
+    tensor = functools.cache(functools.partial(algebra_tensor, b))
+    for algX, algA, algB in itertools.product(pool, repeat=3):
+        src, tgt = tensor(algA, algX), tensor(algB, algX)
+        n, images = components(src, tgt, algX, algA, algB)
+        fs = enumerate_algebra_morphisms(b, src, tgt)
+        assert n == len(fs)
+        assert set(images.payloads) == {
+            fincppo.trace(algX.carrier, algA.carrier, algB.carrier, f).payload
+            for f in fs}
+    rep = check_traced_monad(b, budget)
+    cases, _, failure = _lifting_by_element(b, budget, 3)
+    assert rep.cases_run == cases
+    assert [(fl.inputs, fl.lhs, fl.rhs) for fl in rep.failures] == (
+        [failure] if failure else [])
+    assert rep.verdict == ("fail" if failure else "pass")
 
 
 def test_product_gate_leaves_other_tensors_to_the_joint_path(fincppo,
